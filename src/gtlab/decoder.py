@@ -6,6 +6,14 @@ first maximizer.  A tie is any later candidate attaining the same maximum
 under exact comparison; candidates with likelihood exactly zero (score
 -inf) never participate in tie detection.
 
+Every score is combined from a candidate's integer test statistics in a
+fixed order, so candidates with equal statistics get bit-identical scores
+and the tie rule is exact for all three channels.  Dilution reduces a
+candidate to w- (member participations in negative tests) and n+[c]
+(positive tests pooling exactly c members), counted by popcounts on the
+packed rows, and scores it as w- * log2 u plus n+[c] * log2(1 - u**c) for
+c = 1..K, added in that order; the single-set scorer shares that code.
+
 Scan order and scoring are deterministic, so results are identical across
 platforms and thread counts.  Two exact prunings keep the scan fast
 without changing its outcome:
@@ -29,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bitops import popcount, unpack_bits
+from .bitops import popcount
 from .errors import CapacityError, ParameterError
 from .model import (
     ADDITIVE,
@@ -73,6 +81,63 @@ def _nlog2(count: int, x: float) -> float:
     return count * math.log2(x)
 
 
+def _dilution_coefficients(u: float, k: int) -> tuple[float, list[float]]:
+    """(log2 u, [log2(1 - u**c) for c = 1..k]) for a dilution u in (0, 1)."""
+    return math.log2(u), [math.log2(1.0 - u**c) for c in range(1, k + 1)]
+
+
+def _dilution_scores(
+    pos_words: np.ndarray,
+    neg: np.ndarray,
+    members: np.ndarray,
+    n_pos: int,
+    log_u: float,
+    log_surviving: list[float],
+) -> np.ndarray:
+    """Dilution log2 likelihoods of B candidate sets of M members each.
+
+    ``pos_words`` is word-major, (W, N): word w of every item's row masked
+    to the positive tests.  ``neg`` holds each item's count of negative
+    tests and ``members`` the candidates' item indices, (M, B).  Per word, a
+    bit-sliced threshold recurrence over the members builds ge[c], the
+    positive tests pooling at least c members: adding a member row r sets
+    ge[c] |= ge[c-1] & r for c from high to low (``ge`` below is 0-based,
+    ge[c] at index c-1).  A candidate thus reduces to integer statistics,
+    w- (member participations in negative tests) and
+    n+[c] = |ge[c]| - |ge[c+1]| (positive tests pooling exactly c members).
+    The score is summed from 0.0 in the fixed order w- * log2 u, then
+    n+[c] * log2(1 - u**c) for c = 1..M, so equal statistics give
+    bit-identical scores.  A candidate leaving a positive test empty
+    (|ge[1]| != n_pos) scores -inf.
+    """
+    m, b = members.shape
+    sizes = np.zeros((m, b), dtype=np.int64)  # sizes[c-1] = |ge[c]|
+    for word in pos_words:
+        ge: list[np.ndarray] = []
+        for j, col in enumerate(members):
+            r = word.take(col)
+            if j:
+                ge.append(ge[j - 1] & r)
+                for c in range(j - 1, 0, -1):
+                    ge[c] |= ge[c - 1] & r
+                ge[0] |= r
+            else:
+                ge.append(r)
+        for size, level in zip(sizes, ge):
+            size += np.bitwise_count(level)
+    weight = np.zeros(b, dtype=np.int64)
+    for col in members:
+        weight += neg.take(col)
+    scores = np.zeros(b)
+    scores += weight * log_u
+    for c in range(m):
+        exact = sizes[c] - sizes[c + 1] if c + 1 < m else sizes[c]
+        scores += exact * log_surviving[c]
+    covered = sizes[0] if m else 0
+    scores[covered != n_pos] = -math.inf
+    return scores
+
+
 def log_likelihood(
     codebook: Codebook,
     candidate_set: DefectiveSet,
@@ -86,7 +151,11 @@ def log_likelihood(
     impossible; otherwise each uncovered positive test contributes
     log2 q and each negative test log2(1-q).  Dilution: with c candidate
     members in a test, a negative outcome contributes c*log2 u and a
-    positive one log2(1 - u**c).
+    positive one log2(1 - u**c); the terms are combined from the integer
+    statistics w- (member participations in negative tests) and n+[c]
+    (positive tests pooling exactly c members) in the fixed order
+    w- * log2 u, then n+[c] * log2(1 - u**c) for c = 1..|set|, exactly as
+    ``ml_decode`` scores them, so equal statistics score bit-identically.
     """
     if outcome.n_tests != codebook.n_tests:
         raise ParameterError(
@@ -105,18 +174,21 @@ def log_likelihood(
             codebook.n_tests - n_pos, 1.0 - noise_model.q
         )
     if noise_model.kind == DILUTION:
-        counts = unpack_bits(codebook.words[idx], codebook.n_tests).sum(axis=0, dtype=np.int64)
-        y = outcome.bits()
-        pos_counts = counts[y == 1]
-        if (pos_counts == 0).any():
-            return -math.inf
-        ll = _nlog2(int(counts[y == 0].sum()), noise_model.u)
-        if pos_counts.size:
-            surviving = 1.0 - np.float_power(noise_model.u, pos_counts)
-            if (surviving == 0.0).any():
-                return -math.inf
-            ll += float(np.log2(surviving).sum())
-        return ll
+        u = noise_model.u
+        if u == 1.0:
+            # every participation is erased: only an all-negative outcome is possible
+            return 0.0 if int(popcount(y_words)) == 0 else -math.inf
+        if u > 0.0:
+            rows = codebook.words[idx]
+            scores = _dilution_scores(
+                (rows & y_words).T,
+                popcount(rows & ~y_words),
+                np.arange(idx.size)[:, None],
+                int(popcount(y_words)),
+                *_dilution_coefficients(u, idx.size),
+            )
+            return float(scores[0])
+        # u = 0 erases nothing: the noise-free law
     # noise-free
     return 0.0 if np.array_equal(or_words, y_words) else -math.inf
 
@@ -222,21 +294,15 @@ def _decode_additive(
 def _decode_dilution(
     codebook: Codebook, outcome: OutcomeVector, k: int, u: float, total: int
 ) -> DecodeResult:
-    bits = codebook.dense_bits()
-    y = outcome.bits()
-    neg_hits = (bits & (y == 0)).sum(axis=1, dtype=np.int64)  # per-item pooled-in-negative count
-    pos_bits = bits[:, y == 1]
-    log_u = math.log2(u)
-    # log2(1 - u**c) for c = 0..k; c = 0 in a positive test is impossible (masked below)
-    lut = np.full(k + 1, -math.inf)
-    with np.errstate(divide="ignore"):
-        lut[1:] = np.log2(1.0 - np.float_power(u, np.arange(1, k + 1)))
+    y_words = outcome.words
+    pos_words = np.ascontiguousarray((codebook.words & y_words).T)
+    neg = popcount(codebook.words & ~y_words)  # per-item pooled-in-negative count
+    n_pos = int(popcount(y_words))
+    log_u, log_surviving = _dilution_coefficients(u, k)
     state = _ScanState()
     for idx in _combo_chunks(codebook.n_items, k):
-        neg_weight = neg_hits[idx].sum(axis=1)
-        counts = pos_bits[idx].sum(axis=1, dtype=np.int64)  # (B, n_positive_tests)
-        scores = neg_weight * log_u + lut[counts].sum(axis=1)
-        scores[(counts == 0).any(axis=1)] = -math.inf
+        members = np.ascontiguousarray(idx.T, dtype=np.intp)
+        scores = _dilution_scores(pos_words, neg, members, n_pos, log_u, log_surviving)
         state.update(scores, idx)
     return state.result(k, total)
 

@@ -153,3 +153,20 @@ def test_accept_subset_runs():
     code, text = run_cli(["accept", "--criteria", "1"])
     assert code == 0
     assert "PASS" in text and "criterion  1" in text
+
+
+def test_accept_fails_a_raising_criterion_and_runs_the_rest(monkeypatch):
+    from gtlab import acceptance
+
+    def unattained():
+        raise AssertionError("target 0.1 unattained for N=64 K=2 dilution(0.25)")
+
+    def passing():
+        return True, "ok"
+
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        [(90, "raises", unattained), (91, "passes", passing)])
+    code, text = run_cli(["accept", "--criteria", "90,91"])
+    assert code == 1
+    assert "FAIL  criterion 90  raises: target 0.1 unattained for N=64 K=2 dilution(0.25)" in text
+    assert "PASS  criterion 91  passes: ok" in text

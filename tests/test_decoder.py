@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtlab import (
     CapacityError,
@@ -33,7 +35,10 @@ def make_codebook(bits, p=0.5, seed=0):
 def reference_log_likelihood(codebook, members, outcome, noise):
     """Scalar per-test reference: accumulate integer test statistics, then
     combine them exactly as the likelihood factorizes (so equal statistics
-    give bit-identical scores).  No bit packing anywhere."""
+    give bit-identical scores).  Dilution reduces to w- (member
+    participations in negative tests) and n+[c] (positive tests pooling
+    exactly c members), added from 0.0 in the order w- * log2 u, then
+    n+[c] * log2(1 - u**c) for c = 1..K.  No bit packing anywhere."""
     dense = codebook.dense_bits()
     y = outcome.bits()
     counts = [sum(int(dense[i, t]) for i in members.indices) for t in range(codebook.n_tests)]
@@ -53,18 +58,20 @@ def reference_log_likelihood(codebook, members, outcome, noise):
         return score
     if any(c == 0 and y[t] == 1 for t, c in enumerate(counts)):
         return -math.inf
-    pooled_in_negatives = sum(c for t, c in enumerate(counts) if y[t] == 0)
+    # dilution statistics: w- = member participations in negative tests,
+    # exact[c] = positive tests pooling exactly c members
+    w_neg = sum(c for t, c in enumerate(counts) if y[t] == 0)
+    exact = [0] * (len(members) + 1)
+    for t, c in enumerate(counts):
+        if y[t] == 1:
+            exact[c] += 1
+    terms = [(w_neg, noise.u)] + [(exact[c], 1.0 - noise.u**c) for c in range(1, len(exact))]
     score = 0.0
-    if pooled_in_negatives:
-        if noise.u == 0.0:
-            return -math.inf
-        score += pooled_in_negatives * math.log2(noise.u)
-    positive_counts = np.array([c for t, c in enumerate(counts) if y[t] == 1])
-    if positive_counts.size:
-        surviving = 1.0 - np.float_power(noise.u, positive_counts)
-        if (surviving == 0.0).any():
-            return -math.inf
-        score += float(np.log2(surviving).sum())
+    for count, prob in terms:
+        if count:
+            if prob == 0.0:
+                return -math.inf
+            score += count * math.log2(prob)
     return score
 
 
@@ -194,6 +201,61 @@ def test_decode_matches_reference_on_random_instances(seed):
         assert got.tie == want_tie
         # the public single-set scorer agrees exactly with the scan
         assert log_likelihood(cb, got.best_set, out, noise) == got.log_likelihood
+
+
+# Four items, K = 2, every test positive.  {0, 1} and {2, 3} pool the same
+# integer statistics (one test with two members, five with one) in a
+# different test order, so they tie exactly under dilution.
+TIE_POOLS = [(0, 2), (1, 3), (0, 3), (1, 2), (0, 1, 2), (2, 3, 0)]
+
+
+def test_dilution_tie_with_equal_statistics_in_different_test_order():
+    cb = make_codebook([[int(i in pool) for pool in TIE_POOLS] for i in range(4)])
+    out = OutcomeVector.from_bits([1] * len(TIE_POOLS))
+    noise = NoiseModel.dilution(0.2)
+    res = ml_decode(cb, out, 2, noise)
+    assert res.best_set.indices == (0, 1)
+    assert res.tie
+    assert res.log_likelihood == log_likelihood(cb, DefectiveSet((2, 3)), out, noise)
+    assert res.log_likelihood == reference_log_likelihood(cb, DefectiveSet((0, 1)), out, noise)
+
+
+def test_dilution_tie_between_different_negative_statistics():
+    # at u = 1/2 one negative test pooling two members costs as much as two
+    # negative tests pooling one each, so {0, 1}, {0, 2} and {1, 2} tie
+    cb = make_codebook([[1, 1, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1]])
+    out = OutcomeVector.from_bits([1, 0, 0])
+    res = ml_decode(cb, out, 2, NoiseModel.dilution(0.5))
+    assert res.best_set.indices == (0, 1)
+    assert res.tie
+    assert res.log_likelihood == math.log2(0.75) - 2
+
+
+_CHANNELS = {
+    "noise-free": st.just(NF),
+    "additive": st.sampled_from([0.1, 0.25, 0.5, 0.75]).map(NoiseModel.additive),
+    "dilution": st.sampled_from([0.1, 0.2, 0.3, 0.5, 0.75]).map(NoiseModel.dilution),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_CHANNELS))
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_decode_matches_reference_property(kind, data):
+    """(set, score, tie) equal the brute-force reference, on one-word rows
+    (T <= 24) and multi-word rows (T in 65..140)."""
+    k = data.draw(st.integers(1, 4), label="K")
+    n = data.draw(st.integers(k, 9), label="N")
+    t = data.draw(st.one_of(st.integers(1, 24), st.integers(65, 140)), label="T")
+    noise = data.draw(_CHANNELS[kind], label="channel")
+    p = data.draw(st.sampled_from([0.2, 0.4, 0.6]), label="p")
+    cb = generate_codebook(n, t, p, data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    truth = DefectiveSet.of(data.draw(st.sets(st.integers(0, n - 1), min_size=k, max_size=k)))
+    out = apply_channel(cb, truth, noise, data.draw(st.integers(0, 2**32 - 1), label="noise"))
+    got = ml_decode(cb, out, k, noise)
+    assert (got.best_set.indices, got.log_likelihood, got.tie) == reference_decode(
+        cb, out, k, noise)
+    assert log_likelihood(cb, got.best_set, out, noise) == got.log_likelihood
 
 
 def test_label_permutation_equivariance():
