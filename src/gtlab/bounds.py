@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom as _binom_dist
 
 from .errors import CapacityError, ParameterError
 from .model import ADDITIVE, DILUTION, NOISE_FREE, NoiseModel
@@ -158,6 +157,10 @@ def mi_dilution(k: int, i: int, p: float, u: float) -> float:
     _check_partition(k, i, p)
     if not 0.0 <= u <= 1.0:
         raise ParameterError(f"dilution u must lie in [0, 1], got {u}")
+    # imported here so that only dilution bounds pay scipy.stats' ~1 s import;
+    # the closed form comb * p**j * (1-p)**(k-j) differs from it in the last ulp
+    from scipy.stats import binom as _binom_dist
+
     s = 1.0 - u
     unknown_absent = (1.0 - p * s) ** i
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -86,6 +87,26 @@ def _dilution_coefficients(u: float, k: int) -> tuple[float, list[float]]:
     return math.log2(u), [math.log2(1.0 - u**c) for c in range(1, k + 1)]
 
 
+# Per-thread work arrays of _dilution_scores, kept across chunks and decodes.
+# Fresh arrays of ~1 MB per chunk make malloc trim the heap top and grow it
+# again, and the page faults that follow cost dilution trial loops about a
+# third of their speed.
+_scratch = threading.local()
+
+
+def _work_arrays(m: int, b: int):
+    """This thread's (m+2, b) uint64 and int64 blocks, b float64 and b uint8."""
+    arrays = getattr(_scratch, "arrays", None)
+    if arrays is None or arrays[0].shape[0] < m + 2 or arrays[0].shape[1] < b:
+        rows = max(m + 2, 0 if arrays is None else arrays[0].shape[0])
+        cols = max(b, _CHUNK if arrays is None else arrays[0].shape[1])
+        arrays = (np.empty((rows, cols), dtype=np.uint64), np.empty((rows, cols), dtype=np.int64),
+                  np.empty(cols), np.empty(cols, dtype=np.uint8))
+        _scratch.arrays = arrays
+    bits, ints, floats, counts = arrays
+    return bits[: m + 2, :b], ints[: m + 2, :b], floats[:b], counts[:b]
+
+
 def _dilution_scores(
     pos_words: np.ndarray,
     neg: np.ndarray,
@@ -111,28 +132,30 @@ def _dilution_scores(
     (|ge[1]| != n_pos) scores -inf.
     """
     m, b = members.shape
-    sizes = np.zeros((m, b), dtype=np.int64)  # sizes[c-1] = |ge[c]|
+    bits, ints, floats, counts = _work_arrays(m, b)
+    ge, r, tmp = bits[:m], bits[m], bits[m + 1]
+    sizes, weight, itmp = ints[:m], ints[m], ints[m + 1]  # sizes[c-1] = |ge[c]|
+    sizes.fill(0)
     for word in pos_words:
-        ge: list[np.ndarray] = []
         for j, col in enumerate(members):
-            r = word.take(col)
+            word.take(col, out=r, mode="clip")  # mode="raise" copies through a fresh array
             if j:
-                ge.append(ge[j - 1] & r)
+                np.bitwise_and(ge[j - 1], r, out=ge[j])
                 for c in range(j - 1, 0, -1):
-                    ge[c] |= ge[c - 1] & r
+                    ge[c] |= np.bitwise_and(ge[c - 1], r, out=tmp)
                 ge[0] |= r
             else:
-                ge.append(r)
+                ge[0] = r
         for size, level in zip(sizes, ge):
-            size += np.bitwise_count(level)
-    weight = np.zeros(b, dtype=np.int64)
+            size += np.bitwise_count(level, out=counts)
+    weight.fill(0)
     for col in members:
-        weight += neg.take(col)
+        weight += neg.take(col, out=itmp, mode="clip")
     scores = np.zeros(b)
-    scores += weight * log_u
+    scores += np.multiply(weight, log_u, out=floats)
     for c in range(m):
-        exact = sizes[c] - sizes[c + 1] if c + 1 < m else sizes[c]
-        scores += exact * log_surviving[c]
+        exact = np.subtract(sizes[c], sizes[c + 1], out=itmp) if c + 1 < m else sizes[c]
+        scores += np.multiply(exact, log_surviving[c], out=floats)
     covered = sizes[0] if m else 0
     scores[covered != n_pos] = -math.inf
     return scores

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
+from scipy.special import betaincinv
 
 from .decoder import DEFAULT_BUDGET, ml_decode, miss_distance
 from .errors import CapacityError, ParameterError
@@ -69,6 +69,9 @@ class ErrorEstimate:
     p_hat: float
     ci_half_width: float
     seed: int
+    # erring trials by miss distance (entry i: i true items missed), for
+    # estimates drawn from the trial stream; None for the worst case
+    miss_counts: tuple[int, ...] | None = None
 
     def csv_row(self) -> list:
         return [
@@ -100,8 +103,8 @@ def ci_half_width(errors: int, trials: int) -> float:
     if trials < 1 or not 0 <= errors <= trials:
         raise ParameterError(f"need 0 <= errors <= trials, got {errors}/{trials}")
     if min(errors, trials - errors) < _EXACT_CI_THRESHOLD:
-        lo = 0.0 if errors == 0 else float(_beta_dist.ppf(0.025, errors, trials - errors + 1))
-        hi = 1.0 if errors == trials else float(_beta_dist.ppf(0.975, errors + 1, trials - errors))
+        lo = 0.0 if errors == 0 else float(betaincinv(errors, trials - errors + 1, 0.025))
+        hi = 1.0 if errors == trials else float(betaincinv(errors + 1, trials - errors, 0.975))
         return (hi - lo) / 2.0
     p_hat = errors / trials
     return 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
@@ -176,7 +179,7 @@ def _collect_histogram(
 
 
 def _make_estimate(criterion, n_items, k, n_tests, p, noise_model, alpha,
-                   trials, errors, seed) -> ErrorEstimate:
+                   trials, errors, seed, hist=None) -> ErrorEstimate:
     return ErrorEstimate(
         criterion=criterion,
         n_items=n_items,
@@ -191,6 +194,7 @@ def _make_estimate(criterion, n_items, k, n_tests, p, noise_model, alpha,
         p_hat=errors / trials,
         ci_half_width=ci_half_width(int(errors), trials),
         seed=seed,
+        miss_counts=None if hist is None else tuple(int(v) for v in hist),
     )
 
 
@@ -203,7 +207,7 @@ def estimate_average_error(
         n_items, k, n_tests, p, noise_model, trials, master_seed, threads, budget
     )
     return _make_estimate(AVERAGE, n_items, k, n_tests, p, noise_model, None,
-                          trials, hist.sum(), master_seed)
+                          trials, hist.sum(), master_seed, hist)
 
 
 def estimate_partial_error(
@@ -220,7 +224,7 @@ def estimate_partial_error(
     misses = np.arange(k + 1)
     errors = int(hist[misses > alpha * k].sum())
     return _make_estimate(PARTIAL, n_items, k, n_tests, p, noise_model, alpha,
-                          trials, errors, master_seed)
+                          trials, errors, master_seed, hist)
 
 
 def empirical_pei_profile(

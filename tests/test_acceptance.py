@@ -17,6 +17,8 @@ import pytest
 
 from gtlab import acceptance
 
+pytestmark = pytest.mark.slow
+
 
 @pytest.mark.parametrize("number", [num for num, _, _ in acceptance.CRITERIA])
 def test_criterion(number):

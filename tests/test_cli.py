@@ -1,9 +1,14 @@
 import csv
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import pytest
 
+import gtlab
+import gtlab.montecarlo
 from gtlab import __version__
 from gtlab.cli import build_parser, main
 
@@ -81,6 +86,23 @@ def test_profile_adds_an_i_column(tmp_path):
     assert sum(int(r[9]) for r in profile_rows) == int(body[0][9])
 
 
+def test_profile_decodes_each_trial_once(monkeypatch):
+    calls = []
+    decode = gtlab.montecarlo.ml_decode
+
+    def counting_decode(*args, **kwargs):
+        calls.append(1)
+        return decode(*args, **kwargs)
+
+    monkeypatch.setattr(gtlab.montecarlo, "ml_decode", counting_decode)
+    code, text = run_cli(["estimate", "-N", "12", "-K", "2", "-T", "6", "--trials", "40",
+                          "--seed", "2", "--profile", "--format", "csv"])
+    assert code == 0
+    assert len(calls) == 40
+    rows = list(csv.reader(io.StringIO(text)))[1:]
+    assert sum(int(r[9]) for r in rows if r[0] == "profile") == int(rows[0][9])
+
+
 def test_sweep_emits_one_row_per_t(tmp_path):
     out = tmp_path / "sweep.csv"
     code, _ = run_cli(["sweep", "--model", "noise-free", "-N", "12", "-K", "2",
@@ -147,6 +169,27 @@ def test_help_lists_every_flag():
     # defaults are spelled out
     assert "default: noise-free" in text
     assert "default: 1/K" in text
+
+
+LEAN_IMPORT_SCRIPT = """
+import contextlib, io, sys
+import gtlab, gtlab.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["estimate", "-N", "8", "-K", "2", "-T", "6", "--trials", "2", "--profile"],
+                 ["bounds", "--model", "additive", "--q", "0.1", "-N", "64", "-K", "2"]):
+        assert gtlab.cli.main(argv) == 0, argv
+loaded = sorted(name for name in sys.modules if name.startswith("scipy.stats"))
+assert not loaded, loaded
+"""
+
+
+def test_estimates_and_additive_bounds_do_not_import_scipy_stats():
+    # a fresh interpreter: this test process may have imported scipy.stats already
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gtlab.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", LEAN_IMPORT_SCRIPT], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_accept_subset_runs():

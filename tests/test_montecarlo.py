@@ -55,6 +55,11 @@ def test_estimates_are_deterministic_and_thread_invariant():
     b = estimate_average_error(12, 2, 20, 0.5, noise, 300, 17)
     c = estimate_average_error(12, 2, 20, 0.5, noise, 300, 17, threads=4)
     assert a == b == c
+    # dilution threads each score their chunks in their own work arrays
+    noise = NoiseModel.dilution(0.3)
+    a = estimate_average_error(14, 3, 18, 1 / 3, noise, 120, 5)
+    b = estimate_average_error(14, 3, 18, 1 / 3, noise, 120, 5, threads=3)
+    assert a == b
 
 
 def test_average_error_matches_independent_trial_loop():
@@ -166,6 +171,20 @@ def test_profile_partitions_the_error_event():
     assert [i for i, _ in profile] == [0, 1, 2, 3]
     total_errors = round(sum(rate for _, rate in profile) * trials)
     assert total_errors == average.errors
+
+
+def test_estimates_carry_the_miss_histogram_of_their_trial_stream():
+    n, k, t, trials, seed = 20, 3, 12, 400, 21
+    average = estimate_average_error(n, k, t, 1 / 3, NF, trials, seed)
+    partial = estimate_partial_error(n, k, t, 1 / 3, NF, 0.5, trials, seed)
+    profile = empirical_pei_profile(n, k, t, 1 / 3, NF, trials, seed)
+    assert len(average.miss_counts) == k + 1
+    assert sum(average.miss_counts) == average.errors
+    assert partial.miss_counts == average.miss_counts
+    assert partial.errors == sum(average.miss_counts[2:])  # more than 0.5*3 missed
+    assert profile == [(i, errors / trials) for i, errors in enumerate(average.miss_counts)]
+    codebook = generate_codebook(8, 10, 0.5, 3)
+    assert estimate_worstcase_error(codebook, 2, NF, 1).miss_counts is None
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +306,27 @@ def test_exact_interval_for_rare_events():
     expected = (1.0 - 0.025 ** (1.0 / n)) / 2.0
     assert abs(ci_half_width(0, n) - expected) <= 1e-12
     assert abs(ci_half_width(300, 300) - ci_half_width(0, 300)) <= 1e-12
+
+
+def _scipy_stats_half_width(errors, trials):
+    """The interval as computed through scipy.stats' beta quantiles."""
+    from scipy.stats import beta
+
+    if min(errors, trials - errors) < 5:
+        lo = 0.0 if errors == 0 else float(beta.ppf(0.025, errors, trials - errors + 1))
+        hi = 1.0 if errors == trials else float(beta.ppf(0.975, errors + 1, trials - errors))
+        return (hi - lo) / 2.0
+    p_hat = errors / trials
+    return 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
+
+
+def test_interval_is_bit_identical_to_scipy_stats_quantiles():
+    mismatches = []
+    for n in [*range(1, 401), 500, 1_000, 10_000, 100_000]:
+        for e in sorted({*range(min(n, 5) + 1), *range(max(0, n - 5), n + 1)}):
+            if ci_half_width(e, n) != _scipy_stats_half_width(e, n):
+                mismatches.append((e, n))
+    assert not mismatches
 
 
 def test_ci_domain():
