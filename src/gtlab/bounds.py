@@ -1,11 +1,10 @@
 """Mutual-information expressions, error exponents, and test-count bounds.
 
-All information quantities are in bits.  The single-test channel laws are
-shared with the simulator: with c defectives pooled in a test,
-
-    noise-free   P(Y=1) = 1 if c > 0 else 0
-    additive     P(Y=1) = 1 if c > 0 else q
-    dilution     P(Y=1) = 1 - u**c
+All information quantities are in bits.  The single-test channel law is
+the one the simulator and the decoder use, read from
+``NoiseModel.positive_probability``: with c defectives pooled in a test,
+P(Y=1 | c) = 1 - (1-q) * u**c for c > 0 and q for c = 0 (noise-free is
+q = u = 0, additive (q, 0), dilution (0, u)).
 
 For a defective set of size K split into an unknown part of size i and a
 known part of size K-i, the per-test information about the unknown part is
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .model import ADDITIVE, DILUTION, NOISE_FREE, NoiseModel
+from .model import ADDITIVE, NOISE_FREE, NoiseModel
 
 LN2 = math.log(2.0)
 
@@ -85,16 +84,6 @@ def _check_partition(k: int, i: int, p: float) -> None:
         raise ParameterError(f"participation probability p must lie in (0, 1), got {p}")
 
 
-def _prob_y1_given_weight(w: np.ndarray, noise: NoiseModel) -> np.ndarray:
-    """P(Y=1 | c pooled defectives) for each weight in w."""
-    w = np.asarray(w)
-    if noise.kind == NOISE_FREE:
-        return (w > 0).astype(np.float64)
-    if noise.kind == ADDITIVE:
-        return np.where(w > 0, 1.0, noise.q)
-    return 1.0 - np.float_power(noise.u, w)
-
-
 # ---------------------------------------------------------------------------
 # mutual information: brute-force oracle and closed forms
 
@@ -116,7 +105,7 @@ def mi_bruteforce(k: int, i: int, p: float, noise_model: NoiseModel) -> float:
     w2 = np.bitwise_count(np.arange(n2, dtype=np.uint64)).astype(np.int64)
     q1 = p**w1 * (1.0 - p) ** (i - w1)
     q2 = p**w2 * (1.0 - p) ** (k - i - w2)
-    py1 = _prob_y1_given_weight(w1[:, None] + w2[None, :], noise_model)
+    py1 = noise_model.positive_probability(w1[:, None] + w2[None, :])
 
     joint = np.empty((n1, n2, 2))
     base = q1[:, None] * q2[None, :]
@@ -215,8 +204,8 @@ def gallager_e0(k: int, i: int, p: float, noise_model: NoiseModel, rho: float) -
     q2 = p**w2 * (1.0 - p) ** (k - i - w2)
 
     total = 0.0
+    py1 = noise_model.positive_probability(w1[:, None] + w2[None, :])
     for y in (0, 1):
-        py1 = _prob_y1_given_weight(w1[:, None] + w2[None, :], noise_model)
         pyx = py1 if y == 1 else 1.0 - py1  # (len(w1), len(w2))
         inner = ((mult1 * q1)[:, None] * np.float_power(q2[None, :] * pyx, s)).sum(axis=0)
         total += float((mult2 * np.float_power(inner, 1.0 + rho)).sum())

@@ -63,7 +63,6 @@ class ExperimentConfig:
     target: float | None = None
     out: str | None = None
     fmt: str = "table"
-    threads: int = 1
     kind: str = ACHIEVABLE
     profile: bool = False
     criteria: tuple[int, ...] | None = None
@@ -163,8 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Monte Carlo trials (default: 1000)")
         p.add_argument("--seed", type=int, default=None,
                        help=f"master seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads, 0 = auto (default: 1); results do not depend on this")
 
     b = sub.add_parser("bounds", help="achievable / Fano test-count bounds")
     add_model(b)
@@ -234,7 +231,7 @@ def config_from_args(args) -> ExperimentConfig:
         raise ParameterError(f"need 1 <= K < N, got N={args.N}, K={args.K}")
     if args.command == "bounds":
         return ExperimentConfig(kind=args.kind, **common)
-    common.update(trials=args.trials, seed=_resolve_seed(args), threads=args.threads)
+    common.update(trials=args.trials, seed=_resolve_seed(args))
     if args.command == "estimate":
         criterion = _CRITERION_FLAGS[args.criterion]
         if criterion == "partial" and args.alpha is None:
@@ -311,12 +308,12 @@ def _run_estimate(cfg: ExperimentConfig) -> int:
     if cfg.criterion == "average":
         est = estimate_average_error(
             cfg.n_items, cfg.n_defectives, cfg.n_tests, cfg.p, cfg.noise,
-            cfg.trials, cfg.seed, threads=cfg.threads,
+            cfg.trials, cfg.seed,
         )
     elif cfg.criterion == "partial":
         est = estimate_partial_error(
             cfg.n_items, cfg.n_defectives, cfg.n_tests, cfg.p, cfg.noise,
-            cfg.alpha, cfg.trials, cfg.seed, threads=cfg.threads,
+            cfg.alpha, cfg.trials, cfg.seed,
         )
     else:
         codebook = generate_codebook(cfg.n_items, cfg.n_tests, cfg.p, cfg.seed)
@@ -344,12 +341,12 @@ def _run_sweep(cfg: ExperimentConfig) -> int:
         if cfg.criterion == "average":
             est = estimate_average_error(
                 cfg.n_items, cfg.n_defectives, t, cfg.p, cfg.noise,
-                cfg.trials, cfg.seed, threads=cfg.threads,
+                cfg.trials, cfg.seed,
             )
         else:
             est = estimate_partial_error(
                 cfg.n_items, cfg.n_defectives, t, cfg.p, cfg.noise,
-                cfg.alpha, cfg.trials, cfg.seed, threads=cfg.threads,
+                cfg.alpha, cfg.trials, cfg.seed,
             )
         rows.append(est.csv_row())
     _emit(cfg, ESTIMATE_CSV_HEADER, rows)
@@ -359,7 +356,7 @@ def _run_sweep(cfg: ExperimentConfig) -> int:
 def _run_minimal_t(cfg: ExperimentConfig) -> int:
     result = find_minimal_t(
         cfg.n_items, cfg.n_defectives, cfg.p, cfg.noise, cfg.target,
-        cfg.trials, cfg.t_grid, cfg.seed, threads=cfg.threads,
+        cfg.trials, cfg.t_grid, cfg.seed,
     )
     rows = [est.csv_row() for _, est in result.probed]
     _emit(cfg, ESTIMATE_CSV_HEADER, rows)

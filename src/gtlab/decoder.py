@@ -1,30 +1,35 @@
 """Exhaustive maximum-likelihood decoding over all K-subsets.
 
 The decoder scans candidate sets in lexicographic index order, scores each
-with the per-test log-likelihood of the observed outcomes, and returns the
-first maximizer.  A tie is any later candidate attaining the same maximum
-under exact comparison; candidates with likelihood exactly zero (score
--inf) never participate in tie detection.
+with the log-likelihood of the observed outcomes, and returns the first
+maximizer.  A tie is any later candidate attaining the same maximum under
+exact comparison; candidates with likelihood exactly zero (score -inf)
+never participate in tie detection.
 
-Every score is combined from a candidate's integer test statistics in a
-fixed order, so candidates with equal statistics get bit-identical scores
-and the tie rule is exact for all three channels.  Dilution reduces a
-candidate to w- (member participations in negative tests) and n+[c]
-(positive tests pooling exactly c members), counted by popcounts on the
-packed rows, and scores it as w- * log2 u plus n+[c] * log2(1 - u**c) for
-c = 1..K, added in that order; the single-set scorer shares that code.
+Scores read the channel law of ``model``, P(Y=0 | c) = (1-q) * u**c for a
+test pooling c candidate members.  A candidate reduces to integer
+statistics: n- (negative tests), w- (member participations in negative
+tests), n+[0] (positive tests pooling no member) and n+[c] (positive tests
+pooling exactly c members, c = 1..K).  Its score adds, from 0.0 and in this
+order,
+
+    n- log2(1-q),  w- log2 u,  n+[0] log2 q,  n+[c] log2(1 - (1-q) u**c),
+
+with 0 * log2 0 = 0, and any positive count on a -inf coefficient scores
+-inf.  Candidates with equal statistics therefore get bit-identical scores
+and the tie rule is exact on every channel; the single-set scorer
+``log_likelihood`` runs the same code.  The statistics come from popcounts
+on the packed rows, and the law decides how much of them is computed,
+without changing any score:
+
+* when log2 u = -inf a member pooled in a negative test makes the score
+  -inf, so only the items whose rows the outcome covers are enumerated;
+* n+[1..K] come from a bit-sliced recurrence over K threshold levels,
+  which is built only when some coefficient of n+[1..K] is nonzero;
+  otherwise n+[0] needs one level, the OR of the member rows.
 
 Scan order and scoring are deterministic, so results are identical across
-platforms and thread counts.  Two exact prunings keep the scan fast
-without changing its outcome:
-
-* noise-free and additive channels force every member row of a
-  finite-score candidate to be covered by the outcome (a row bit set where
-  the outcome is 0 makes the score -inf), so only covered items need
-  enumerating;
-* for a fixed additive q in (0, 1) the score is a strictly decreasing
-  function of the number of uncovered positive tests, an integer, so
-  maxima and ties are integer comparisons.
+platforms and runs.
 """
 
 from __future__ import annotations
@@ -35,20 +40,18 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .bitops import popcount
 from .errors import CapacityError, ParameterError
 from .model import (
-    ADDITIVE,
-    DILUTION,
     Codebook,
     DefectiveSet,
     NoiseModel,
     OutcomeVector,
     _check_members,
-    _or_words,
 )
 
 DEFAULT_BUDGET = 10**8
@@ -73,24 +76,41 @@ def miss_distance(true_set: DefectiveSet, decoded_set: DefectiveSet) -> int:
     return len(set(true_set.indices) - set(decoded_set.indices))
 
 
-def _nlog2(count: int, x: float) -> float:
-    """count * log2(x) with the conventions 0*log2(0) = 0 and log2(0) = -inf."""
-    if count == 0:
-        return 0.0
-    if x == 0.0:
-        return -math.inf
-    return count * math.log2(x)
+def _log2(x: float) -> float:
+    return math.log2(x) if x > 0.0 else -math.inf
 
 
-def _dilution_coefficients(u: float, k: int) -> tuple[float, list[float]]:
-    """(log2 u, [log2(1 - u**c) for c = 1..k]) for a dilution u in (0, 1)."""
-    return math.log2(u), [math.log2(1.0 - u**c) for c in range(1, k + 1)]
+@dataclass(frozen=True)
+class _Coefficients:
+    """log2 factors of the channel law for sets of k members.
+
+    ``negative`` multiplies n-, ``participation`` w-, and ``positive[c]``
+    n+[c] for c = 0..k.  ``full`` is set when some coefficient of n+[1..k]
+    is nonzero; ``levels`` is how many threshold levels a candidate's
+    statistics then need: k when ``full``, else 1 (the OR, for n+[0]) when
+    ``positive[0]`` is nonzero, else 0.
+    """
+
+    negative: float
+    participation: float
+    positive: tuple[float, ...]
+    full: bool
+    levels: int
 
 
-# Per-thread work arrays of _dilution_scores, kept across chunks and decodes.
-# Fresh arrays of ~1 MB per chunk make malloc trim the heap top and grow it
-# again, and the page faults that follow cost dilution trial loops about a
-# third of their speed.
+@lru_cache(maxsize=64)  # building them takes ~15 us, a quarter of a small pruned decode
+def _coefficients(noise_model: NoiseModel, k: int) -> _Coefficients:
+    q, u = noise_model.law
+    positive = tuple(_log2(float(v)) for v in noise_model.positive_probability(np.arange(k + 1)))
+    full = any(positive[1:])
+    levels = k if full else int(positive[0] != 0.0)
+    return _Coefficients(_log2(1.0 - q), _log2(u), positive, full, levels)
+
+
+# Per-thread work arrays of _scores, kept across chunks and decodes.  Fresh
+# arrays of ~1 MB per chunk make malloc trim the heap top and grow it again,
+# and the page faults that follow cost unpruned K-level scans about a third
+# of their speed.
 _scratch = threading.local()
 
 
@@ -107,34 +127,53 @@ def _work_arrays(m: int, b: int):
     return bits[: m + 2, :b], ints[: m + 2, :b], floats[:b], counts[:b]
 
 
-def _dilution_scores(
-    pos_words: np.ndarray,
-    neg: np.ndarray,
-    members: np.ndarray,
-    n_pos: int,
-    log_u: float,
-    log_surviving: list[float],
-) -> np.ndarray:
-    """Dilution log2 likelihoods of B candidate sets of M members each.
+class _Pool(NamedTuple):
+    """What scoring needs of one outcome, over the items a scan enumerates.
 
-    ``pos_words`` is word-major, (W, N): word w of every item's row masked
-    to the positive tests.  ``neg`` holds each item's count of negative
-    tests and ``members`` the candidates' item indices, (M, B).  Per word, a
-    bit-sliced threshold recurrence over the members builds ge[c], the
-    positive tests pooling at least c members: adding a member row r sets
-    ge[c] |= ge[c-1] & r for c from high to low (``ge`` below is 0-based,
-    ge[c] at index c-1).  A candidate thus reduces to integer statistics,
-    w- (member participations in negative tests) and
-    n+[c] = |ge[c]| - |ge[c+1]| (positive tests pooling exactly c members).
-    The score is summed from 0.0 in the fixed order w- * log2 u, then
-    n+[c] * log2(1 - u**c) for c = 1..M, so equal statistics give
-    bit-identical scores.  A candidate leaving a positive test empty
-    (|ge[1]| != n_pos) scores -inf.
+    ``items`` maps pool positions to item indices (None: every item, in
+    order) and ``size`` counts them.  ``pos`` holds the pool's rows masked
+    to the positive tests, (P, W) when at most one level is built and
+    word-major (W, P) otherwise.  ``neg`` is each item's count of negative
+    tests, read only when log2 u is finite and every item is in the pool.
+    ``start`` is the n- term, the same for every candidate.
     """
-    m, b = members.shape
-    bits, ints, floats, counts = _work_arrays(m, b)
+
+    items: np.ndarray | None
+    size: int
+    pos: np.ndarray
+    neg: np.ndarray
+    n_pos: int
+    start: float
+
+
+def _pool(co: _Coefficients, words: np.ndarray, n_tests: int, y_words: np.ndarray) -> _Pool:
+    neg = popcount(words & ~y_words)
+    n_pos = int(popcount(y_words))
+    n_neg = n_tests - n_pos
+    start = 0.0 + n_neg * co.negative if n_neg and co.negative else 0.0
+    if co.participation == -math.inf:
+        # a member pooled in a negative test scores -inf, so the pool is the
+        # items whose rows the outcome covers (their rows are already masked)
+        items = np.flatnonzero(neg == 0)
+        rows = words[items]
+    else:
+        items = None
+        rows = words & y_words
+    pos = rows if co.levels <= 1 else np.ascontiguousarray(rows.T)
+    return _Pool(items, rows.shape[0], pos, neg, n_pos, start)
+
+
+def _level_sizes(pos_words: np.ndarray, members: np.ndarray, bits, ints, counts) -> np.ndarray:
+    """|ge[c]| for c = 1..M: per candidate, the positive tests pooling at least c members.
+
+    ``pos_words`` is word-major, (W, P), and ``members`` the candidates'
+    item indices, (M, B).  Per word, adding a member row r sets
+    ge[c] |= ge[c-1] & r for c from high to low (``ge`` below is 0-based,
+    ge[c] at index c-1), and the sizes are summed from popcounts.
+    """
+    m = members.shape[0]
     ge, r, tmp = bits[:m], bits[m], bits[m + 1]
-    sizes, weight, itmp = ints[:m], ints[m], ints[m + 1]  # sizes[c-1] = |ge[c]|
+    sizes = ints[:m]  # sizes[c-1] = |ge[c]|
     sizes.fill(0)
     for word in pos_words:
         for j, col in enumerate(members):
@@ -148,16 +187,43 @@ def _dilution_scores(
                 ge[0] = r
         for size, level in zip(sizes, ge):
             size += np.bitwise_count(level, out=counts)
-    weight.fill(0)
-    for col in members:
-        weight += neg.take(col, out=itmp, mode="clip")
-    scores = np.zeros(b)
-    scores += np.multiply(weight, log_u, out=floats)
-    for c in range(m):
-        exact = np.subtract(sizes[c], sizes[c + 1], out=itmp) if c + 1 < m else sizes[c]
-        scores += np.multiply(exact, log_surviving[c], out=floats)
-    covered = sizes[0] if m else 0
-    scores[covered != n_pos] = -math.inf
+    return sizes
+
+
+def _add_term(scores: np.ndarray, count: np.ndarray, coef: float, floats: np.ndarray) -> None:
+    """scores += count * coef, with 0 * log2 0 = 0 and count > 0 on -inf giving -inf."""
+    if coef == -math.inf:
+        scores[count > 0] = -math.inf
+    elif coef != 0.0:
+        scores += np.multiply(count, coef, out=floats)
+
+
+def _scores(co: _Coefficients, pool: _Pool, local: np.ndarray) -> np.ndarray:
+    """log2 likelihoods of the candidates ``local``, (B, M) indices into the pool."""
+    b, m = local.shape
+    scores = np.full(b, pool.start)
+    weighted = co.participation not in (0.0, -math.inf)  # -inf: every pool item has neg = 0
+    floats = itmp = None
+    if weighted or co.levels > 1:
+        bits, ints, floats, counts = _work_arrays(m, b)
+        itmp = ints[m + 1]
+        members = np.ascontiguousarray(local.T, dtype=np.intp)
+    if weighted:
+        weight = ints[m]
+        weight.fill(0)
+        for col in members:
+            weight += pool.neg.take(col, out=itmp, mode="clip")
+        _add_term(scores, weight, co.participation, floats)
+    if co.levels == 1:
+        sizes = popcount(np.bitwise_or.reduce(pool.pos[local], axis=1))[None]
+    elif co.levels:
+        sizes = _level_sizes(pool.pos, members, bits, ints, counts)
+    if co.levels:
+        _add_term(scores, np.subtract(pool.n_pos, sizes[0], out=itmp), co.positive[0], floats)
+    if co.full:
+        for c in range(1, m + 1):
+            exact = np.subtract(sizes[c - 1], sizes[c], out=itmp) if c < m else sizes[c - 1]
+            _add_term(scores, exact, co.positive[c], floats)
     return scores
 
 
@@ -169,51 +235,20 @@ def log_likelihood(
 ) -> float:
     """log2 P(outcome | candidate_set) under the channel's per-test law.
 
-    Noise-free: 0 when the OR of the candidate rows equals the outcome,
-    -inf otherwise.  Additive: a positive OR with a negative outcome is
-    impossible; otherwise each uncovered positive test contributes
-    log2 q and each negative test log2(1-q).  Dilution: with c candidate
-    members in a test, a negative outcome contributes c*log2 u and a
-    positive one log2(1 - u**c); the terms are combined from the integer
-    statistics w- (member participations in negative tests) and n+[c]
-    (positive tests pooling exactly c members) in the fixed order
-    w- * log2 u, then n+[c] * log2(1 - u**c) for c = 1..|set|, exactly as
-    ``ml_decode`` scores them, so equal statistics score bit-identically.
+    The terms are combined from the candidate's integer statistics exactly
+    as ``ml_decode`` scores them (see the module docstring), so equal
+    statistics score bit-identically.
     """
     if outcome.n_tests != codebook.n_tests:
         raise ParameterError(
             f"outcome has {outcome.n_tests} tests but codebook has {codebook.n_tests}"
         )
     idx = _check_members(codebook, candidate_set)
-    or_words = _or_words(codebook, idx)
-    y_words = outcome.words
-
-    if noise_model.kind == ADDITIVE:
-        if popcount(or_words & ~y_words) > 0:
-            return -math.inf
-        n_pos = int(popcount(y_words))
-        n_covered = int(popcount(or_words))
-        return _nlog2(n_pos - n_covered, noise_model.q) + _nlog2(
-            codebook.n_tests - n_pos, 1.0 - noise_model.q
-        )
-    if noise_model.kind == DILUTION:
-        u = noise_model.u
-        if u == 1.0:
-            # every participation is erased: only an all-negative outcome is possible
-            return 0.0 if int(popcount(y_words)) == 0 else -math.inf
-        if u > 0.0:
-            rows = codebook.words[idx]
-            scores = _dilution_scores(
-                (rows & y_words).T,
-                popcount(rows & ~y_words),
-                np.arange(idx.size)[:, None],
-                int(popcount(y_words)),
-                *_dilution_coefficients(u, idx.size),
-            )
-            return float(scores[0])
-        # u = 0 erases nothing: the noise-free law
-    # noise-free
-    return 0.0 if np.array_equal(or_words, y_words) else -math.inf
+    co = _coefficients(noise_model, idx.size)
+    pool = _pool(co, codebook.words[idx], codebook.n_tests, outcome.words)
+    if pool.size < idx.size:
+        return -math.inf
+    return float(_scores(co, pool, np.arange(idx.size)[None, :])[0])
 
 
 @lru_cache(maxsize=8)
@@ -243,10 +278,6 @@ def _combo_chunks(n: int, k: int, chunk: int = _CHUNK):
         yield np.asarray(block, dtype=np.int32)
 
 
-def _first_lex_set(k: int) -> DefectiveSet:
-    return DefectiveSet(tuple(range(k)))
-
-
 @dataclass
 class _ScanState:
     """Running (max score, first argmax, count at max) over ordered chunks."""
@@ -268,66 +299,13 @@ class _ScanState:
         elif m == self.best:
             self.at_max += int((scores == m).sum())
 
-    def result(self, k: int, n_evaluated: int) -> DecodeResult:
+    def result(self, items: np.ndarray | None, k: int, n_evaluated: int) -> DecodeResult:
+        """The decode result, with the argmax mapped from pool positions to ``items``."""
         if self.best_idx is None:
-            return DecodeResult(_first_lex_set(k), -math.inf, False, n_evaluated)
-        best_set = DefectiveSet(tuple(int(v) for v in self.best_idx))
+            return DecodeResult(DefectiveSet(tuple(range(k))), -math.inf, False, n_evaluated)
+        best = self.best_idx if items is None else items[self.best_idx]
+        best_set = DefectiveSet(tuple(int(v) for v in best))
         return DecodeResult(best_set, self.best, self.at_max >= 2, n_evaluated)
-
-
-def _covered_items(codebook: Codebook, outcome: OutcomeVector) -> np.ndarray:
-    """Items whose rows are bitwise covered by the outcome (row & ~y == 0)."""
-    stray = popcount(codebook.words & ~outcome.words[None, :], axis=-1)
-    return np.flatnonzero(stray == 0)
-
-
-def _decode_cover(codebook: Codebook, outcome: OutcomeVector, k: int, total: int) -> DecodeResult:
-    """Noise-free law (also additive q=0 and dilution u=0): score 0 iff OR == outcome."""
-    pool = _covered_items(codebook, outcome)
-    y_pop = int(popcount(outcome.words))
-    state = _ScanState()
-    if pool.size >= k:
-        for local in _combo_chunks(int(pool.size), k):
-            rows = codebook.words[pool[local]]
-            or_words = np.bitwise_or.reduce(rows, axis=1)
-            covered = popcount(or_words, axis=-1) == y_pop
-            scores = np.where(covered, 0.0, -math.inf)
-            state.update(scores, pool[local])
-            # the maximum possible score is 0; once seen, later chunks only add ties
-    return state.result(k, total)
-
-
-def _decode_additive(
-    codebook: Codebook, outcome: OutcomeVector, k: int, q: float, total: int
-) -> DecodeResult:
-    pool = _covered_items(codebook, outcome)
-    y_pop = int(popcount(outcome.words))
-    base = _nlog2(codebook.n_tests - y_pop, 1.0 - q)
-    log_q = math.log2(q)
-    state = _ScanState()
-    if pool.size >= k:
-        for local in _combo_chunks(int(pool.size), k):
-            rows = codebook.words[pool[local]]
-            or_pop = popcount(np.bitwise_or.reduce(rows, axis=1), axis=-1)
-            scores = base + (y_pop - or_pop) * log_q
-            state.update(scores, pool[local])
-    return state.result(k, total)
-
-
-def _decode_dilution(
-    codebook: Codebook, outcome: OutcomeVector, k: int, u: float, total: int
-) -> DecodeResult:
-    y_words = outcome.words
-    pos_words = np.ascontiguousarray((codebook.words & y_words).T)
-    neg = popcount(codebook.words & ~y_words)  # per-item pooled-in-negative count
-    n_pos = int(popcount(y_words))
-    log_u, log_surviving = _dilution_coefficients(u, k)
-    state = _ScanState()
-    for idx in _combo_chunks(codebook.n_items, k):
-        members = np.ascontiguousarray(idx.T, dtype=np.intp)
-        scores = _dilution_scores(pos_words, neg, members, n_pos, log_u, log_surviving)
-        state.update(scores, idx)
-    return state.result(k, total)
 
 
 def ml_decode(
@@ -355,23 +333,13 @@ def ml_decode(
             f"decoding needs {total} set evaluations, above the budget of {budget}; "
             f"pass budget={total} to force the scan"
         )
-    if noise_model.deterministic:
-        return _decode_cover(codebook, outcome, k, total)
-    if noise_model.kind == ADDITIVE:
-        if noise_model.q == 1.0:
-            # every test reads positive regardless of the pool: all sets score
-            # 0 when the outcome is all ones, -inf otherwise
-            all_ones = int(popcount(outcome.words)) == codebook.n_tests
-            score = 0.0 if all_ones else -math.inf
-            tie = all_ones and total >= 2
-            return DecodeResult(_first_lex_set(k), score, tie, total)
-        return _decode_additive(codebook, outcome, k, noise_model.q, total)
-    if noise_model.u == 1.0:
-        all_zero = int(popcount(outcome.words)) == 0
-        score = 0.0 if all_zero else -math.inf
-        tie = all_zero and total >= 2
-        return DecodeResult(_first_lex_set(k), score, tie, total)
-    return _decode_dilution(codebook, outcome, k, noise_model.u, total)
+    co = _coefficients(noise_model, k)
+    pool = _pool(co, codebook.words, codebook.n_tests, outcome.words)
+    state = _ScanState()
+    if pool.size >= k:
+        for local in _combo_chunks(pool.size, k):
+            state.update(_scores(co, pool, local), local)
+    return state.result(pool.items, k, total)
 
 
 def dump_decode_trace(

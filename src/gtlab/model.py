@@ -3,11 +3,20 @@
 A pooling design over N items and T tests is an N x T binary matrix: row i
 is item i's membership pattern across tests, column t is the pool for test
 t.  A noise-free test reads positive iff it pools at least one defective
-item (Boolean OR of the defective rows).  Two noise mechanisms perturb
-that: ``additive`` noise flips negative outcomes to positive with
-probability q per test (false alarms), and ``dilution`` independently
-erases each defective's participation in each test with probability u, so
-a test pooling c defectives reads negative with probability u**c.
+item (Boolean OR of the defective rows).
+
+Every channel here is one single-letter law.  A test pooling c defectives
+reads negative with probability
+
+    P(Y=0 | c) = (1-q) * u**c,
+
+where q is the false-alarm probability (a pool with no defectives reads
+positive with probability q) and u the erasure probability (each
+defective's participation in each test is erased independently with
+probability u).  ``noise-free`` is q = u = 0, ``additive`` is (q, 0) and
+``dilution`` is (0, u).  ``NoiseModel.law`` and
+``NoiseModel.positive_probability`` state it; the sampler, the decoder
+and the bounds all read it from there.
 """
 
 from __future__ import annotations
@@ -79,16 +88,25 @@ class NoiseModel:
     @property
     def param(self) -> float | None:
         """The single channel parameter (None for noise-free)."""
-        if self.kind == ADDITIVE:
-            return self.q
-        if self.kind == DILUTION:
-            return self.u
-        return None
+        return self.u if self.q is None else self.q
+
+    @property
+    def law(self) -> tuple[float, float]:
+        """(q, u) of the channel law P(Y=0 | c) = (1-q) * u**c."""
+        return (self.q or 0.0, self.u or 0.0)
+
+    def positive_probability(self, c) -> np.ndarray:
+        """P(Y=1 | c pooled defectives), elementwise over the integer array c.
+
+        c = 0 gives q itself, since 1 - (1-q) is not always q in floating point."""
+        q, u = self.law
+        c = np.asarray(c)
+        return np.where(c > 0, 1.0 - (1.0 - q) * np.float_power(u, c), q)
 
     @property
     def deterministic(self) -> bool:
         """True when the channel output is a function of the input alone."""
-        return self.kind == NOISE_FREE or self.param == 0.0
+        return self.law == (0.0, 0.0)
 
     def describe(self) -> str:
         if self.kind == NOISE_FREE:
@@ -189,10 +207,13 @@ def generate_codebook(n_items: int, n_tests: int, p: float, seed: int) -> Codebo
 
     Entry (i, t) is a pure function of (seed, i, t): the same cell is
     reproduced under any matrix dimensions, which is what makes trials
-    with growing T comparable under a common seed.
+    with growing T comparable under a common seed.  Zero tests give an
+    empty matrix, which carries no information about the items.
     """
-    if n_items < 1 or n_tests < 1:
-        raise ParameterError(f"matrix dimensions must be positive, got {n_items}x{n_tests}")
+    if n_items < 1 or n_tests < 0:
+        raise ParameterError(
+            f"need at least one item and a nonnegative test count, got {n_items}x{n_tests}"
+        )
     if not 0.0 < p < 1.0:
         raise ParameterError(f"inclusion probability p must lie strictly inside (0, 1), got {p}")
     seed = _check_seed(seed)
@@ -227,32 +248,28 @@ def apply_channel(
     noise_model: NoiseModel,
     noise_seed: int,
 ) -> OutcomeVector:
-    """Push the defective set through the chosen test channel.
+    """Push the defective set through the channel law (q, u).
 
-    Additive: each test output is OR-ed with an independent Bernoulli(q)
-    false alarm.  Dilution: each (defective, test) participation bit is
-    independently erased with probability u before the OR, so a test with
-    c participating defectives reads 0 with probability u**c.  All noise
+    When u > 0 each (defective, test) participation bit is independently
+    erased with probability u before the OR, so a test with c participating
+    defectives reads 0 with probability u**c; when q > 0 each test output
+    is then OR-ed with an independent Bernoulli(q) false alarm.  All noise
     draws are addressed by (noise_seed, item, test) and nothing else.
     """
     idx = _check_members(codebook, defectives)
     noise_seed = _check_seed(noise_seed, "noise_seed")
-    clean = _or_words(codebook, idx)
-
-    if noise_model.kind == NOISE_FREE or noise_model.param == 0.0:
-        return OutcomeVector(n_tests=codebook.n_tests, words=clean)
-
+    q, u = noise_model.law
     tests = np.arange(codebook.n_tests)
-    if noise_model.kind == ADDITIVE:
-        alarms = bernoulli_grid(mix64(noise_seed, _ADDITIVE_STREAM), [0], tests, noise_model.q)
-        return OutcomeVector(n_tests=codebook.n_tests, words=clean | pack_bits(alarms[0]))
-
-    # dilution: erase participation bits, then OR
-    rows = unpack_bits(codebook.words[idx], codebook.n_tests)
-    erased = bernoulli_grid(mix64(noise_seed, _DILUTION_STREAM), idx, tests, noise_model.u)
-    surviving = rows & (1 - erased)
-    bits = surviving.any(axis=0).astype(np.uint8) if idx.size else np.zeros(codebook.n_tests, np.uint8)
-    return OutcomeVector(n_tests=codebook.n_tests, words=pack_bits(bits))
+    if u > 0.0:
+        rows = unpack_bits(codebook.words[idx], codebook.n_tests)
+        erased = bernoulli_grid(mix64(noise_seed, _DILUTION_STREAM), idx, tests, u)
+        words = pack_bits((rows & (1 - erased)).any(axis=0).astype(np.uint8))
+    else:
+        words = _or_words(codebook, idx)
+    if q > 0.0:
+        alarms = bernoulli_grid(mix64(noise_seed, _ADDITIVE_STREAM), [0], tests, q)
+        words = words | pack_bits(alarms[0])
+    return OutcomeVector(n_tests=codebook.n_tests, words=words)
 
 
 def write_codebook(codebook: Codebook, path) -> None:

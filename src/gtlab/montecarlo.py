@@ -2,10 +2,12 @@
 
 Every trial is a pure function of (configuration, master_seed, trial
 index): a fresh codebook, a uniformly random truth set, and a noise
-realization are all derived from per-trial keys, so estimates are
-identical no matter how trials are scheduled or how many threads run
-them.  The average and partial criteria and the per-overlap error profile
-share one trial stream, which makes their comparisons paired.
+realization are all derived from per-trial keys, so estimates do not
+depend on the order in which trials run.  The trials run one after another
+in the calling thread: each is many small numpy calls that hold the GIL,
+so worker threads gave no speed-up.  The average and partial criteria and
+the per-overlap error profile share one trial stream (one miss histogram),
+which makes their comparisons paired.
 
 Error conventions: a trial errs when the decoder returns a set other than
 the truth or reports a tie (ties count against the decoder).  The partial
@@ -16,8 +18,6 @@ alpha*K of the true items; a tie alone is not a partial error.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -110,14 +110,6 @@ def ci_half_width(errors: int, trials: int) -> float:
     return 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
 
 
-def _codebook_for_trial(n_items: int, n_tests: int, p: float, seed: int) -> Codebook:
-    if n_tests == 0:
-        # zero tests carry zero information; the decoder then ties every set
-        return Codebook(n_items=n_items, n_tests=0, p=p, seed=seed,
-                        words=np.zeros((n_items, 0), dtype=np.uint64))
-    return generate_codebook(n_items, n_tests, p, seed)
-
-
 def _sample_truth(n_items: int, k: int, seed: int) -> DefectiveSet:
     gen = np.random.Generator(np.random.PCG64(seed))
     idx = gen.choice(n_items, size=k, replace=False)
@@ -126,13 +118,13 @@ def _sample_truth(n_items: int, k: int, seed: int) -> DefectiveSet:
 
 def _miss_histogram(
     n_items: int, k: int, n_tests: int, p: float, noise_model: NoiseModel,
-    master_seed: int, lo: int, hi: int, budget: int,
+    master_seed: int, trials: int, budget: int,
 ) -> np.ndarray:
-    """Histogram over miss distance of the erring trials in [lo, hi)."""
+    """Histogram over miss distance of the erring trials."""
     hist = np.zeros(k + 1, dtype=np.int64)
-    for trial in range(lo, hi):
+    for trial in range(trials):
         trial_key = mix64(master_seed, trial)
-        codebook = _codebook_for_trial(n_items, n_tests, p, mix64(trial_key, 0))
+        codebook = generate_codebook(n_items, n_tests, p, mix64(trial_key, 0))
         truth = _sample_truth(n_items, k, mix64(trial_key, 1))
         outcome = apply_channel(codebook, truth, noise_model, mix64(trial_key, 2))
         result = ml_decode(codebook, outcome, k, noise_model, budget=budget)
@@ -141,16 +133,8 @@ def _miss_histogram(
     return hist
 
 
-def _resolve_threads(threads: int) -> int:
-    if threads < 0:
-        raise ParameterError(f"threads must be >= 0, got {threads}")
-    if threads == 0:
-        return min(8, os.cpu_count() or 1)
-    return threads
-
-
 def _collect_histogram(
-    n_items, k, n_tests, p, noise_model, trials, master_seed, threads, budget
+    n_items, k, n_tests, p, noise_model, trials, master_seed, budget
 ) -> np.ndarray:
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
@@ -162,20 +146,7 @@ def _collect_histogram(
         raise CapacityError(
             f"each trial needs {math.comb(n_items, k)} set evaluations, above the budget {budget}"
         )
-    workers = _resolve_threads(threads)
-    if workers == 1 or trials < 2 * workers:
-        return _miss_histogram(
-            n_items, k, n_tests, p, noise_model, master_seed, 0, trials, budget
-        )
-    edges = np.linspace(0, trials, workers + 1, dtype=int)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(
-            lambda span: _miss_histogram(
-                n_items, k, n_tests, p, noise_model, master_seed, span[0], span[1], budget
-            ),
-            zip(edges[:-1], edges[1:]),
-        )
-        return sum(parts, start=np.zeros(k + 1, dtype=np.int64))
+    return _miss_histogram(n_items, k, n_tests, p, noise_model, master_seed, trials, budget)
 
 
 def _make_estimate(criterion, n_items, k, n_tests, p, noise_model, alpha,
@@ -200,27 +171,22 @@ def _make_estimate(criterion, n_items, k, n_tests, p, noise_model, alpha,
 
 def estimate_average_error(
     n_items: int, k: int, n_tests: int, p: float, noise_model: NoiseModel,
-    trials: int, master_seed: int, threads: int = 1, budget: int = DEFAULT_BUDGET,
+    trials: int, master_seed: int, budget: int = DEFAULT_BUDGET,
 ) -> ErrorEstimate:
     """Average error over fresh codebooks and uniform truth sets per trial."""
-    hist = _collect_histogram(
-        n_items, k, n_tests, p, noise_model, trials, master_seed, threads, budget
-    )
+    hist = _collect_histogram(n_items, k, n_tests, p, noise_model, trials, master_seed, budget)
     return _make_estimate(AVERAGE, n_items, k, n_tests, p, noise_model, None,
                           trials, hist.sum(), master_seed, hist)
 
 
 def estimate_partial_error(
     n_items: int, k: int, n_tests: int, p: float, noise_model: NoiseModel,
-    alpha: float, trials: int, master_seed: int, threads: int = 1,
-    budget: int = DEFAULT_BUDGET,
+    alpha: float, trials: int, master_seed: int, budget: int = DEFAULT_BUDGET,
 ) -> ErrorEstimate:
     """Error only when the decoded set misses more than alpha*K true items."""
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must lie strictly inside (0, 1), got {alpha}")
-    hist = _collect_histogram(
-        n_items, k, n_tests, p, noise_model, trials, master_seed, threads, budget
-    )
+    hist = _collect_histogram(n_items, k, n_tests, p, noise_model, trials, master_seed, budget)
     misses = np.arange(k + 1)
     errors = int(hist[misses > alpha * k].sum())
     return _make_estimate(PARTIAL, n_items, k, n_tests, p, noise_model, alpha,
@@ -229,14 +195,12 @@ def estimate_partial_error(
 
 def empirical_pei_profile(
     n_items: int, k: int, n_tests: int, p: float, noise_model: NoiseModel,
-    trials: int, master_seed: int, threads: int = 1, budget: int = DEFAULT_BUDGET,
+    trials: int, master_seed: int, budget: int = DEFAULT_BUDGET,
 ) -> list[tuple[int, float]]:
     """Per-overlap error rates: entry i is the fraction of trials that erred
     with exactly i missed items.  The rates over all i sum to the average
     error rate of the same trial stream (i = 0 collects ties at the truth)."""
-    hist = _collect_histogram(
-        n_items, k, n_tests, p, noise_model, trials, master_seed, threads, budget
-    )
+    hist = _collect_histogram(n_items, k, n_tests, p, noise_model, trials, master_seed, budget)
     return [(i, hist[i] / trials) for i in range(k + 1)]
 
 
@@ -286,8 +250,7 @@ def estimate_worstcase_error(
 
 def find_minimal_t(
     n_items: int, k: int, p: float, noise_model: NoiseModel, target_error: float,
-    trials: int, t_grid, master_seed: int, refine_to: int = 1, threads: int = 1,
-    budget: int = DEFAULT_BUDGET,
+    trials: int, t_grid, master_seed: int, refine_to: int = 1, budget: int = DEFAULT_BUDGET,
 ) -> MinimalTResult:
     """Smallest probed T whose estimated average error meets the target.
 
@@ -310,7 +273,7 @@ def find_minimal_t(
 
     def measure(t: int) -> ErrorEstimate:
         est = estimate_average_error(
-            n_items, k, t, p, noise_model, trials, master_seed, threads=threads, budget=budget
+            n_items, k, t, p, noise_model, trials, master_seed, budget=budget
         )
         probed.append((t, est))
         return est

@@ -33,6 +33,30 @@ CONVERSE_1E4_10_05_STATEMENT = 117.00842600592793
 
 
 # ---------------------------------------------------------------------------
+# the channel law the bounds read
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_positive_probability_is_bitwise_the_per_channel_expressions():
+    """P(Y=1 | c) from the one channel law equals, bit for bit, the three
+    per-channel expressions it replaced, for c = 0..20 with q and u on a
+    grid that includes 0 and 1 (at q = 0.1, 1 - (1-q) is not q)."""
+    w = np.arange(21)
+    assert _same_bits(NF.positive_probability(w), (w > 0).astype(np.float64))
+    for v in (0.0, 1e-17, 0.05, 0.1, 0.2, 0.25, 0.3, 1 / 3, 0.5, 0.7, 0.75, 0.9,
+              0.999, 1 - 1e-12, 1.0):
+        assert _same_bits(NoiseModel.additive(v).positive_probability(w),
+                          np.where(w > 0, 1.0, v)), v
+        assert _same_bits(NoiseModel.dilution(v).positive_probability(w),
+                          1.0 - np.float_power(v, w)), v
+    assert 1.0 - (1.0 - 0.1) != 0.1
+
+
+# ---------------------------------------------------------------------------
 # entropy & binomials
 
 

@@ -56,7 +56,7 @@ def test_estimate_rerun_is_byte_identical(tmp_path):
             "-T", "120", "--trials", "200", "--seed", "1"]
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run_cli(args + ["--out", str(first)])[0] == 0
-    assert run_cli(args + ["--out", str(second), "--threads", "4"])[0] == 0
+    assert run_cli(args + ["--out", str(second)])[0] == 0
     assert first.read_bytes() == second.read_bytes()
     assert b"\r" not in first.read_bytes()
 
@@ -152,6 +152,17 @@ def test_validation_errors_exit_2(argv):
     assert main(argv) == 2
 
 
+@pytest.mark.parametrize("criterion", ["avg", "worst"])
+def test_zero_tests_estimate_under_both_criteria(criterion):
+    # no tests carry no information: every decode ties, so every trial errs
+    code, text = run_cli(["estimate", "-N", "8", "-K", "2", "-T", "0", "--criterion", criterion,
+                          "--trials", "5", "--format", "csv"])
+    assert code == 0
+    header, row = list(csv.reader(io.StringIO(text)))
+    assert row[header.index("T")] == "0"
+    assert row[header.index("p_hat")] == "1.0"
+
+
 def test_capacity_errors_exit_3():
     assert main(["estimate", "--model", "noise-free", "-N", "80", "-K", "9", "-T", "5",
                  "--trials", "5"]) == 3
@@ -164,8 +175,9 @@ def test_help_lists_every_flag():
         text += sub.format_help()
     for flag in ("--model", "--q", "--u", "-N", "-K", "-T", "--p", "--alpha",
                  "--criterion", "--trials", "--seed", "--t-grid", "--target",
-                 "--out", "--format", "--threads", "--kind", "--criteria", "--profile"):
+                 "--out", "--format", "--kind", "--criteria", "--profile"):
         assert flag in text, flag
+    assert "--threads" not in text  # trials run in the calling thread
     # defaults are spelled out
     assert "default: noise-free" in text
     assert "default: 1/K" in text

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -32,13 +34,18 @@ def make_codebook(bits, p=0.5, seed=0):
                     words=pack_bits(bits))
 
 
+def _ref_log2(x):
+    return math.log2(x) if x > 0.0 else -math.inf
+
+
 def reference_log_likelihood(codebook, members, outcome, noise):
     """Scalar per-test reference: accumulate integer test statistics, then
     combine them exactly as the likelihood factorizes (so equal statistics
-    give bit-identical scores).  Dilution reduces to w- (member
-    participations in negative tests) and n+[c] (positive tests pooling
-    exactly c members), added from 0.0 in the order w- * log2 u, then
-    n+[c] * log2(1 - u**c) for c = 1..K.  No bit packing anywhere."""
+    give bit-identical scores), with log2 0 = -inf and 0 * log2 0 = 0.
+    Dilution reduces to w- (member participations in negative tests) and
+    n+[c] (positive tests pooling exactly c members), added from 0.0 in the
+    order w- * log2 u, then n+[c] * log2(1 - u**c) for c = 1..K.  No bit
+    packing anywhere."""
     dense = codebook.dense_bits()
     y = outcome.bits()
     counts = [sum(int(dense[i, t]) for i in members.indices) for t in range(codebook.n_tests)]
@@ -51,10 +58,9 @@ def reference_log_likelihood(codebook, members, outcome, noise):
         uncovered = sum(1 for t, c in enumerate(counts) if c == 0 and y[t] == 1)
         negatives = sum(1 for t in range(codebook.n_tests) if y[t] == 0)
         score = 0.0
-        if uncovered:
-            score += -math.inf if noise.q == 0.0 else uncovered * math.log2(noise.q)
-        if negatives:
-            score += negatives * math.log2(1.0 - noise.q)
+        for count, prob in ((uncovered, noise.q), (negatives, 1.0 - noise.q)):
+            if count:
+                score += count * _ref_log2(prob)
         return score
     if any(c == 0 and y[t] == 1 for t, c in enumerate(counts)):
         return -math.inf
@@ -69,9 +75,7 @@ def reference_log_likelihood(codebook, members, outcome, noise):
     score = 0.0
     for count, prob in terms:
         if count:
-            if prob == 0.0:
-                return -math.inf
-            score += count * math.log2(prob)
+            score += count * _ref_log2(prob)
     return score
 
 
@@ -256,6 +260,70 @@ def test_decode_matches_reference_property(kind, data):
     assert (got.best_set.indices, got.log_likelihood, got.tie) == reference_decode(
         cb, out, k, noise)
     assert log_likelihood(cb, got.best_set, out, noise) == got.log_likelihood
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [NoiseModel.additive(0.0), NoiseModel.additive(1.0),
+     NoiseModel.dilution(0.0), NoiseModel.dilution(1.0)],
+    ids=lambda noise: noise.describe(),
+)
+def test_endpoint_channels_match_reference(noise):
+    """q and u at 0 and 1: (set, score, tie) and single-set scores equal the
+    brute-force reference, on channel outputs and on all-ones, all-zeros
+    and noiseless outcomes, including T = 0."""
+    rng = random.Random(noise.describe())
+    for _ in range(30):
+        n = rng.randint(2, 9)
+        k = rng.randint(1, min(3, n))
+        t = rng.choice([0, rng.randint(1, 24), rng.randint(65, 100)])
+        cb = generate_codebook(n, t, rng.choice([0.2, 0.4, 0.6]), rng.getrandbits(32))
+        truth = DefectiveSet.of(rng.sample(range(n), k))
+        outcomes = [
+            apply_channel(cb, truth, noise, rng.getrandbits(32)),
+            noiseless_outcome(cb, truth),
+            OutcomeVector.from_bits(np.ones(t, dtype=np.uint8)),
+            OutcomeVector.from_bits(np.zeros(t, dtype=np.uint8)),
+        ]
+        for out in outcomes:
+            got = ml_decode(cb, out, k, noise)
+            assert (got.best_set.indices, got.log_likelihood, got.tie) == reference_decode(
+                cb, out, k, noise)
+            for members in (truth, got.best_set, DefectiveSet(()),
+                            DefectiveSet.of(rng.sample(range(n), rng.randint(1, n)))):
+                assert log_likelihood(cb, members, out, noise) == reference_log_likelihood(
+                    cb, members, out, noise)
+
+
+def test_concurrent_dilution_decodes_match_serial():
+    """Each thread scores in its own work arrays, so dilution decodes
+    running in two threads at once return the serial results."""
+    noise = NoiseModel.dilution(0.3)
+    cases = []
+    for seed in range(8):
+        cb = generate_codebook(24, 30, 0.25, seed)
+        truth = DefectiveSet.of(random.Random(seed).sample(range(24), 4))
+        cases.append((cb, apply_channel(cb, truth, noise, seed)))
+    serial = [ml_decode(cb, out, 4, noise) for cb, out in cases]
+    start = threading.Barrier(2, timeout=60)
+    results = [None, None]
+
+    def decode_all(slot):
+        start.wait()
+        results[slot] = [ml_decode(cb, out, 4, noise) for cb, out in cases]
+
+    threads = [threading.Thread(target=decode_all, args=(slot,)) for slot in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [serial, serial]
 
 
 def test_label_permutation_equivariance():

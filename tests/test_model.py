@@ -58,10 +58,21 @@ def test_tiny_interior_p_is_accepted():
     assert cb.dense_bits().sum() == 0
 
 
-@pytest.mark.parametrize("n_items,n_tests", [(0, 4), (4, 0), (0, 0)])
+@pytest.mark.parametrize("n_items,n_tests", [(0, 4), (0, 0)])
 def test_zero_dimensions_rejected(n_items, n_tests):
     with pytest.raises(ParameterError):
         generate_codebook(n_items, n_tests, 0.5, 1)
+
+
+def test_zero_tests_give_an_empty_codebook():
+    cb = generate_codebook(4, 0, 0.5, 1)
+    assert (cb.n_items, cb.n_tests, cb.p, cb.seed) == (4, 0, 0.5, 1)
+    assert cb.words.shape == (4, 0)
+    assert cb.dense_bits().shape == (4, 0)
+    with pytest.raises(ParameterError):
+        generate_codebook(4, -1, 0.5, 1)
+    with pytest.raises(ParameterError):
+        generate_codebook(4, 0, 1.5, 1)
 
 
 def test_seed_must_be_unsigned_64_bit():
@@ -148,6 +159,15 @@ def test_adding_an_item_never_clears_a_bit():
         a = apply_channel(cb, smaller, noise, seed).bits()
         b = apply_channel(cb, bigger, noise, seed).bits()
         assert (b >= a).all()
+
+
+def test_saturated_channels_fix_the_outcome():
+    # q = 1 raises every test, u = 1 erases every participation
+    cb = generate_codebook(10, 70, 0.3, 4)
+    truth = DefectiveSet((1, 6))
+    for seed in range(5):
+        assert apply_channel(cb, truth, NoiseModel.additive(1.0), seed).bits().all()
+        assert not apply_channel(cb, truth, NoiseModel.dilution(1.0), seed).bits().any()
 
 
 def test_dilution_law_two_members_in_one_test():

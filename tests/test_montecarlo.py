@@ -22,7 +22,7 @@ from gtlab import (
     ml_decode,
 )
 from gtlab.bitops import pack_bits
-from gtlab.montecarlo import _codebook_for_trial, _sample_truth
+from gtlab.montecarlo import _sample_truth
 from gtlab.rng import mix64
 
 NF = NoiseModel.noise_free()
@@ -49,16 +49,14 @@ def test_no_tests_means_certain_error():
     assert est.p_hat == 1.0  # every trial ties across all sets
 
 
-def test_estimates_are_deterministic_and_thread_invariant():
+def test_estimates_are_deterministic():
     noise = NoiseModel.additive(0.9)
     a = estimate_average_error(12, 2, 20, 0.5, noise, 300, 17)
     b = estimate_average_error(12, 2, 20, 0.5, noise, 300, 17)
-    c = estimate_average_error(12, 2, 20, 0.5, noise, 300, 17, threads=4)
-    assert a == b == c
-    # dilution threads each score their chunks in their own work arrays
+    assert a == b
     noise = NoiseModel.dilution(0.3)
     a = estimate_average_error(14, 3, 18, 1 / 3, noise, 120, 5)
-    b = estimate_average_error(14, 3, 18, 1 / 3, noise, 120, 5, threads=3)
+    b = estimate_average_error(14, 3, 18, 1 / 3, noise, 120, 5)
     assert a == b
 
 
@@ -71,7 +69,7 @@ def test_average_error_matches_independent_trial_loop():
     errors = 0
     for trial in range(trials):
         trial_key = mix64(master_seed, trial)
-        codebook = _codebook_for_trial(n, t, p, mix64(trial_key, 0))
+        codebook = generate_codebook(n, t, p, mix64(trial_key, 0))
         truth = _sample_truth(n, k, mix64(trial_key, 1))
         outcome = apply_channel(codebook, truth, noise, mix64(trial_key, 2))
         result = ml_decode(codebook, outcome, k, noise)
