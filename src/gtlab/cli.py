@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 import tempfile
@@ -391,9 +392,14 @@ def run(cfg: ExperimentConfig) -> int:
     return handlers[cfg.command](cfg)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's parser: parsing leaves no state in it, so it is built once."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
         return run(cfg)
@@ -407,3 +413,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

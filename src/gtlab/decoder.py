@@ -1,10 +1,14 @@
 """Exhaustive maximum-likelihood decoding over all K-subsets.
 
-The decoder scans candidate sets in lexicographic index order, scores each
-with the log-likelihood of the observed outcomes, and returns the first
-maximizer.  A tie is any later candidate attaining the same maximum under
+The decoder scans every candidate set, scores each with the log-likelihood
+of the observed outcomes, and returns the lexicographically first
+maximizer.  A tie is any other candidate attaining the same maximum under
 exact comparison; candidates with likelihood exactly zero (score -inf)
-never participate in tie detection.
+never participate in tie detection.  The result does not depend on scan
+order: candidates come in colex order from one combination table per K,
+kept for the largest pool seen, whose first C(n, K) rows are the
+combinations of range(n); pools above the table limit are scanned
+lexicographically from ``itertools``.
 
 Scores read the channel law of ``model``, P(Y=0 | c) = (1-q) * u**c for a
 test pooling c candidate members.  A candidate reduces to integer
@@ -28,8 +32,8 @@ without changing any score:
   which is built only when some coefficient of n+[1..K] is nonzero;
   otherwise n+[0] needs one level, the OR of the member rows.
 
-Scan order and scoring are deterministic, so results are identical across
-platforms and runs.
+Scoring is deterministic, so results are identical across platforms and
+runs.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from .model import (
 
 DEFAULT_BUDGET = 10**8
 _CHUNK = 8192
-_CACHE_LIMIT = 1 << 21  # combination tables up to ~2M rows are memoized
+_CACHE_LIMIT = 1 << 21  # combination tables up to ~2M rows are kept
 
 
 @dataclass(frozen=True)
@@ -251,19 +255,28 @@ def log_likelihood(
     return float(_scores(co, pool, np.arange(idx.size)[None, :])[0])
 
 
-@lru_cache(maxsize=8)
+# K -> the K-combinations of range(n) in colex order, for the largest n seen
+_combo_tables: dict[int, np.ndarray] = {}
+
+
 def _combo_table(n: int, k: int) -> np.ndarray:
-    """All K-combinations of range(n) in lexicographic order, as an (M, k) int32 array."""
-    combos = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n), k)),
-        dtype=np.int32,
-        count=math.comb(n, k) * k,
-    )
-    return combos.reshape(-1, k)
+    """All K-combinations of range(n) in colex order, as a (C(n, k), k) int32 array."""
+    total = math.comb(n, k)
+    table = _combo_tables.get(k)
+    if table is None or table.shape[0] < total:
+        lex = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(n), k)),
+            dtype=np.int32,
+            count=total * k,
+        ).reshape(-1, k)
+        # complementing i -> n-1-i turns lex order into reversed colex order
+        table = np.ascontiguousarray(n - 1 - lex[::-1, ::-1])
+        _combo_tables[k] = table
+    return table[:total]
 
 
 def _combo_chunks(n: int, k: int, chunk: int = _CHUNK):
-    """Yield lexicographic combination blocks as (B, k) int arrays."""
+    """Yield blocks of all K-combinations of range(n) as (B, k) int arrays."""
     total = math.comb(n, k)
     if total <= _CACHE_LIMIT:
         table = _combo_table(n, k)
@@ -280,24 +293,31 @@ def _combo_chunks(n: int, k: int, chunk: int = _CHUNK):
 
 @dataclass
 class _ScanState:
-    """Running (max score, first argmax, count at max) over ordered chunks."""
+    """Running (max score, lexicographically first argmax, count at max) over
+    chunks scanned in any order."""
 
     best: float = -math.inf
     best_idx: np.ndarray | None = None
     at_max: int = 0
 
     def update(self, scores: np.ndarray, idx: np.ndarray) -> None:
-        finite = scores > -math.inf
-        if not finite.any():
+        m = float(scores.max())
+        if m == -math.inf or m < self.best:
             return
-        m = float(scores[finite].max())
+        hits = np.flatnonzero(scores == m)
+        lead = hits  # the lexicographic minimum, narrowed one column at a time
+        for column in idx.T:
+            if lead.size == 1:
+                break
+            values = column[lead]
+            lead = lead[values == values.min()]
+        first = idx[lead[0]]
         if m > self.best:
-            self.best = m
-            hits = np.flatnonzero(scores == m)
-            self.best_idx = np.array(idx[hits[0]])
-            self.at_max = int(hits.size)
-        elif m == self.best:
-            self.at_max += int((scores == m).sum())
+            self.best, self.best_idx, self.at_max = m, first, hits.size
+        else:
+            self.at_max += hits.size
+            if tuple(first) < tuple(self.best_idx):
+                self.best_idx = first
 
     def result(self, items: np.ndarray | None, k: int, n_evaluated: int) -> DecodeResult:
         """The decode result, with the argmax mapped from pool positions to ``items``."""
@@ -315,7 +335,8 @@ def ml_decode(
     noise_model: NoiseModel,
     budget: int = DEFAULT_BUDGET,
 ) -> DecodeResult:
-    """Scan all C(N, K) candidate sets; return the first maximizer and a tie flag.
+    """Scan all C(N, K) candidate sets; return the lexicographically first
+    maximizer and a tie flag.
 
     ``n_evaluated`` reports the logical scan size C(N, K); candidates ruled
     out in bulk (score provably -inf) are scored as a class, which does not

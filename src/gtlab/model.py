@@ -29,7 +29,7 @@ import numpy as np
 
 from .bitops import pack_bits, unpack_bits
 from .errors import ParameterError
-from .rng import bernoulli_grid, mix64
+from .rng import bernoulli_grid, bernoulli_words, mix64
 
 NOISE_FREE = "noise-free"
 ADDITIVE = "additive"
@@ -202,6 +202,15 @@ class OutcomeVector:
         return unpack_bits(self.words, self.n_tests)
 
 
+def _check_design(n_items: int, n_tests: int, p: float) -> None:
+    if n_items < 1 or n_tests < 0:
+        raise ParameterError(
+            f"need at least one item and a nonnegative test count, got {n_items}x{n_tests}"
+        )
+    if not 0.0 < p < 1.0:
+        raise ParameterError(f"inclusion probability p must lie strictly inside (0, 1), got {p}")
+
+
 def generate_codebook(n_items: int, n_tests: int, p: float, seed: int) -> Codebook:
     """Draw an n_items x n_tests matrix of independent Bernoulli(p) entries.
 
@@ -210,15 +219,10 @@ def generate_codebook(n_items: int, n_tests: int, p: float, seed: int) -> Codebo
     with growing T comparable under a common seed.  Zero tests give an
     empty matrix, which carries no information about the items.
     """
-    if n_items < 1 or n_tests < 0:
-        raise ParameterError(
-            f"need at least one item and a nonnegative test count, got {n_items}x{n_tests}"
-        )
-    if not 0.0 < p < 1.0:
-        raise ParameterError(f"inclusion probability p must lie strictly inside (0, 1), got {p}")
+    _check_design(n_items, n_tests, p)
     seed = _check_seed(seed)
-    bits = bernoulli_grid(seed, np.arange(n_items), np.arange(n_tests), p)
-    return Codebook(n_items=n_items, n_tests=n_tests, p=float(p), seed=seed, words=pack_bits(bits))
+    words = bernoulli_words(seed, np.arange(n_items), np.arange(n_tests), p)
+    return Codebook(n_items=n_items, n_tests=n_tests, p=float(p), seed=seed, words=words)
 
 
 def _check_members(codebook: Codebook, defectives: DefectiveSet) -> np.ndarray:
@@ -230,16 +234,11 @@ def _check_members(codebook: Codebook, defectives: DefectiveSet) -> np.ndarray:
     return idx
 
 
-def _or_words(codebook: Codebook, idx: np.ndarray) -> np.ndarray:
-    if idx.size == 0:
-        return np.zeros(codebook.words.shape[1], dtype=np.uint64)
-    return np.bitwise_or.reduce(codebook.words[idx], axis=0)
-
-
 def noiseless_outcome(codebook: Codebook, defectives: DefectiveSet) -> OutcomeVector:
     """Boolean OR of the defective rows: bit t is 1 iff some defective is pooled in test t."""
     idx = _check_members(codebook, defectives)
-    return OutcomeVector(n_tests=codebook.n_tests, words=_or_words(codebook, idx))
+    return OutcomeVector(n_tests=codebook.n_tests,
+                         words=np.bitwise_or.reduce(codebook.words[idx], axis=0))
 
 
 def apply_channel(
@@ -258,18 +257,29 @@ def apply_channel(
     """
     idx = _check_members(codebook, defectives)
     noise_seed = _check_seed(noise_seed, "noise_seed")
+    words = _channel_words(codebook.words[idx], idx, noise_model, noise_seed,
+                          np.arange(codebook.n_tests))
+    return OutcomeVector(n_tests=codebook.n_tests, words=words)
+
+
+def _channel_words(rows: np.ndarray, idx: np.ndarray, noise_model: NoiseModel,
+                  noise_seed: int, tests: np.ndarray) -> np.ndarray:
+    """Packed outcomes of the consecutive tests ``tests`` under the channel law.
+
+    ``rows`` holds the defectives ``idx``'s codebook bits for those tests,
+    packed from ``tests[0]``; test t reads the same as in ``apply_channel``.
+    """
     q, u = noise_model.law
-    tests = np.arange(codebook.n_tests)
     if u > 0.0:
-        rows = unpack_bits(codebook.words[idx], codebook.n_tests)
+        bits = unpack_bits(rows, tests.size)
         erased = bernoulli_grid(mix64(noise_seed, _DILUTION_STREAM), idx, tests, u)
-        words = pack_bits((rows & (1 - erased)).any(axis=0).astype(np.uint8))
+        words = pack_bits((bits & (1 - erased)).any(axis=0).astype(np.uint8))
     else:
-        words = _or_words(codebook, idx)
+        words = np.bitwise_or.reduce(rows, axis=0)
     if q > 0.0:
         alarms = bernoulli_grid(mix64(noise_seed, _ADDITIVE_STREAM), [0], tests, q)
         words = words | pack_bits(alarms[0])
-    return OutcomeVector(n_tests=codebook.n_tests, words=words)
+    return words
 
 
 def write_codebook(codebook: Codebook, path) -> None:

@@ -9,6 +9,14 @@ so worker threads gave no speed-up.  The average and partial criteria and
 the per-overlap error profile share one trial stream (one miss histogram),
 which makes their comparisons paired.
 
+Codebook and noise cells are addressed by (seed, item, test) and truth
+sets by trial alone, so a trial at T is the first T tests of the same
+trial at any larger T.  A single estimate draws one trial at a time; the
+minimal-T search draws each trial once into a ``_TrialStream`` and reads
+every probed T off it.  On the noise-free channel a trial that decoded
+uniquely and correctly at some probed T' <= T is not decoded again at T:
+a larger T only removes consistent candidate sets.
+
 Error conventions: a trial errs when the decoder returns a set other than
 the truth or reports a tie (ties count against the decoder).  The partial
 criterion instead errs only when the decoded set misses more than
@@ -24,17 +32,21 @@ from itertools import combinations
 import numpy as np
 from scipy.special import betaincinv
 
+from .bitops import WORD_BITS, n_words
 from .decoder import DEFAULT_BUDGET, ml_decode, miss_distance
 from .errors import CapacityError, ParameterError
 from .model import (
     Codebook,
     DefectiveSet,
     NoiseModel,
+    OutcomeVector,
+    _channel_words,
+    _check_design,
     apply_channel,
     generate_codebook,
     noiseless_outcome,
 )
-from .rng import mix64
+from .rng import bernoulli_words, mix64
 
 AVERAGE = "average"
 WORST_CASE = "worst-case"
@@ -116,25 +128,108 @@ def _sample_truth(n_items: int, k: int, seed: int) -> DefectiveSet:
     return DefectiveSet.of(int(v) for v in idx)
 
 
-def _miss_histogram(
-    n_items: int, k: int, n_tests: int, p: float, noise_model: NoiseModel,
-    master_seed: int, trials: int, budget: int,
-) -> np.ndarray:
-    """Histogram over miss distance of the erring trials."""
-    hist = np.zeros(k + 1, dtype=np.int64)
+class _TrialStream:
+    """The trials of one configuration, each drawn once and read at any T.
+
+    Keyed by (N, K, p, channel, master seed, trials).  Each trial's truth
+    set is drawn once, and its codebook and outcome words are kept at the
+    largest T drawn so far: trials x (N+1) x ceil(T/64) words.  A larger T
+    draws only the new tests, from the last partly filled word on; a
+    smaller T reads the masked prefix.  Every random cell is addressed by
+    (seed, item, test), so either way a trial at T is bit-identical to the
+    same trial drawn afresh at T.
+    """
+
+    def __init__(self, n_items: int, k: int, p: float, noise_model: NoiseModel,
+                 master_seed: int, trials: int):
+        self.key = (n_items, k, p, noise_model, master_seed, trials)
+        self.n_tests = 0
+        self.truths = self.seeds = None  # drawn on first use, after validation
+        self.words = np.zeros((trials, n_items, 0), dtype=np.uint64)
+        self.outcomes = np.zeros((trials, 0), dtype=np.uint64)
+        # noise-free only: the smallest T at which each trial decoded uniquely
+        # and correctly; it still does at any larger T, where the consistent
+        # sets are a subset of those at the smaller T
+        self.noise_free = noise_model.deterministic
+        self.solved_at = [math.inf] * trials
+
+    def draw(self, n_tests: int):
+        """Yield (trial, truth, codebook, outcome) at n_tests, skipping solved trials."""
+        n_items, k, p, _, master_seed, trials = self.key
+        _check_design(n_items, n_tests, p)
+        if self.truths is None:
+            keys = [mix64(master_seed, trial) for trial in range(trials)]
+            self.seeds = [(mix64(key, 0), mix64(key, 2)) for key in keys]
+            self.truths = [_sample_truth(n_items, k, mix64(key, 1)) for key in keys]
+        if n_tests > self.n_tests:
+            self._extend(n_tests)
+        width = n_words(n_tests)
+        words = self.words[:, :, :width].copy()
+        outcomes = self.outcomes[:, :width].copy()
+        if n_tests % WORD_BITS:
+            mask = np.uint64((1 << (n_tests % WORD_BITS)) - 1)
+            words[:, :, -1] &= mask
+            outcomes[:, -1] &= mask
+        for trial, truth in enumerate(self.truths):
+            if self.solved_at[trial] <= n_tests:
+                continue
+            codebook = Codebook(n_items, n_tests, float(p), self.seeds[trial][0], words[trial])
+            yield trial, truth, codebook, OutcomeVector(n_tests, outcomes[trial])
+
+    def solved(self, trial: int, n_tests: int) -> None:
+        """Record that ``trial`` decoded uniquely and correctly at n_tests."""
+        if self.noise_free:
+            self.solved_at[trial] = min(self.solved_at[trial], n_tests)
+
+    def _extend(self, n_tests: int) -> None:
+        n_items, _, p, noise_model, _, trials = self.key
+        start, width = self.n_tests // WORD_BITS, n_words(n_tests)
+        grow = width - self.outcomes.shape[1]
+        self.words = np.pad(self.words, ((0, 0), (0, 0), (0, grow)))
+        self.outcomes = np.pad(self.outcomes, ((0, 0), (0, grow)))
+        items, tests = np.arange(n_items), np.arange(start * WORD_BITS, n_tests)
+        for trial, truth in enumerate(self.truths):
+            codebook_seed, noise_seed = self.seeds[trial]
+            rows = bernoulli_words(codebook_seed, items, tests, p)
+            self.words[trial, :, start:] = rows
+            idx = np.asarray(truth.indices)
+            self.outcomes[trial, start:] = _channel_words(rows[idx], idx, noise_model,
+                                                          noise_seed, tests)
+        self.n_tests = n_tests
+
+
+def _fresh_trials(n_items, k, n_tests, p, noise_model, master_seed, trials):
+    """Yield (trial, truth, codebook, outcome), one trial in memory at a time."""
     for trial in range(trials):
         trial_key = mix64(master_seed, trial)
         codebook = generate_codebook(n_items, n_tests, p, mix64(trial_key, 0))
         truth = _sample_truth(n_items, k, mix64(trial_key, 1))
-        outcome = apply_channel(codebook, truth, noise_model, mix64(trial_key, 2))
+        yield trial, truth, codebook, apply_channel(codebook, truth, noise_model,
+                                                    mix64(trial_key, 2))
+
+
+def _miss_histogram(
+    n_items: int, k: int, n_tests: int, p: float, noise_model: NoiseModel,
+    master_seed: int, trials: int, budget: int, stream: _TrialStream | None = None,
+) -> np.ndarray:
+    """Histogram over miss distance of the erring trials, drawn afresh or
+    read off ``stream``."""
+    hist = np.zeros(k + 1, dtype=np.int64)
+    if stream is None:
+        draws = _fresh_trials(n_items, k, n_tests, p, noise_model, master_seed, trials)
+    else:
+        draws = stream.draw(n_tests)
+    for trial, truth, codebook, outcome in draws:
         result = ml_decode(codebook, outcome, k, noise_model, budget=budget)
         if result.tie or result.best_set != truth:
             hist[miss_distance(truth, result.best_set)] += 1
+        elif stream is not None:
+            stream.solved(trial, n_tests)
     return hist
 
 
 def _collect_histogram(
-    n_items, k, n_tests, p, noise_model, trials, master_seed, budget
+    n_items, k, n_tests, p, noise_model, trials, master_seed, budget, stream=None
 ) -> np.ndarray:
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
@@ -146,7 +241,10 @@ def _collect_histogram(
         raise CapacityError(
             f"each trial needs {math.comb(n_items, k)} set evaluations, above the budget {budget}"
         )
-    return _miss_histogram(n_items, k, n_tests, p, noise_model, master_seed, trials, budget)
+    if stream is not None and stream.key != (n_items, k, p, noise_model, master_seed, trials):
+        raise ParameterError(f"trial stream {stream.key} does not match this configuration")
+    return _miss_histogram(n_items, k, n_tests, p, noise_model, master_seed, trials, budget,
+                           stream)
 
 
 def _make_estimate(criterion, n_items, k, n_tests, p, noise_model, alpha,
@@ -174,7 +272,12 @@ def estimate_average_error(
     trials: int, master_seed: int, budget: int = DEFAULT_BUDGET,
 ) -> ErrorEstimate:
     """Average error over fresh codebooks and uniform truth sets per trial."""
-    hist = _collect_histogram(n_items, k, n_tests, p, noise_model, trials, master_seed, budget)
+    return _average(n_items, k, n_tests, p, noise_model, trials, master_seed, budget)
+
+
+def _average(n_items, k, n_tests, p, noise_model, trials, master_seed, budget, stream=None):
+    hist = _collect_histogram(n_items, k, n_tests, p, noise_model, trials, master_seed, budget,
+                              stream)
     return _make_estimate(AVERAGE, n_items, k, n_tests, p, noise_model, None,
                           trials, hist.sum(), master_seed, hist)
 
@@ -258,8 +361,11 @@ def find_minimal_t(
     failing and first meeting grid points, halving the step until it
     reaches ``refine_to`` or the estimate is statistically ambiguous
     (confidence half-width wider than its distance to the target).  Every
-    probe is recorded.  The same master seed drives every probe, so the
-    error estimates are paired across T.
+    probe is recorded.  Every probe reads the same trials off one trial
+    stream, so the error estimates are paired across T and each trial is
+    drawn once.  Each estimate equals ``estimate_average_error`` at its T,
+    but the search holds trials x (N+1) x ceil(T/64) 64-bit words at the
+    largest probed T, where a single estimate holds one trial at a time.
     """
     grid = [int(t) for t in t_grid]
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -270,11 +376,10 @@ def find_minimal_t(
         raise ParameterError(f"refine_to must be >= 1, got {refine_to}")
 
     probed: list[tuple[int, ErrorEstimate]] = []
+    stream = _TrialStream(n_items, k, p, noise_model, master_seed, trials)
 
     def measure(t: int) -> ErrorEstimate:
-        est = estimate_average_error(
-            n_items, k, t, p, noise_model, trials, master_seed, budget=budget
-        )
+        est = _average(n_items, k, t, p, noise_model, trials, master_seed, budget, stream)
         probed.append((t, est))
         return est
 

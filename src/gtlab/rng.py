@@ -9,11 +9,17 @@ materialized, or how many threads are running.
 
 Two-level addressing: ``mix64(key, a)`` derives a sub-key, and a second
 application indexed by ``b`` produces the draw for cell (a, b).
+``bernoulli_words`` draws the same Bernoulli cells as ``bernoulli_grid``
+straight into packed 64-bit words, for any column range.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .bitops import n_words
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_INT = 0x9E3779B97F4A7C15
@@ -34,20 +40,43 @@ def mix64(key: int, counter: int) -> int:
 
 
 def _finalize(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _M1
-    z = (z ^ (z >> np.uint64(27))) * _M2
-    return z ^ (z >> np.uint64(31))
+    """The splitmix64 output rounds, in place on the fresh array ``z``."""
+    tmp = np.right_shift(z, np.uint64(30))
+    z ^= tmp
+    z *= _M1
+    z ^= np.right_shift(z, np.uint64(27), out=tmp)
+    z *= _M2
+    z ^= np.right_shift(z, np.uint64(31), out=tmp)
+    return z
+
+
+def _mixed_grid(key: int, rows, cols) -> np.ndarray:
+    """(len(rows), len(cols)) mixed 64-bit words; cell (a,b) depends only on
+    (key, rows[a], cols[b])."""
+    rows = np.asarray(rows, dtype=np.uint64)
+    cols = np.asarray(cols, dtype=np.uint64)
+    row_keys = _finalize(np.uint64(key & _MASK64) + _GOLDEN * (rows + np.uint64(1)))
+    return _finalize(row_keys[:, None] + _GOLDEN * (cols[None, :] + np.uint64(1)))
 
 
 def uniform_grid(key: int, rows, cols) -> np.ndarray:
     """(len(rows), len(cols)) uniforms in [0,1); cell (a,b) depends only on (key, rows[a], cols[b])."""
-    rows = np.asarray(rows, dtype=np.uint64)
-    cols = np.asarray(cols, dtype=np.uint64)
-    row_keys = _finalize(np.uint64(key & _MASK64) + _GOLDEN * (rows + np.uint64(1)))
-    z = _finalize(row_keys[:, None] + _GOLDEN * (cols[None, :] + np.uint64(1)))
-    return (z >> np.uint64(11)).astype(np.float64) * _U53
+    return (_mixed_grid(key, rows, cols) >> np.uint64(11)).astype(np.float64) * _U53
 
 
 def bernoulli_grid(key: int, rows, cols, prob: float) -> np.ndarray:
     """0/1 uint8 grid; cell (a,b) is 1 with probability ``prob``, addressed as in uniform_grid."""
     return (uniform_grid(key, rows, cols) < prob).astype(np.uint8)
+
+
+def bernoulli_words(key: int, rows, cols, prob: float) -> np.ndarray:
+    """``pack_bits(bernoulli_grid(key, rows, cols, prob))`` for 0 <= prob < 1,
+    without the float grid: (len(rows), n_words(len(cols))) uint64.
+
+    With u = (z >> 11) * 2**-53, u < prob is exactly z < ceil(prob * 2**53) << 11
+    on the whole word z, and prob < 1 keeps that threshold below 2**64.
+    """
+    hits = _mixed_grid(key, rows, cols) < np.uint64(math.ceil(prob * (1 << 53)) << 11)
+    packed = np.zeros((hits.shape[0], 8 * n_words(hits.shape[1])), dtype=np.uint8)
+    packed[:, : (hits.shape[1] + 7) // 8] = np.packbits(hits, axis=1, bitorder="little")
+    return packed.view("<u8")

@@ -10,6 +10,7 @@ import pytest
 import gtlab
 import gtlab.montecarlo
 from gtlab import __version__
+import gtlab.cli
 from gtlab.cli import build_parser, main
 
 
@@ -181,6 +182,46 @@ def test_help_lists_every_flag():
     # defaults are spelled out
     assert "default: noise-free" in text
     assert "default: 1/K" in text
+
+
+SESSION = [
+    ["estimate", "--model", "additive", "--q", "0.1", "-N", "12", "-K", "2", "-T", "20",
+     "--trials", "30", "--seed", "5", "--format", "csv"],
+    ["bounds", "-N", "64", "-K", "2", "--format", "csv"],
+    ["estimate", "-N", "12", "-K", "2", "-T", "20", "--trials", "30", "--profile"],
+    ["minimal-t", "--model", "dilution", "--u", "0.2", "-N", "12", "-K", "2",
+     "--target", "0.2", "--t-grid", "4:40:12", "--trials", "30"],
+    ["estimate", "--model", "additive", "-N", "12", "-K", "2", "-T", "20"],
+    ["sweep", "-N", "12", "-K", "2", "--t-grid", "5:15:5", "--trials", "20",
+     "--criterion", "partial", "--alpha", "0.5"],
+    ["bounds", "--model", "dilution", "--u", "0.3", "-N", "64", "-K", "2", "--kind", "both"],
+]
+
+
+def test_one_parser_serves_a_session_of_subcommands(monkeypatch):
+    """main parses with one parser per process; back-to-back subcommands
+    parse and print as they do with a fresh parser each."""
+    assert gtlab.cli._parser() is gtlab.cli._parser()
+    for argv in SESSION:
+        assert vars(gtlab.cli._parser().parse_args(argv)) == vars(build_parser().parse_args(argv))
+    shared = [run_cli(argv) for argv in SESSION]
+    assert shared[4][0] == 2  # --model additive without --q
+    monkeypatch.setattr(gtlab.cli, "_parser", build_parser)
+    assert [run_cli(argv) for argv in SESSION] == shared
+
+
+@pytest.mark.parametrize("module", ["gtlab", "gtlab.cli"])
+def test_module_entry_points_run_main(module):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gtlab.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["bounds", "-N", "64", "-K", "2", "--kind", "both"]
+    proc = subprocess.run([sys.executable, "-m", module, *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run_cli(argv)[1]
+    bad = subprocess.run([sys.executable, "-m", module, "bounds", "-N", "2", "-K", "2"],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert bad.returncode == 2 and "error:" in bad.stderr
 
 
 LEAN_IMPORT_SCRIPT = """

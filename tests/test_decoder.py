@@ -351,6 +351,32 @@ def test_no_tests_ties_everything():
     assert res.log_likelihood == 0.0
 
 
+def test_combination_tables_are_colex_prefixes():
+    """One table per K serves every smaller pool as its leading rows."""
+    from gtlab.decoder import _combo_table
+
+    large = _combo_table(40, 3)
+    small = _combo_table(25, 3)
+    assert np.shares_memory(large, small)
+    for n, table in ((40, large), (25, small)):
+        colex = sorted(itertools.combinations(range(n), 3), key=lambda c: c[::-1])
+        assert [tuple(row) for row in table.tolist()] == colex
+
+
+def test_lexicographically_first_maximizer_wins_in_any_scan_order():
+    """Maximizers (0,190), (50,60) and (50,190): (50,60) comes first in colex
+    order, (0,190) in lexicographic order, several chunks later."""
+    bits = np.zeros((200, 3), dtype=np.uint8)
+    bits[0] = bits[50] = (1, 0, 0)
+    bits[50, 1] = 1
+    bits[190] = (0, 1, 1)
+    bits[60] = (0, 0, 1)
+    cb = make_codebook(bits)
+    res = ml_decode(cb, OutcomeVector.from_bits([1, 1, 1]), 2, NF)
+    assert res.best_set.indices == (0, 190)
+    assert res.tie and res.log_likelihood == 0.0
+
+
 def test_budget_error_names_required_size():
     cb = generate_codebook(80, 10, 0.2, 1)
     with pytest.raises(CapacityError, match=str(math.comb(80, 9))):

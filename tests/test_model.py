@@ -14,6 +14,7 @@ from gtlab import (
     write_codebook,
 )
 from gtlab.bitops import pack_bits
+from gtlab.rng import bernoulli_grid, bernoulli_words, uniform_grid
 
 
 def make_codebook(bits, p=0.5, seed=0):
@@ -45,6 +46,32 @@ def test_empirical_density_near_p():
     cb = generate_codebook(1000, 1000, 0.5, 3)
     density = cb.dense_bits().mean()
     assert 0.49 <= density <= 0.51
+
+
+def test_packed_sampler_equals_the_packed_float_grid():
+    """The integer threshold on the mixed word draws exactly the cells u < p."""
+    rng = np.random.default_rng(2024)
+    edge_tests = (0, 1, 63, 64, 65, 127, 128, 129)
+    edge_p = (1e-9, np.nextafter(1.0, 0.0), 0.5)
+    cases = [(t, p) for t in edge_tests for p in edge_p]
+    cases += [(int(rng.integers(0, 300)), float(rng.uniform(0.0, 1.0))) for _ in range(250)]
+    for n_tests, p in cases:
+        key = int(rng.integers(0, 2**63)) * 2 + int(rng.integers(0, 2))
+        rows = rng.choice(1000, size=int(rng.integers(1, 40)), replace=False)
+        cols = np.arange(n_tests) + int(rng.integers(0, 200))
+        packed = bernoulli_words(key, rows, cols, p)
+        expected = pack_bits(bernoulli_grid(key, rows, cols, p))
+        assert packed.dtype == np.uint64 and packed.shape == expected.shape
+        assert np.array_equal(packed, expected), (key, n_tests, p)
+    # p at a drawn cell's own uniform u, and at the next double above it,
+    # where u < p flips
+    u = uniform_grid(5, np.arange(8), np.arange(70))
+    for p in np.unique(np.concatenate([u.ravel(), np.nextafter(u, 1.0).ravel()])):
+        assert np.array_equal(bernoulli_words(5, np.arange(8), np.arange(70), p),
+                              pack_bits(u < p)), p
+    assert not bernoulli_words(3, np.arange(64), np.arange(129), 1e-9).any()
+    assert np.array_equal(bernoulli_words(3, np.arange(4), np.arange(70), np.nextafter(1.0, 0.0)),
+                          pack_bits(np.ones((4, 70), dtype=np.uint8)))
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.5])

@@ -22,7 +22,8 @@ from gtlab import (
     ml_decode,
 )
 from gtlab.bitops import pack_bits
-from gtlab.montecarlo import _sample_truth
+import gtlab.montecarlo
+from gtlab.montecarlo import _collect_histogram, _sample_truth, _TrialStream
 from gtlab.rng import mix64
 
 NF = NoiseModel.noise_free()
@@ -288,6 +289,66 @@ def test_empirical_t_respects_fano_floor():
     result = find_minimal_t(64, 2, 0.5, NF, 0.5, 400, grid, 3, refine_to=2)
     assert result.attained
     assert result.t_star >= 0.5 * fano
+
+
+CHANNELS = [NF, NoiseModel.additive(0.25), NoiseModel.dilution(0.3)]
+
+
+@pytest.mark.parametrize("noise", CHANNELS, ids=lambda m: m.describe())
+def test_stream_reads_every_t_as_a_fresh_draw(noise):
+    """Extending, then reading shorter prefixes, gives each trial exactly as
+    an independent draw at that T would."""
+    n, k, p, trials, seed = 30, 2, 0.5, 12, 41
+    stream = _TrialStream(n, k, p, noise, seed, trials)
+    for t in (5, 64, 70, 129, 0, 63, 65, 128, 200, 1):
+        draws = list(stream.draw(t))
+        assert [d[0] for d in draws] == list(range(trials))
+        for trial, truth, codebook, outcome in draws:
+            trial_key = mix64(seed, trial)
+            fresh = generate_codebook(n, t, p, mix64(trial_key, 0))
+            assert codebook == fresh
+            assert truth == _sample_truth(n, k, mix64(trial_key, 1))
+            assert outcome == apply_channel(fresh, truth, noise, mix64(trial_key, 2))
+
+
+def test_stream_rejects_another_configuration():
+    stream = _TrialStream(20, 2, 0.5, NF, 3, 10)
+    with pytest.raises(ParameterError):
+        _collect_histogram(20, 2, 8, 0.5, NF, 10, 4, 10**6, stream)
+    with pytest.raises(ParameterError):
+        list(_TrialStream(20, 2, 1.5, NF, 3, 10).draw(8))
+
+
+@pytest.mark.parametrize("noise", CHANNELS, ids=lambda m: m.describe())
+def test_minimal_t_probes_equal_independent_estimates(noise):
+    """Every probe read off the search's stream, grid and bisection alike,
+    equals a fresh estimate at its T, miss counts included."""
+    n, k, p, trials, seed = 40, 2, 0.5, 150, 23
+    result = find_minimal_t(n, k, p, noise, 0.1, trials, [20, 63, 65, 129, 150], seed)
+    assert len(result.probed) > 3  # the bisection ran
+    for t, est in result.probed:
+        assert est == estimate_average_error(n, k, t, p, noise, trials, seed)
+
+
+def test_noise_free_shortcut_keeps_every_histogram(monkeypatch):
+    """Trials solved at a smaller T are not decoded again, and every
+    histogram still equals the one from decoding every trial afresh."""
+    n, k, p, trials, seed = 40, 2, 0.5, 200, 8
+    grid = (12, 30, 8, 64, 20, 65, 129, 25)
+    expected = [_collect_histogram(n, k, t, p, NF, trials, seed, 10**6) for t in grid]
+    calls = []
+    decode = gtlab.montecarlo.ml_decode
+
+    def counting_decode(*args, **kwargs):
+        calls.append(1)
+        return decode(*args, **kwargs)
+
+    monkeypatch.setattr(gtlab.montecarlo, "ml_decode", counting_decode)
+    stream = _TrialStream(n, k, p, NF, seed, trials)
+    for t, hist in zip(grid, expected):
+        assert np.array_equal(_collect_histogram(n, k, t, p, NF, trials, seed, 10**6, stream),
+                              hist)
+    assert len(calls) < len(grid) * trials // 2
 
 
 # ---------------------------------------------------------------------------
