@@ -52,6 +52,7 @@ from .montecarlo import (
     empirical_pei_profile,
     estimate_average_error,
     estimate_partial_error,
+    estimate_sweep,
     estimate_worstcase_error,
     find_minimal_t,
 )

@@ -32,11 +32,12 @@ from .bounds import (
     mi_closed_form,
     pei_upper_bound,
 )
+from .decoder import DEFAULT_BUDGET
 from .model import NoiseModel, generate_codebook
 from .montecarlo import (
+    _estimates,
+    _TrialStream,
     empirical_pei_profile,
-    estimate_average_error,
-    estimate_partial_error,
     estimate_worstcase_error,
     find_minimal_t,
 )
@@ -264,12 +265,16 @@ def criterion_8() -> tuple[bool, str]:
     noise = NoiseModel.noise_free()
     trials, seed = 1500, 11
 
-    # locate a T with average error near 0.3 (monotone bisection, then local scan)
+    # bisect for a T with average error near 0.3, every probe read off one
+    # trial stream; a probe's average and partial errors share one histogram
+    stream = _TrialStream(n_items, k, p, noise, seed, trials)
     lo, hi = 1, 200
     t_mid = None
     for _ in range(12):
         mid = (lo + hi) // 2
-        p_hat = estimate_average_error(n_items, k, mid, p, noise, trials, seed).p_hat
+        estimates = _estimates(n_items, k, mid, p, noise, (None, 0.25, 0.5, 0.75), trials, seed,
+                               DEFAULT_BUDGET, stream)
+        p_hat = estimates[0].p_hat
         if 0.25 <= p_hat <= 0.35:
             t_mid = mid
             break
@@ -279,11 +284,7 @@ def criterion_8() -> tuple[bool, str]:
             hi = mid
     if t_mid is None:
         return False, "no T with average error in [0.25, 0.35] found"
-    average = estimate_average_error(n_items, k, t_mid, p, noise, trials, seed).p_hat
-    partials = [
-        estimate_partial_error(n_items, k, t_mid, p, noise, alpha, trials, seed).p_hat
-        for alpha in (0.25, 0.5, 0.75)
-    ]
+    average, *partials = (est.p_hat for est in estimates)
     nonincreasing = partials[0] >= partials[1] >= partials[2]
     ok = partials[1] < average and nonincreasing
     return ok, (

@@ -36,6 +36,7 @@ from .montecarlo import (  # noqa: F401 (bench/probes.py wraps every estimator b
     empirical_pei_profile,
     estimate_average_error,
     estimate_partial_error,
+    estimate_sweep,
     estimate_worstcase_error,
     find_minimal_t,
 )
@@ -337,20 +338,11 @@ def _run_estimate(cfg: ExperimentConfig) -> int:
 
 
 def _run_sweep(cfg: ExperimentConfig) -> int:
-    rows = []
-    for t in cfg.t_grid:
-        if cfg.criterion == "average":
-            est = estimate_average_error(
-                cfg.n_items, cfg.n_defectives, t, cfg.p, cfg.noise,
-                cfg.trials, cfg.seed,
-            )
-        else:
-            est = estimate_partial_error(
-                cfg.n_items, cfg.n_defectives, t, cfg.p, cfg.noise,
-                cfg.alpha, cfg.trials, cfg.seed,
-            )
-        rows.append(est.csv_row())
-    _emit(cfg, ESTIMATE_CSV_HEADER, rows)
+    estimates = estimate_sweep(
+        cfg.n_items, cfg.n_defectives, cfg.p, cfg.noise, cfg.t_grid, cfg.trials, cfg.seed,
+        cfg.alpha if cfg.criterion == "partial" else None,
+    )
+    _emit(cfg, ESTIMATE_CSV_HEADER, [est.csv_row() for est in estimates])
     return 0
 
 

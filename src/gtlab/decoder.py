@@ -30,7 +30,13 @@ without changing any score:
   -inf, so only the items whose rows the outcome covers are enumerated;
 * n+[1..K] come from a bit-sliced recurrence over K threshold levels,
   which is built only when some coefficient of n+[1..K] is nonzero;
-  otherwise n+[0] needs one level, the OR of the member rows.
+  otherwise n+[0] needs one level, the OR of the member rows;
+* the K levels are built only under dilution, where q = 0 makes
+  log2 q = -inf, so a candidate leaving a positive test unpooled scores
+  -inf: each chunk first ORs its candidates' member rows, and only the
+  candidates whose OR is every positive test get the K levels.  Their
+  n+[0] is 0 and their OR level holds every positive test, so neither is
+  counted.
 
 Scoring is deterministic, so results are identical across platforms and
 runs.
@@ -90,45 +96,38 @@ class _Coefficients:
 
     ``negative`` multiplies n-, ``participation`` w-, and ``positive[c]``
     n+[c] for c = 0..k.  ``full`` is set when some coefficient of n+[1..k]
-    is nonzero; ``levels`` is how many threshold levels a candidate's
-    statistics then need: k when ``full``, else 1 (the OR, for n+[0]) when
-    ``positive[0]`` is nonzero, else 0.
+    is nonzero, and then a candidate's statistics need k threshold levels.
+    Only dilution (u > 0) sets it, and its q = 0 makes ``positive[0]``
+    -inf.  Otherwise n+[0] needs one level, the OR, when ``positive[0]`` is
+    nonzero, and none when it is 0.
     """
 
     negative: float
     participation: float
     positive: tuple[float, ...]
     full: bool
-    levels: int
 
 
 @lru_cache(maxsize=64)  # building them takes ~15 us, a quarter of a small pruned decode
 def _coefficients(noise_model: NoiseModel, k: int) -> _Coefficients:
     q, u = noise_model.law
     positive = tuple(_log2(float(v)) for v in noise_model.positive_probability(np.arange(k + 1)))
-    full = any(positive[1:])
-    levels = k if full else int(positive[0] != 0.0)
-    return _Coefficients(_log2(1.0 - q), _log2(u), positive, full, levels)
+    return _Coefficients(_log2(1.0 - q), _log2(u), positive, any(positive[1:]))
 
 
-# Per-thread work arrays of _scores, kept across chunks and decodes.  Fresh
-# arrays of ~1 MB per chunk make malloc trim the heap top and grow it again,
-# and the page faults that follow cost unpruned K-level scans about a third
-# of their speed.
+# Per-thread block for the member rows _scores gathers, kept across chunks
+# and decodes.  Fresh arrays of ~1 MB per chunk make malloc trim the heap top
+# and grow it again, and the page faults that follow cost K-level scans
+# about a third of their speed.
 _scratch = threading.local()
 
 
-def _work_arrays(m: int, b: int):
-    """This thread's (m+2, b) uint64 and int64 blocks, b float64 and b uint8."""
-    arrays = getattr(_scratch, "arrays", None)
-    if arrays is None or arrays[0].shape[0] < m + 2 or arrays[0].shape[1] < b:
-        rows = max(m + 2, 0 if arrays is None else arrays[0].shape[0])
-        cols = max(b, _CHUNK if arrays is None else arrays[0].shape[1])
-        arrays = (np.empty((rows, cols), dtype=np.uint64), np.empty((rows, cols), dtype=np.int64),
-                  np.empty(cols), np.empty(cols, dtype=np.uint8))
-        _scratch.arrays = arrays
-    bits, ints, floats, counts = arrays
-    return bits[: m + 2, :b], ints[: m + 2, :b], floats[:b], counts[:b]
+def _gather_block(w: int, m: int, b: int) -> np.ndarray:
+    """This thread's (w, m, b) uint64 block."""
+    block = getattr(_scratch, "block", None)
+    if block is None or block.size < w * m * b:
+        block = _scratch.block = np.empty(w * m * b, dtype=np.uint64)
+    return block[: w * m * b].reshape(w, m, b)
 
 
 class _Pool(NamedTuple):
@@ -136,16 +135,18 @@ class _Pool(NamedTuple):
 
     ``items`` maps pool positions to item indices (None: every item, in
     order) and ``size`` counts them.  ``pos`` holds the pool's rows masked
-    to the positive tests, (P, W) when at most one level is built and
-    word-major (W, P) otherwise.  ``neg`` is each item's count of negative
+    to the positive tests, word-major (W, P) when K levels are built and
+    (P, W) otherwise.  ``neg`` is each item's count of negative
     tests, read only when log2 u is finite and every item is in the pool.
-    ``start`` is the n- term, the same for every candidate.
+    ``y`` is the outcome's words as a (W, 1) column, and ``start`` the n-
+    term, the same for every candidate.
     """
 
     items: np.ndarray | None
     size: int
     pos: np.ndarray
     neg: np.ndarray
+    y: np.ndarray
     n_pos: int
     start: float
 
@@ -163,72 +164,78 @@ def _pool(co: _Coefficients, words: np.ndarray, n_tests: int, y_words: np.ndarra
     else:
         items = None
         rows = words & y_words
-    pos = rows if co.levels <= 1 else np.ascontiguousarray(rows.T)
-    return _Pool(items, rows.shape[0], pos, neg, n_pos, start)
+    pos = np.ascontiguousarray(rows.T) if co.full else rows
+    return _Pool(items, rows.shape[0], pos, neg, y_words[:, None], n_pos, start)
 
 
-def _level_sizes(pos_words: np.ndarray, members: np.ndarray, bits, ints, counts) -> np.ndarray:
-    """|ge[c]| for c = 1..M: per candidate, the positive tests pooling at least c members.
+def _positive_counts(rows: np.ndarray, n_pos: int) -> np.ndarray:
+    """n+[c] for c = 1..M, (M, B): each covering candidate's positive tests
+    pooling exactly c members.
 
-    ``pos_words`` is word-major, (W, P), and ``members`` the candidates'
-    item indices, (M, B).  Per word, adding a member row r sets
+    ``rows`` holds the candidates' member rows masked to the positive tests,
+    (W, M, B), and is overwritten.  Per word, adding a member row r sets
     ge[c] |= ge[c-1] & r for c from high to low (``ge`` below is 0-based,
-    ge[c] at index c-1), and the sizes are summed from popcounts.
+    ge[c] at index c-1), and |ge[c]| is summed from popcounts;
+    n+[c] = |ge[c]| - |ge[c+1]|.  ge[1], the OR, is every positive test, so
+    |ge[1]| = n_pos.
     """
-    m = members.shape[0]
-    ge, r, tmp = bits[:m], bits[m], bits[m + 1]
-    sizes = ints[:m]  # sizes[c-1] = |ge[c]|
-    sizes.fill(0)
-    for word in pos_words:
-        for j, col in enumerate(members):
-            word.take(col, out=r, mode="clip")  # mode="raise" copies through a fresh array
-            if j:
+    _, m, b = rows.shape
+    sizes = np.zeros((m + 1, b), dtype=np.int64)  # sizes[c-1] = |ge[c]|, and 0 past ge[M]
+    sizes[0] = n_pos
+    if m > 1:
+        levels = np.empty((m, b), dtype=np.uint64)
+        ge = [None, *levels[1:]]
+        tmp = levels[0]
+        for word in rows:
+            ge[0] = word[0]
+            for j in range(1, m):
+                r = word[j]
                 np.bitwise_and(ge[j - 1], r, out=ge[j])
                 for c in range(j - 1, 0, -1):
                     ge[c] |= np.bitwise_and(ge[c - 1], r, out=tmp)
-                ge[0] |= r
-            else:
-                ge[0] = r
-        for size, level in zip(sizes, ge):
-            size += np.bitwise_count(level, out=counts)
-    return sizes
+                if j < m - 1:
+                    ge[0] |= r
+            sizes[1:m] += np.bitwise_count(levels[1:])
+    return sizes[:m] - sizes[1:]
 
 
-def _add_term(scores: np.ndarray, count: np.ndarray, coef: float, floats: np.ndarray) -> None:
+def _add_term(scores: np.ndarray, count: np.ndarray, coef: float) -> None:
     """scores += count * coef, with 0 * log2 0 = 0 and count > 0 on -inf giving -inf."""
     if coef == -math.inf:
         scores[count > 0] = -math.inf
     elif coef != 0.0:
-        scores += np.multiply(count, coef, out=floats)
+        scores += count * coef
 
 
-def _scores(co: _Coefficients, pool: _Pool, local: np.ndarray) -> np.ndarray:
-    """log2 likelihoods of the candidates ``local``, (B, M) indices into the pool."""
+def _scores(co: _Coefficients, pool: _Pool, local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(scores, candidates): log2 likelihoods of the candidates ``local``,
+    (B, M) indices into the pool.
+
+    With K levels only the candidates whose members pool every positive
+    test are scored and returned: q = 0 there, so n+[0] log2 q = -inf
+    scores every other candidate -inf.
+    """
+    if not co.full:
+        scores = np.full(local.shape[0], pool.start)
+        if co.positive[0]:
+            covered = popcount(np.bitwise_or.reduce(pool.pos[local], axis=1))
+            _add_term(scores, pool.n_pos - covered, co.positive[0])
+        return scores, local
     b, m = local.shape
-    scores = np.full(b, pool.start)
-    weighted = co.participation not in (0.0, -math.inf)  # -inf: every pool item has neg = 0
-    floats = itmp = None
-    if weighted or co.levels > 1:
-        bits, ints, floats, counts = _work_arrays(m, b)
-        itmp = ints[m + 1]
-        members = np.ascontiguousarray(local.T, dtype=np.intp)
-    if weighted:
-        weight = ints[m]
-        weight.fill(0)
-        for col in members:
-            weight += pool.neg.take(col, out=itmp, mode="clip")
-        _add_term(scores, weight, co.participation, floats)
-    if co.levels == 1:
-        sizes = popcount(np.bitwise_or.reduce(pool.pos[local], axis=1))[None]
-    elif co.levels:
-        sizes = _level_sizes(pool.pos, members, bits, ints, counts)
-    if co.levels:
-        _add_term(scores, np.subtract(pool.n_pos, sizes[0], out=itmp), co.positive[0], floats)
-    if co.full:
-        for c in range(1, m + 1):
-            exact = np.subtract(sizes[c - 1], sizes[c], out=itmp) if c < m else sizes[c - 1]
-            _add_term(scores, exact, co.positive[c], floats)
-    return scores
+    rows = _gather_block(pool.pos.shape[0], m, b)
+    pool.pos.take(local.T, axis=1, out=rows, mode="clip")  # mode="raise" copies through a fresh array
+    covers = np.logical_and.reduce(np.bitwise_or.reduce(rows, axis=1) == pool.y, axis=0)
+    keep = covers.nonzero()[0]
+    if keep.size < b:
+        local, rows = local.take(keep, axis=0), rows.take(keep, axis=2)
+        if not keep.size:
+            return np.empty(0), local
+    scores = np.full(keep.size, pool.start)
+    if co.participation:
+        _add_term(scores, np.add.reduce(pool.neg.take(local), axis=1), co.participation)
+    for coef, count in zip(co.positive[1:], _positive_counts(rows, pool.n_pos)):
+        _add_term(scores, count, coef)
+    return scores, local
 
 
 def log_likelihood(
@@ -252,7 +259,8 @@ def log_likelihood(
     pool = _pool(co, codebook.words[idx], codebook.n_tests, outcome.words)
     if pool.size < idx.size:
         return -math.inf
-    return float(_scores(co, pool, np.arange(idx.size)[None, :])[0])
+    scores, _ = _scores(co, pool, np.arange(idx.size)[None, :])
+    return float(scores[0]) if scores.size else -math.inf
 
 
 # K -> the K-combinations of range(n) in colex order, for the largest n seen
@@ -359,7 +367,9 @@ def ml_decode(
     state = _ScanState()
     if pool.size >= k:
         for local in _combo_chunks(pool.size, k):
-            state.update(_scores(co, pool, local), local)
+            scores, local = _scores(co, pool, local)
+            if scores.size:
+                state.update(scores, local)
     return state.result(pool.items, k, total)
 
 

@@ -11,11 +11,12 @@ which makes their comparisons paired.
 
 Codebook and noise cells are addressed by (seed, item, test) and truth
 sets by trial alone, so a trial at T is the first T tests of the same
-trial at any larger T.  A single estimate draws one trial at a time; the
-minimal-T search draws each trial once into a ``_TrialStream`` and reads
-every probed T off it.  On the noise-free channel a trial that decoded
-uniquely and correctly at some probed T' <= T is not decoded again at T:
-a larger T only removes consistent candidate sets.
+trial at any larger T.  A single estimate draws one trial at a time; a
+sweep and the minimal-T search draw each trial once into a
+``_TrialStream`` and read every T they probe off it.  On the noise-free
+channel a trial that decoded uniquely and correctly at some probed
+T' <= T is not decoded again at T: a larger T only removes consistent
+candidate sets.
 
 Error conventions: a trial errs when the decoder returns a set other than
 the truth or reports a tie (ties count against the decoder).  The partial
@@ -144,9 +145,8 @@ class _TrialStream:
                  master_seed: int, trials: int):
         self.key = (n_items, k, p, noise_model, master_seed, trials)
         self.n_tests = 0
-        self.truths = self.seeds = None  # drawn on first use, after validation
-        self.words = np.zeros((trials, n_items, 0), dtype=np.uint64)
-        self.outcomes = np.zeros((trials, 0), dtype=np.uint64)
+        # drawn on first use, after _collect_histogram has validated the key
+        self.truths = self.seeds = self.words = self.outcomes = None
         # noise-free only: the smallest T at which each trial decoded uniquely
         # and correctly; it still does at any larger T, where the consistent
         # sets are a subset of those at the smaller T
@@ -161,6 +161,8 @@ class _TrialStream:
             keys = [mix64(master_seed, trial) for trial in range(trials)]
             self.seeds = [(mix64(key, 0), mix64(key, 2)) for key in keys]
             self.truths = [_sample_truth(n_items, k, mix64(key, 1)) for key in keys]
+            self.words = np.zeros((trials, n_items, 0), dtype=np.uint64)
+            self.outcomes = np.zeros((trials, 0), dtype=np.uint64)
         if n_tests > self.n_tests:
             self._extend(n_tests)
         width = n_words(n_tests)
@@ -267,19 +269,34 @@ def _make_estimate(criterion, n_items, k, n_tests, p, noise_model, alpha,
     )
 
 
+def _estimates(n_items, k, n_tests, p, noise_model, alphas, trials, master_seed, budget,
+               stream=None) -> list[ErrorEstimate]:
+    """Estimates at n_tests from one miss histogram, one per entry of
+    ``alphas``: the average error for None, else the partial error at that
+    alpha."""
+    for alpha in alphas:
+        if alpha is not None and not 0.0 < alpha < 1.0:
+            raise ParameterError(f"alpha must lie strictly inside (0, 1), got {alpha}")
+    hist = _collect_histogram(n_items, k, n_tests, p, noise_model, trials, master_seed, budget,
+                              stream)
+    misses = np.arange(k + 1)
+    estimates = []
+    for alpha in alphas:
+        if alpha is None:
+            criterion, errors = AVERAGE, hist.sum()
+        else:
+            criterion, errors = PARTIAL, int(hist[misses > alpha * k].sum())
+        estimates.append(_make_estimate(criterion, n_items, k, n_tests, p, noise_model, alpha,
+                                        trials, errors, master_seed, hist))
+    return estimates
+
+
 def estimate_average_error(
     n_items: int, k: int, n_tests: int, p: float, noise_model: NoiseModel,
     trials: int, master_seed: int, budget: int = DEFAULT_BUDGET,
 ) -> ErrorEstimate:
     """Average error over fresh codebooks and uniform truth sets per trial."""
-    return _average(n_items, k, n_tests, p, noise_model, trials, master_seed, budget)
-
-
-def _average(n_items, k, n_tests, p, noise_model, trials, master_seed, budget, stream=None):
-    hist = _collect_histogram(n_items, k, n_tests, p, noise_model, trials, master_seed, budget,
-                              stream)
-    return _make_estimate(AVERAGE, n_items, k, n_tests, p, noise_model, None,
-                          trials, hist.sum(), master_seed, hist)
+    return _estimates(n_items, k, n_tests, p, noise_model, (None,), trials, master_seed, budget)[0]
 
 
 def estimate_partial_error(
@@ -287,13 +304,26 @@ def estimate_partial_error(
     alpha: float, trials: int, master_seed: int, budget: int = DEFAULT_BUDGET,
 ) -> ErrorEstimate:
     """Error only when the decoded set misses more than alpha*K true items."""
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must lie strictly inside (0, 1), got {alpha}")
-    hist = _collect_histogram(n_items, k, n_tests, p, noise_model, trials, master_seed, budget)
-    misses = np.arange(k + 1)
-    errors = int(hist[misses > alpha * k].sum())
-    return _make_estimate(PARTIAL, n_items, k, n_tests, p, noise_model, alpha,
-                          trials, errors, master_seed, hist)
+    return _estimates(n_items, k, n_tests, p, noise_model, (alpha,), trials, master_seed,
+                      budget)[0]
+
+
+def estimate_sweep(
+    n_items: int, k: int, p: float, noise_model: NoiseModel, t_grid, trials: int,
+    master_seed: int, alpha: float | None = None, budget: int = DEFAULT_BUDGET,
+) -> list[ErrorEstimate]:
+    """The average error, or with ``alpha`` the partial error, at each T of ``t_grid``.
+
+    Every T reads the same trials off one trial stream, so each trial is
+    drawn once and the estimates are paired across T.  Each equals
+    ``estimate_average_error`` (``estimate_partial_error``) at its T, but
+    the sweep holds trials x (N+1) x ceil(T/64) 64-bit words at the
+    largest T.
+    """
+    stream = _TrialStream(n_items, k, p, noise_model, master_seed, trials)
+    return [_estimates(n_items, k, t, p, noise_model, (alpha,), trials, master_seed, budget,
+                       stream)[0]
+            for t in t_grid]
 
 
 def empirical_pei_profile(
@@ -379,7 +409,8 @@ def find_minimal_t(
     stream = _TrialStream(n_items, k, p, noise_model, master_seed, trials)
 
     def measure(t: int) -> ErrorEstimate:
-        est = _average(n_items, k, t, p, noise_model, trials, master_seed, budget, stream)
+        est = _estimates(n_items, k, t, p, noise_model, (None,), trials, master_seed, budget,
+                         stream)[0]
         probed.append((t, est))
         return est
 

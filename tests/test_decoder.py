@@ -22,6 +22,7 @@ from gtlab import (
     ml_decode,
     noiseless_outcome,
 )
+import gtlab.decoder
 from gtlab.bitops import pack_bits
 from gtlab.model import OutcomeVector
 
@@ -387,6 +388,81 @@ def test_decode_rejects_mismatched_outcome():
     cb = generate_codebook(6, 10, 0.3, 1)
     with pytest.raises(ParameterError):
         ml_decode(cb, OutcomeVector.from_bits([1, 0]), 2, NF)
+
+
+# ---------------------------------------------------------------------------
+# dilution cover stage: only the candidates pooling every positive test get
+# K-level statistics.  N = 24, K = 4 gives 10,626 sets, two chunks of the
+# scan in colex order (the combination table) and in lexicographic order
+# (``itertools``, reached by lowering the table limit).
+
+
+def decode_both_scans(cb, out, k, noise, monkeypatch):
+    """(set, score, tie, n_evaluated) from the colex table and from the itertools path."""
+    results = []
+    for limit in (gtlab.decoder._CACHE_LIMIT, 100):
+        monkeypatch.setattr(gtlab.decoder, "_CACHE_LIMIT", limit)
+        res = ml_decode(cb, out, k, noise)
+        results.append((res.best_set.indices, res.log_likelihood, res.tie, res.n_evaluated))
+    return results
+
+
+@pytest.mark.parametrize("t", [0, 64, 65, 130])
+def test_cover_stage_matches_reference_across_chunks(t, monkeypatch):
+    """Channel, all-one and all-zero outcomes (every set covers the last)."""
+    noise = NoiseModel.dilution(0.3)
+    cb = generate_codebook(24, t, 0.25, 40 + t)
+    truth = DefectiveSet((2, 9, 17, 23))
+    for out in (apply_channel(cb, truth, noise, t),
+                OutcomeVector.from_bits(np.ones(t, dtype=np.uint8)),
+                OutcomeVector.from_bits(np.zeros(t, dtype=np.uint8))):
+        want = reference_decode(cb, out, 4, noise) + (math.comb(24, 4),)
+        assert decode_both_scans(cb, out, 4, noise, monkeypatch) == [want, want]
+
+
+def test_cover_stage_skips_a_chunk_without_survivors(monkeypatch):
+    """Only tests 126..129 are positive, pooled by disjoint groups of items
+    7..23, the last by item 23 alone.  A covering set holds 23 and has no
+    member below 7, so the first chunk has no survivors in either order.
+    Every set covers the first word."""
+    rng = np.random.default_rng(5)
+    bits = (rng.random((24, 130)) < 0.25).astype(np.uint8)
+    bits[:, 126:] = 0
+    for test, group in zip(range(126, 130), ([7, 8, 9, 10, 11], [12, 13, 14, 15, 16],
+                                               [17, 18, 19, 20, 21, 22], [23])):
+        bits[group, test] = 1
+    cb = make_codebook(bits, p=0.25)
+    noise = NoiseModel.dilution(0.3)
+    out = OutcomeVector.from_bits(np.arange(130) >= 126)
+    want = reference_decode(cb, out, 4, noise)
+    assert want[1] > -math.inf
+    assert decode_both_scans(cb, out, 4, noise, monkeypatch) == [want + (10626,)] * 2
+
+
+def test_cover_stage_counts_ties_across_chunks(monkeypatch):
+    """Items 0 and 23 have one row, so the truth {0, 9, 15, 20} ties with
+    {9, 15, 20, 23}: the first chunk holds one, the second the other."""
+    cb = generate_codebook(24, 130, 0.25, 8)
+    words = cb.words.copy()
+    words[23] = words[0]
+    cb = Codebook(n_items=24, n_tests=130, p=0.25, seed=8, words=words)
+    noise = NoiseModel.dilution(0.1)
+    out = apply_channel(cb, DefectiveSet((0, 9, 15, 20)), noise, 4)
+    want = reference_decode(cb, out, 4, noise)
+    assert want[0] == (0, 9, 15, 20) and want[2]
+    assert decode_both_scans(cb, out, 4, noise, monkeypatch) == [want + (10626,)] * 2
+
+
+def test_cover_stage_at_full_dilution(monkeypatch):
+    """u = 1: every pooled defective is erased, so any positive test scores
+    -inf and an all-negative outcome ties every set."""
+    noise = NoiseModel.dilution(1.0)
+    cb = generate_codebook(24, 65, 0.25, 3)
+    for out in (apply_channel(cb, DefectiveSet((1, 5, 6, 20)), noise, 2),
+                OutcomeVector.from_bits(np.ones(65, dtype=np.uint8)),
+                OutcomeVector.from_bits(np.arange(65) % 3 == 0)):
+        want = reference_decode(cb, out, 4, noise) + (10626,)
+        assert decode_both_scans(cb, out, 4, noise, monkeypatch) == [want, want]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from gtlab import (
     empirical_pei_profile,
     estimate_average_error,
     estimate_partial_error,
+    estimate_sweep,
     estimate_worstcase_error,
     fano_lower_bound,
     find_minimal_t,
@@ -109,6 +110,15 @@ def test_budget_error_propagates():
 def test_invalid_trial_counts():
     with pytest.raises(ParameterError):
         estimate_average_error(10, 2, 5, 0.5, NF, 0, 1)
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_stream_estimators_reject_invalid_trial_counts(trials):
+    """The trial stream allocates nothing before the trial count is checked."""
+    with pytest.raises(ParameterError):
+        estimate_sweep(10, 2, 0.5, NF, [5, 10], trials, 1)
+    with pytest.raises(ParameterError):
+        find_minimal_t(10, 2, 0.5, NF, 0.1, trials, [5, 10], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +338,17 @@ def test_minimal_t_probes_equal_independent_estimates(noise):
     assert len(result.probed) > 3  # the bisection ran
     for t, est in result.probed:
         assert est == estimate_average_error(n, k, t, p, noise, trials, seed)
+
+
+@pytest.mark.parametrize("noise", CHANNELS, ids=lambda m: m.describe())
+def test_sweep_rows_equal_independent_estimates(noise):
+    """Every row of a sweep read off one stream, average and partial, equals
+    a fresh estimate at its T, on a grid that crosses a word boundary."""
+    n, k, p, trials, seed, grid = 30, 3, 1.0 / 3.0, 120, 17, (10, 40, 63, 64, 65, 100)
+    assert estimate_sweep(n, k, p, noise, grid, trials, seed) == [
+        estimate_average_error(n, k, t, p, noise, trials, seed) for t in grid]
+    assert estimate_sweep(n, k, p, noise, grid, trials, seed, alpha=0.4) == [
+        estimate_partial_error(n, k, t, p, noise, 0.4, trials, seed) for t in grid]
 
 
 def test_noise_free_shortcut_keeps_every_histogram(monkeypatch):
