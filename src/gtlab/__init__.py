@@ -21,11 +21,8 @@ from .bounds import (
     fano_lower_bound,
     gallager_e0,
     log2_binom,
-    mi_additive,
     mi_bruteforce,
-    mi_closed_form,
-    mi_dilution,
-    mi_noise_free,
+    mutual_information,
     pei_upper_bound,
 )
 from .decoder import DecodeResult, dump_decode_trace, log_likelihood, miss_distance, ml_decode

@@ -1,16 +1,19 @@
 """Mutual-information expressions, error exponents, and test-count bounds.
 
 All information quantities are in bits.  The single-test channel law is
-the one the simulator and the decoder use, read from
-``NoiseModel.positive_probability``: with c defectives pooled in a test,
-P(Y=1 | c) = 1 - (1-q) * u**c for c > 0 and q for c = 0 (noise-free is
-q = u = 0, additive (q, 0), dilution (0, u)).
+the one the simulator and the decoder use, read from ``NoiseModel.law``
+and ``NoiseModel.positive_probability``: with c defectives pooled in a
+test, P(Y=0 | c) = (1-q) * u**c (noise-free is q = u = 0, additive
+(q, 0), dilution (0, u)).
 
 For a defective set of size K split into an unknown part of size i and a
 known part of size K-i, the per-test information about the unknown part is
-I(X1; X2, Y) under i.i.d. Bernoulli(p) item-participation.  Closed forms
-per channel are validated against ``mi_bruteforce``, an exact enumeration
-of the joint distribution that serves as the independent oracle.
+I(X1; X2, Y) under i.i.d. Bernoulli(p) item-participation.
+``mutual_information`` computes it for every channel from the one law
+(q, u), as a difference of two binomial mixtures of binary entropies; it
+is validated against ``mi_bruteforce``, an exact enumeration of the joint
+distribution that serves as the independent oracle.  No code here
+branches on the channel kind, and none imports scipy.
 
 Two test-count bounds are computed from these quantities: a sufficient
 count (random coding, union of per-overlap error events, numerator
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .model import ADDITIVE, NOISE_FREE, NoiseModel
+from .model import NoiseModel
 
 LN2 = math.log(2.0)
 
@@ -85,7 +88,7 @@ def _check_partition(k: int, i: int, p: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# mutual information: brute-force oracle and closed forms
+# mutual information: brute-force oracle and the law form
 
 
 def mi_bruteforce(k: int, i: int, p: float, noise_model: NoiseModel) -> float:
@@ -120,56 +123,42 @@ def mi_bruteforce(k: int, i: int, p: float, noise_model: NoiseModel) -> float:
     return float(terms.sum())
 
 
-def mi_noise_free(k: int, i: int, p: float) -> float:
-    """(1-p)**(K-i) * H((1-p)**i)."""
-    _check_partition(k, i, p)
-    return (1.0 - p) ** (k - i) * binary_entropy((1.0 - p) ** i)
+def _binomial_pmf(n: int, p: float) -> np.ndarray:
+    """P(Bin(n, p) = j) for j = 0..n.
+
+    Anchored at the mode m from the exact integer C(n, m) and stepped
+    outward by the ratios of neighbouring terms, which are at most 1, so no
+    term overflows (float(C(n, j)) does from n = 1,030) and term j carries
+    about |j - m| rounding errors."""
+    m = int((n + 1) * p)
+    log_mode = math.log(math.comb(n, m)) + m * math.log(p) + (n - m) * math.log1p(-p)
+    odds = p / (1.0 - p)
+    j = np.arange(n + 1, dtype=np.float64)
+    pmf = np.empty(n + 1)
+    pmf[m] = math.exp(log_mode)
+    pmf[m + 1:] = pmf[m] * np.cumprod((n - j[m:n]) / (j[m:n] + 1.0) * odds)
+    pmf[:m] = (pmf[m] * np.cumprod(j[m:0:-1] / (n - j[m:0:-1] + 1.0) / odds))[::-1]
+    return pmf
 
 
-def mi_additive(k: int, i: int, p: float, q: float) -> float:
-    """(1-p)**(K-i) * [H((1-p)**i (1-q)) - (1-p)**i H(q)]."""
-    _check_partition(k, i, p)
-    if not 0.0 <= q <= 1.0:
-        raise ParameterError(f"additive q must lie in [0, 1], got {q}")
-    r = (1.0 - p) ** i
-    return (1.0 - p) ** (k - i) * (binary_entropy(r * (1.0 - q)) - r * binary_entropy(q))
+def mutual_information(k: int, i: int, p: float, noise_model: NoiseModel) -> float:
+    """I(X1; X2, Y) = H(Y|X2) - H(Y|X1,X2), from the channel law (q, u).
 
-
-def mi_dilution(k: int, i: int, p: float, u: float) -> float:
-    """H(Y|X2) - H(Y|X) for the per-participant erasure channel.
-
-    With s = 1-u and j present items among the known K-i,
-    P(Y=0 | j) = u**j * (1 - p*s)**i, and with all K memberships known,
-    P(Y=0 | j present) = u**j.  Both conditional entropies are binomial
-    mixtures over j; the general-p form is kept (not only p = 1/K).
+    With w2 of the K-i known members pooled, a test reads negative when no
+    false alarm fires, no pooled known member gets through, and no unknown
+    member is both pooled and unerased:
+    P(Y=0 | w2) = (1-q) u**w2 (1 - p(1-u))**i.  With c of all K members
+    pooled, P(Y=0 | c) = (1-q) u**c.  Each entropy is a binomial mixture
+    over the pooled count.
     """
     _check_partition(k, i, p)
-    if not 0.0 <= u <= 1.0:
-        raise ParameterError(f"dilution u must lie in [0, 1], got {u}")
-    # imported here so that only dilution bounds pay scipy.stats' ~1 s import;
-    # the closed form comb * p**j * (1-p)**(k-j) differs from it in the last ulp
-    from scipy.stats import binom as _binom_dist
-
-    s = 1.0 - u
-    unknown_absent = (1.0 - p * s) ** i
-
-    j2 = np.arange(k - i + 1)
-    weights2 = _binom_dist.pmf(j2, k - i, p)
-    h_given_known = float((weights2 * _h2(np.float_power(u, j2) * unknown_absent)).sum())
-
-    j = np.arange(k + 1)
-    weights = _binom_dist.pmf(j, k, p)
-    h_given_all = float((weights * _h2(np.float_power(u, j))).sum())
-    return h_given_known - h_given_all
-
-
-def mi_closed_form(k: int, i: int, p: float, noise_model: NoiseModel) -> float:
-    """Dispatch to the channel's closed form."""
-    if noise_model.kind == NOISE_FREE:
-        return mi_noise_free(k, i, p)
-    if noise_model.kind == ADDITIVE:
-        return mi_additive(k, i, p, noise_model.q)
-    return mi_dilution(k, i, p, noise_model.u)
+    q, u = noise_model.law
+    known, pooled = np.arange(k - i + 1), np.arange(k + 1)
+    unknown_negative = (1.0 - p * (1.0 - u)) ** i
+    h_given_known = (_binomial_pmf(k - i, p)
+                     * _h2((1.0 - q) * np.float_power(u, known) * unknown_negative)).sum()
+    h_given_all = (_binomial_pmf(k, p) * _h2((1.0 - q) * np.float_power(u, pooled))).sum()
+    return float(h_given_known - h_given_all)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +339,7 @@ def _build_report(kind: str, n_items: int, k: int, p: float, noise: NoiseModel,
     entries = []
     for i in range(1, k + 1):
         num = numerator_bits_fn(i)
-        mi = mi_closed_form(k, i, p, noise)
+        mi = mutual_information(k, i, p, noise)
         if mi <= 0.0:
             entries.append(BoundEntry(i, num, max(mi, 0.0), math.inf, True))
         else:

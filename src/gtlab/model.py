@@ -300,14 +300,17 @@ def read_codebook(path) -> Codebook:
     if not lines:
         raise ParameterError(f"{path}: empty codebook file")
     head = lines[0].split()
-    if len(head) != 4:
-        raise ParameterError(f"{path}: malformed header {lines[0]!r}")
-    n_items, n_tests = int(head[0]), int(head[1])
-    p, seed = float(head[2]), int(head[3])
-    if len(lines) < 1 + n_items:
+    try:
+        n_items, n_tests, p, seed = (cast(v) for cast, v in
+                                     zip((int, int, float, int), head, strict=True))
+    except ValueError:
+        raise ParameterError(f"{path}: malformed header {lines[0]!r}") from None
+    _check_design(n_items, n_tests, p)
+    seed = _check_seed(seed)
+    if len(lines) != 1 + n_items:
         raise ParameterError(f"{path}: expected {n_items} rows, found {len(lines) - 1}")
     rows = []
-    for line in lines[1 : 1 + n_items]:
+    for line in lines[1:]:
         if len(line) != n_tests or set(line) - {"0", "1"}:
             raise ParameterError(f"{path}: bad row {line!r}")
         rows.append([int(c) for c in line])

@@ -16,12 +16,13 @@ from gtlab import (
     fano_lower_bound,
     gallager_e0,
     log2_binom,
-    mi_additive,
     mi_bruteforce,
-    mi_dilution,
-    mi_noise_free,
+    mutual_information,
     pei_upper_bound,
 )
+from gtlab.acceptance import _MI_KS, _channel_grid, _p_values
+from gtlab.bounds import _check_partition, _h2
+from gtlab.model import ADDITIVE, NOISE_FREE
 
 NF = NoiseModel.noise_free()
 
@@ -30,6 +31,62 @@ H_011 = 0.499915958164528
 MI_DILUTION_4_2 = 0.3304176052823262  # mi_bruteforce(4, 2, 0.25, dilution 0.3)
 CONVERSE_1E4_10_05 = 147.12340121901795
 CONVERSE_1E4_10_05_STATEMENT = 117.00842600592793
+
+
+# ---------------------------------------------------------------------------
+# the paper's per-channel closed forms, kept as references for the law form
+
+
+def mi_noise_free(k: int, i: int, p: float) -> float:
+    """(1-p)**(K-i) * H((1-p)**i)."""
+    _check_partition(k, i, p)
+    return (1.0 - p) ** (k - i) * binary_entropy((1.0 - p) ** i)
+
+
+def mi_additive(k: int, i: int, p: float, q: float) -> float:
+    """(1-p)**(K-i) * [H((1-p)**i (1-q)) - (1-p)**i H(q)]."""
+    _check_partition(k, i, p)
+    if not 0.0 <= q <= 1.0:
+        raise ParameterError(f"additive q must lie in [0, 1], got {q}")
+    r = (1.0 - p) ** i
+    return (1.0 - p) ** (k - i) * (binary_entropy(r * (1.0 - q)) - r * binary_entropy(q))
+
+
+def mi_dilution(k: int, i: int, p: float, u: float) -> float:
+    """H(Y|X2) - H(Y|X) for the per-participant erasure channel.
+
+    With s = 1-u and j present items among the known K-i,
+    P(Y=0 | j) = u**j * (1 - p*s)**i, and with all K memberships known,
+    P(Y=0 | j present) = u**j.  Both conditional entropies are binomial
+    mixtures over j; the general-p form is kept (not only p = 1/K).
+    """
+    _check_partition(k, i, p)
+    if not 0.0 <= u <= 1.0:
+        raise ParameterError(f"dilution u must lie in [0, 1], got {u}")
+    # imported here so that only the tests that use it pay scipy.stats' ~1 s import;
+    # the closed form comb * p**j * (1-p)**(k-j) differs from it in the last ulp
+    from scipy.stats import binom as _binom_dist
+
+    s = 1.0 - u
+    unknown_absent = (1.0 - p * s) ** i
+
+    j2 = np.arange(k - i + 1)
+    weights2 = _binom_dist.pmf(j2, k - i, p)
+    h_given_known = float((weights2 * _h2(np.float_power(u, j2) * unknown_absent)).sum())
+
+    j = np.arange(k + 1)
+    weights = _binom_dist.pmf(j, k, p)
+    h_given_all = float((weights * _h2(np.float_power(u, j))).sum())
+    return h_given_known - h_given_all
+
+
+def mi_closed_form(k: int, i: int, p: float, noise_model: NoiseModel) -> float:
+    """Dispatch to the channel's closed form."""
+    if noise_model.kind == NOISE_FREE:
+        return mi_noise_free(k, i, p)
+    if noise_model.kind == ADDITIVE:
+        return mi_additive(k, i, p, noise_model.q)
+    return mi_dilution(k, i, p, noise_model.u)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +174,7 @@ def test_oracle_enumeration_cap():
 
 
 def test_noise_free_single_item():
-    assert mi_noise_free(1, 1, 0.5) == 1.0
+    assert mutual_information(1, 1, 0.5, NF) == 1.0
 
 
 @pytest.mark.parametrize(
@@ -138,23 +195,46 @@ def test_closed_forms_match_oracle(k, i, p, noise):
     assert abs(closed - mi_bruteforce(k, i, p, noise)) <= 1e-12
 
 
+def test_law_form_matches_closed_forms_on_the_oracle_grid():
+    # criterion 1's 1,134 configurations
+    worst = 0.0
+    for k in _MI_KS:
+        for i in range(1, k + 1):
+            for p in _p_values(k):
+                for noise in _channel_grid():
+                    closed = mi_closed_form(k, i, p, noise)
+                    worst = max(worst, abs(mutual_information(k, i, p, noise) - closed) / closed)
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("noise", [NF, NoiseModel.additive(0.1), NoiseModel.dilution(0.1)],
+                         ids=lambda noise: noise.describe())
+def test_law_form_at_two_thousand_defectives(noise):
+    # float(C(K, j)) overflows for some j once K >= 1,030; the binomial weights must not
+    k = 2000
+    for i in (1, 2, k):
+        law = mutual_information(k, i, 1 / k, noise)
+        closed = mi_closed_form(k, i, 1 / k, noise)
+        assert math.isfinite(law) and abs(law - closed) <= 1e-8 * closed
+
+
 def test_zero_noise_reduces_to_noise_free_exactly():
     for k in (2, 5, 9):
         for i in range(1, k + 1):
             for p in (0.1, 1 / k, 0.5):
                 base = mi_noise_free(k, i, p)
-                assert abs(mi_additive(k, i, p, 0.0) - base) <= 1e-15
-                assert abs(mi_dilution(k, i, p, 0.0) - base) <= 1e-15
+                for noise in (NF, NoiseModel.additive(0.0), NoiseModel.dilution(0.0)):
+                    assert abs(mutual_information(k, i, p, noise) - base) <= 1e-15
 
 
 def test_saturated_channels_carry_nothing():
-    assert mi_additive(4, 2, 0.3, 1.0) == 0.0
-    assert mi_dilution(4, 2, 0.3, 1.0) == 0.0
+    assert mutual_information(4, 2, 0.3, NoiseModel.additive(1.0)) == 0.0
+    assert mutual_information(4, 2, 0.3, NoiseModel.dilution(1.0)) == 0.0
 
 
 def test_noise_free_asymptotic_floor():
     # I >= e^-1 * i / (K ln 2) at p = 1/K, here for K=10, i=1
-    assert mi_noise_free(10, 1, 0.1) >= math.exp(-1) / (10 * math.log(2))
+    assert mutual_information(10, 1, 0.1, NF) >= math.exp(-1) / (10 * math.log(2))
 
 
 def test_additive_information_nonincreasing_in_q():
@@ -162,7 +242,7 @@ def test_additive_information_nonincreasing_in_q():
     for k in (2, 4, 8):
         for i in (1, k):
             for p in (0.1, 1 / k, 0.5):
-                values = [mi_additive(k, i, p, float(q)) for q in grid]
+                values = [mutual_information(k, i, p, NoiseModel.additive(float(q))) for q in grid]
                 assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -174,7 +254,7 @@ def test_dilution_information_nonincreasing_in_u_on_design_grid():
     for k in (2, 4, 8):
         for i in (1, k):
             for p in (0.1, 1 / k):
-                values = [mi_dilution(k, i, p, float(u)) for u in grid]
+                values = [mutual_information(k, i, p, NoiseModel.dilution(float(u))) for u in grid]
                 assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -191,7 +271,7 @@ def test_conditioning_on_the_partition_never_gains_information():
 @pytest.mark.parametrize("k,i", [(0, 1), (3, 0), (3, 4)])
 def test_partition_domain(k, i):
     with pytest.raises(ParameterError):
-        mi_noise_free(k, i, 0.3)
+        mutual_information(k, i, 0.3, NF)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +287,8 @@ def test_e0_at_zero_is_exactly_zero():
 def test_e0_slope_matches_mutual_information():
     delta = 1e-5
     slope = gallager_e0(3, 1, 1 / 3, NF, delta) / delta
-    assert abs(slope - mi_noise_free(3, 1, 1 / 3)) / mi_noise_free(3, 1, 1 / 3) <= 1e-3
+    mi = mutual_information(3, 1, 1 / 3, NF)
+    assert abs(slope - mi) / mi <= 1e-3
 
 
 def test_e0_nondecreasing_in_rho():

@@ -229,7 +229,9 @@ import contextlib, io, sys
 import gtlab, gtlab.cli
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in (["estimate", "-N", "8", "-K", "2", "-T", "6", "--trials", "2", "--profile"],
-                 ["bounds", "--model", "additive", "--q", "0.1", "-N", "64", "-K", "2"]):
+                 ["bounds", "--model", "additive", "--q", "0.1", "-N", "64", "-K", "2"],
+                 ["bounds", "--model", "dilution", "--u", "0.2", "-N", "64", "-K", "4",
+                  "--kind", "both"]):
         assert gtlab.cli.main(argv) == 0, argv
 loaded = sorted(name for name in sys.modules if name.startswith("scipy.stats"))
 assert not loaded, loaded
@@ -237,7 +239,8 @@ assert not loaded, loaded
 
 
 def test_estimates_and_additive_bounds_do_not_import_scipy_stats():
-    # a fresh interpreter: this test process may have imported scipy.stats already
+    # estimates and the bounds of the additive and dilution channels, in a fresh
+    # interpreter: this test process may have imported scipy.stats already
     src = os.path.dirname(os.path.dirname(os.path.abspath(gtlab.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", LEAN_IMPORT_SCRIPT], capture_output=True,

@@ -298,6 +298,12 @@ def test_codebook_file_round_trip(tmp_path):
 
 def test_read_codebook_rejects_malformed(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("2 3 0.5 1\n010\n01\n")
-    with pytest.raises(ParameterError):
-        read_codebook(path)
+    for text in ("2 3 0.5 1\n010\n01\n",          # short row
+                 "x 2 0.5 1\n01\n",                # non-numeric header
+                 "2 3 0.5\n010\n011\n",            # short header
+                 "2 3 1.5 1\n010\n011\n",          # p outside (0, 1)
+                 "2 3 0.5 -3\n010\n011\n",         # negative seed
+                 "2 3 0.5 1\n010\n011\n110\n"):    # a row beyond N
+        path.write_text(text)
+        with pytest.raises(ParameterError):
+            read_codebook(path)
