@@ -32,7 +32,6 @@ from .bounds import (
     mutual_information,
     pei_upper_bound,
 )
-from .decoder import DEFAULT_BUDGET
 from .model import NoiseModel, generate_codebook
 from .montecarlo import (
     _estimates,
@@ -130,8 +129,7 @@ def criterion_3() -> tuple[bool, str]:
         # every T reads the same trials off one stream, each drawn once
         stream = _TrialStream(n_items, k, p, channel, seed, trials)
         for n_tests in (50, 100, 150):
-            misses = _estimates(n_items, k, n_tests, p, channel, (None,), trials, seed,
-                                DEFAULT_BUDGET, stream)[0].miss_counts
+            misses = _estimates(stream, n_tests, (None,))[0].miss_counts
             for i in range(1, k + 1):
                 p_hat = misses[i] / trials
                 bound = pei_upper_bound(n_items, k, i, n_tests, p, channel)
@@ -274,8 +272,7 @@ def criterion_8() -> tuple[bool, str]:
     t_mid = None
     for _ in range(12):
         mid = (lo + hi) // 2
-        estimates = _estimates(n_items, k, mid, p, noise, (None, 0.25, 0.5, 0.75), trials, seed,
-                               DEFAULT_BUDGET, stream)
+        estimates = _estimates(stream, mid, (None, 0.25, 0.5, 0.75))
         p_hat = estimates[0].p_hat
         if 0.25 <= p_hat <= 0.35:
             t_mid = mid

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .model import NoiseModel
+from .model import NoiseModel, _check_defectives
 
 LN2 = math.log(2.0)
 
@@ -238,8 +238,7 @@ def pei_upper_bound(
     evaluated on a grid and sharpened by golden-section refinement, then
     clamped to at most 1.
     """
-    if n_items <= k:
-        raise ParameterError(f"need K < N, got N={n_items}, K={k}")
+    _check_defectives(n_items, k)
     if n_tests < 0:
         raise ParameterError(f"n_tests must be nonnegative, got {n_tests}")
     if grid_points < 2:
@@ -334,8 +333,7 @@ def bound_report_rows(report: BoundReport) -> list[list]:
 
 def _build_report(kind: str, n_items: int, k: int, p: float, noise: NoiseModel,
                   numerator_bits_fn) -> BoundReport:
-    if not 1 <= k < n_items:
-        raise ParameterError(f"need 1 <= K < N, got N={n_items}, K={k}")
+    _check_defectives(n_items, k)
     entries = []
     for i in range(1, k + 1):
         num = numerator_bits_fn(i)
@@ -385,8 +383,7 @@ def additive_converse(n_items: int, k: int, q: float, statement_form: bool = Fal
     """
     if not 0.0 < q < 1.0:
         raise ParameterError(f"additive q must lie strictly inside (0, 1), got {q}")
-    if not 1 <= k < n_items:
-        raise ParameterError(f"need 1 <= K < N, got N={n_items}, K={k}")
+    _check_defectives(n_items, k)
     noise_term = 2.0 * (1.0 - q) + (math.log(1.0 / q) if statement_form else q * math.log(1.0 / q))
     denom = ((1.0 - 1.0 / k) ** k) * noise_term / LN2
     if denom == 0.0:

@@ -30,7 +30,7 @@ from .bounds import (
     fano_lower_bound,
 )
 from .errors import CapacityError, ParameterError
-from .model import ADDITIVE, DILUTION, NOISE_FREE, NoiseModel, generate_codebook
+from .model import ADDITIVE, DILUTION, NOISE_FREE, NoiseModel, _check_defectives, generate_codebook
 from .montecarlo import (  # noqa: F401 (bench/probes.py wraps every estimator by name here)
     ESTIMATE_CSV_HEADER,
     empirical_pei_profile,
@@ -229,8 +229,7 @@ def config_from_args(args) -> ExperimentConfig:
         out=args.out,
         fmt=args.fmt,
     )
-    if args.N < 1 or args.K < 1 or args.K >= args.N:
-        raise ParameterError(f"need 1 <= K < N, got N={args.N}, K={args.K}")
+    _check_defectives(args.N, args.K)
     if args.command == "bounds":
         return ExperimentConfig(kind=args.kind, **common)
     common.update(trials=args.trials, seed=_resolve_seed(args))

@@ -29,7 +29,8 @@ import numpy as np
 
 from .bitops import pack_bits, unpack_bits
 from .errors import ParameterError
-from .rng import bernoulli_grid, bernoulli_words, mix64
+# bernoulli_grid is not called here; bench/probes.py traces it by name in this module
+from .rng import bernoulli_grid, bernoulli_words, mix64  # noqa: F401
 
 NOISE_FREE = "noise-free"
 ADDITIVE = "additive"
@@ -211,6 +212,12 @@ def _check_design(n_items: int, n_tests: int, p: float) -> None:
         raise ParameterError(f"inclusion probability p must lie strictly inside (0, 1), got {p}")
 
 
+def _check_defectives(n_items: int, k: int) -> None:
+    """The estimators' and bounds' domain: at least one defective and one clean item."""
+    if not 1 <= k < n_items:
+        raise ParameterError(f"need 1 <= K < N, got N={n_items}, K={k}")
+
+
 def generate_codebook(n_items: int, n_tests: int, p: float, seed: int) -> Codebook:
     """Draw an n_items x n_tests matrix of independent Bernoulli(p) entries.
 
@@ -271,14 +278,10 @@ def _channel_words(rows: np.ndarray, idx: np.ndarray, noise_model: NoiseModel,
     """
     q, u = noise_model.law
     if u > 0.0:
-        bits = unpack_bits(rows, tests.size)
-        erased = bernoulli_grid(mix64(noise_seed, _DILUTION_STREAM), idx, tests, u)
-        words = pack_bits((bits & (1 - erased)).any(axis=0).astype(np.uint8))
-    else:
-        words = np.bitwise_or.reduce(rows, axis=0)
+        rows = rows & ~bernoulli_words(mix64(noise_seed, _DILUTION_STREAM), idx, tests, u)
+    words = np.bitwise_or.reduce(rows, axis=0)
     if q > 0.0:
-        alarms = bernoulli_grid(mix64(noise_seed, _ADDITIVE_STREAM), [0], tests, q)
-        words = words | pack_bits(alarms[0])
+        words |= bernoulli_words(mix64(noise_seed, _ADDITIVE_STREAM), [0], tests, q)[0]
     return words
 
 

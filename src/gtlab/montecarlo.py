@@ -11,12 +11,14 @@ which makes their comparisons paired.
 
 Codebook and noise cells are addressed by (seed, item, test) and truth
 sets by trial alone, so a trial at T is the first T tests of the same
-trial at any larger T.  A single estimate draws one trial at a time; a
-sweep and the minimal-T search draw each trial once into a
-``_TrialStream`` and read every T they probe off it.  On the noise-free
-channel a trial that decoded uniquely and correctly at some probed
-T' <= T is not decoded again at T: a larger T only removes consistent
-candidate sets.
+trial at any larger T.  Every estimate draws its trials into one
+``_TrialStream`` and reads each T it needs off it: a single estimate
+reads one T, a sweep and the minimal-T search read every T they probe.
+The stream holds trials x (N+1) x ceil(T/64) 64-bit words at the largest
+T drawn, so a single estimate holds all its trials' words at once, as a
+one-point sweep does.  On the noise-free channel a trial that decoded
+uniquely and correctly at some probed T' <= T is not decoded again at T:
+a larger T only removes consistent candidate sets.
 
 Error conventions: a trial errs when the decoder returns a set other than
 the truth or reports a tie (ties count against the decoder).  The partial
@@ -42,11 +44,13 @@ from .model import (
     NoiseModel,
     OutcomeVector,
     _channel_words,
+    _check_defectives,
     _check_design,
     apply_channel,
-    generate_codebook,
     noiseless_outcome,
 )
+# generate_codebook is not called here; bench/probes.py traces it by name in this module
+from .model import generate_codebook  # noqa: F401
 from .rng import bernoulli_words, mix64
 
 AVERAGE = "average"
@@ -132,121 +136,108 @@ def _sample_truth(n_items: int, k: int, seed: int) -> DefectiveSet:
 class _TrialStream:
     """The trials of one configuration, each drawn once and read at any T.
 
-    Keyed by (N, K, p, channel, master seed, trials).  Each trial's truth
-    set is drawn once, and its codebook and outcome words are kept at the
-    largest T drawn so far: trials x (N+1) x ceil(T/64) words.  A larger T
-    draws only the new tests, from the last partly filled word on; a
-    smaller T reads the masked prefix.  Every random cell is addressed by
-    (seed, item, test), so either way a trial at T is bit-identical to the
-    same trial drawn afresh at T.
+    The stream states the configuration (N, K, p, channel, master seed,
+    trials, decode budget) once and validates it before drawing anything.
+    Each trial's truth set is drawn once, and its codebook and outcome words
+    are kept at the largest T drawn so far: trials x (N+1) x ceil(T/64)
+    words.  A larger T draws only the new tests, from the last partly
+    filled word on; a smaller T reads the masked prefix.  Every random cell
+    is addressed by (seed, item, test), so either way a trial at T is
+    bit-identical to the same trial drawn afresh at T.
     """
 
     def __init__(self, n_items: int, k: int, p: float, noise_model: NoiseModel,
-                 master_seed: int, trials: int):
-        self.key = (n_items, k, p, noise_model, master_seed, trials)
+                 master_seed: int, trials: int, budget: int = DEFAULT_BUDGET):
+        if trials < 1:
+            raise ParameterError(f"trials must be >= 1, got {trials}")
+        _check_defectives(n_items, k)
+        if math.comb(n_items, k) > budget:
+            raise CapacityError(
+                f"each trial needs {math.comb(n_items, k)} set evaluations, above the budget {budget}"
+            )
+        _check_design(n_items, 0, p)
+        self.n_items, self.k, self.p, self.noise_model = n_items, k, p, noise_model
+        self.master_seed, self.trials, self.budget = master_seed, trials, budget
+        keys = [mix64(master_seed, trial) for trial in range(trials)]
+        self.seeds = [(mix64(key, 0), mix64(key, 2)) for key in keys]
+        self.truths = [_sample_truth(n_items, k, mix64(key, 1)) for key in keys]
         self.n_tests = 0
-        # drawn on first use, after _collect_histogram has validated the key
-        self.truths = self.seeds = self.words = self.outcomes = None
+        self.words = np.zeros((trials, n_items, 0), dtype=np.uint64)
+        self.outcomes = np.zeros((trials, 0), dtype=np.uint64)
         # noise-free only: the smallest T at which each trial decoded uniquely
         # and correctly; it still does at any larger T, where the consistent
         # sets are a subset of those at the smaller T
-        self.noise_free = noise_model.deterministic
         self.solved_at = [math.inf] * trials
 
     def draw(self, n_tests: int):
-        """Yield (trial, truth, codebook, outcome) at n_tests, skipping solved trials."""
-        n_items, k, p, _, master_seed, trials = self.key
-        _check_design(n_items, n_tests, p)
-        if self.truths is None:
-            keys = [mix64(master_seed, trial) for trial in range(trials)]
-            self.seeds = [(mix64(key, 0), mix64(key, 2)) for key in keys]
-            self.truths = [_sample_truth(n_items, k, mix64(key, 1)) for key in keys]
-            self.words = np.zeros((trials, n_items, 0), dtype=np.uint64)
-            self.outcomes = np.zeros((trials, 0), dtype=np.uint64)
+        """Yield (trial, truth, codebook, outcome) at n_tests, skipping solved trials.
+
+        Each codebook and outcome owns a copy of its trial's words, so one
+        that is kept holds no other trial's words in memory.
+        """
+        _check_design(self.n_items, n_tests, self.p)
         if n_tests > self.n_tests:
             self._extend(n_tests)
-        width = n_words(n_tests)
-        words = self.words[:, :, :width].copy()
-        outcomes = self.outcomes[:, :width].copy()
-        if n_tests % WORD_BITS:
-            mask = np.uint64((1 << (n_tests % WORD_BITS)) - 1)
-            words[:, :, -1] &= mask
-            outcomes[:, -1] &= mask
+        width, tail = n_words(n_tests), n_tests % WORD_BITS
+        mask = np.uint64((1 << tail) - 1)
         for trial, truth in enumerate(self.truths):
             if self.solved_at[trial] <= n_tests:
                 continue
-            codebook = Codebook(n_items, n_tests, float(p), self.seeds[trial][0], words[trial])
-            yield trial, truth, codebook, OutcomeVector(n_tests, outcomes[trial])
+            words = self.words[trial, :, :width].copy()
+            outcome = self.outcomes[trial, :width].copy()
+            if tail:
+                words[:, -1] &= mask
+                outcome[-1] &= mask
+            codebook = Codebook(self.n_items, n_tests, float(self.p), self.seeds[trial][0], words)
+            yield trial, truth, codebook, OutcomeVector(n_tests, outcome)
 
     def solved(self, trial: int, n_tests: int) -> None:
         """Record that ``trial`` decoded uniquely and correctly at n_tests."""
-        if self.noise_free:
+        if self.noise_model.deterministic:
             self.solved_at[trial] = min(self.solved_at[trial], n_tests)
 
     def _extend(self, n_tests: int) -> None:
-        n_items, _, p, noise_model, _, trials = self.key
         start, width = self.n_tests // WORD_BITS, n_words(n_tests)
         grow = width - self.outcomes.shape[1]
         self.words = np.pad(self.words, ((0, 0), (0, 0), (0, grow)))
         self.outcomes = np.pad(self.outcomes, ((0, 0), (0, grow)))
-        items, tests = np.arange(n_items), np.arange(start * WORD_BITS, n_tests)
+        items, tests = np.arange(self.n_items), np.arange(start * WORD_BITS, n_tests)
         for trial, truth in enumerate(self.truths):
             codebook_seed, noise_seed = self.seeds[trial]
-            rows = bernoulli_words(codebook_seed, items, tests, p)
+            rows = bernoulli_words(codebook_seed, items, tests, self.p)
             self.words[trial, :, start:] = rows
             idx = np.asarray(truth.indices)
-            self.outcomes[trial, start:] = _channel_words(rows[idx], idx, noise_model,
+            self.outcomes[trial, start:] = _channel_words(rows[idx], idx, self.noise_model,
                                                           noise_seed, tests)
         self.n_tests = n_tests
 
 
-def _fresh_trials(n_items, k, n_tests, p, noise_model, master_seed, trials):
-    """Yield (trial, truth, codebook, outcome), one trial in memory at a time."""
-    for trial in range(trials):
-        trial_key = mix64(master_seed, trial)
-        codebook = generate_codebook(n_items, n_tests, p, mix64(trial_key, 0))
-        truth = _sample_truth(n_items, k, mix64(trial_key, 1))
-        yield trial, truth, codebook, apply_channel(codebook, truth, noise_model,
-                                                    mix64(trial_key, 2))
-
-
-def _miss_histogram(
-    n_items: int, k: int, n_tests: int, p: float, noise_model: NoiseModel,
-    master_seed: int, trials: int, budget: int, stream: _TrialStream | None = None,
-) -> np.ndarray:
-    """Histogram over miss distance of the erring trials, drawn afresh or
-    read off ``stream``."""
-    hist = np.zeros(k + 1, dtype=np.int64)
-    if stream is None:
-        draws = _fresh_trials(n_items, k, n_tests, p, noise_model, master_seed, trials)
-    else:
-        draws = stream.draw(n_tests)
-    for trial, truth, codebook, outcome in draws:
-        result = ml_decode(codebook, outcome, k, noise_model, budget=budget)
+def _miss_histogram(stream: _TrialStream, n_tests: int) -> np.ndarray:
+    """Histogram over miss distance of ``stream``'s erring trials at n_tests."""
+    hist = np.zeros(stream.k + 1, dtype=np.int64)
+    for trial, truth, codebook, outcome in stream.draw(n_tests):
+        result = ml_decode(codebook, outcome, stream.k, stream.noise_model, budget=stream.budget)
         if result.tie or result.best_set != truth:
             hist[miss_distance(truth, result.best_set)] += 1
-        elif stream is not None:
+        else:
             stream.solved(trial, n_tests)
     return hist
 
 
-def _collect_histogram(
-    n_items, k, n_tests, p, noise_model, trials, master_seed, budget, stream=None
-) -> np.ndarray:
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
-    if n_tests < 0:
-        raise ParameterError(f"n_tests must be >= 0, got {n_tests}")
-    if not 1 <= k < n_items:
-        raise ParameterError(f"need 1 <= K < N, got K={k}, N={n_items}")
-    if math.comb(n_items, k) > budget:
-        raise CapacityError(
-            f"each trial needs {math.comb(n_items, k)} set evaluations, above the budget {budget}"
-        )
-    if stream is not None and stream.key != (n_items, k, p, noise_model, master_seed, trials):
-        raise ParameterError(f"trial stream {stream.key} does not match this configuration")
-    return _miss_histogram(n_items, k, n_tests, p, noise_model, master_seed, trials, budget,
-                           stream)
+def _collect_histogram(n_items, k, n_tests, p, noise_model, trials, master_seed,
+                       stream: _TrialStream) -> np.ndarray:
+    """``_miss_histogram(stream, n_tests)``.
+
+    The first seven parameters restate ``stream``'s configuration and are
+    not read here: bench/probes.py wraps this function and reads them by
+    position to count the trials of each (configuration, T).
+    """
+    return _miss_histogram(stream, n_tests)
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ParameterError(f"alpha must lie strictly inside (0, 1), got {alpha}")
 
 
 def _make_estimate(criterion, n_items, k, n_tests, p, noise_model, alpha,
@@ -269,16 +260,13 @@ def _make_estimate(criterion, n_items, k, n_tests, p, noise_model, alpha,
     )
 
 
-def _estimates(n_items, k, n_tests, p, noise_model, alphas, trials, master_seed, budget,
-               stream=None) -> list[ErrorEstimate]:
-    """Estimates at n_tests from one miss histogram, one per entry of
-    ``alphas``: the average error for None, else the partial error at that
-    alpha."""
-    for alpha in alphas:
-        if alpha is not None and not 0.0 < alpha < 1.0:
-            raise ParameterError(f"alpha must lie strictly inside (0, 1), got {alpha}")
-    hist = _collect_histogram(n_items, k, n_tests, p, noise_model, trials, master_seed, budget,
-                              stream)
+def _estimates(stream: _TrialStream, n_tests: int, alphas) -> list[ErrorEstimate]:
+    """Estimates at n_tests from one miss histogram of ``stream``, one per
+    entry of ``alphas``: the average error for None, else the partial error
+    at that alpha."""
+    n_items, k, p, noise_model = stream.n_items, stream.k, stream.p, stream.noise_model
+    trials, seed = stream.trials, stream.master_seed
+    hist = _collect_histogram(n_items, k, n_tests, p, noise_model, trials, seed, stream)
     misses = np.arange(k + 1)
     estimates = []
     for alpha in alphas:
@@ -287,7 +275,7 @@ def _estimates(n_items, k, n_tests, p, noise_model, alphas, trials, master_seed,
         else:
             criterion, errors = PARTIAL, int(hist[misses > alpha * k].sum())
         estimates.append(_make_estimate(criterion, n_items, k, n_tests, p, noise_model, alpha,
-                                        trials, errors, master_seed, hist))
+                                        trials, errors, seed, hist))
     return estimates
 
 
@@ -296,7 +284,8 @@ def estimate_average_error(
     trials: int, master_seed: int, budget: int = DEFAULT_BUDGET,
 ) -> ErrorEstimate:
     """Average error over fresh codebooks and uniform truth sets per trial."""
-    return _estimates(n_items, k, n_tests, p, noise_model, (None,), trials, master_seed, budget)[0]
+    stream = _TrialStream(n_items, k, p, noise_model, master_seed, trials, budget)
+    return _estimates(stream, n_tests, (None,))[0]
 
 
 def estimate_partial_error(
@@ -304,8 +293,9 @@ def estimate_partial_error(
     alpha: float, trials: int, master_seed: int, budget: int = DEFAULT_BUDGET,
 ) -> ErrorEstimate:
     """Error only when the decoded set misses more than alpha*K true items."""
-    return _estimates(n_items, k, n_tests, p, noise_model, (alpha,), trials, master_seed,
-                      budget)[0]
+    _check_alpha(alpha)
+    stream = _TrialStream(n_items, k, p, noise_model, master_seed, trials, budget)
+    return _estimates(stream, n_tests, (alpha,))[0]
 
 
 def estimate_sweep(
@@ -316,14 +306,12 @@ def estimate_sweep(
 
     Every T reads the same trials off one trial stream, so each trial is
     drawn once and the estimates are paired across T.  Each equals
-    ``estimate_average_error`` (``estimate_partial_error``) at its T, but
-    the sweep holds trials x (N+1) x ceil(T/64) 64-bit words at the
-    largest T.
+    ``estimate_average_error`` (``estimate_partial_error``) at its T.
     """
-    stream = _TrialStream(n_items, k, p, noise_model, master_seed, trials)
-    return [_estimates(n_items, k, t, p, noise_model, (alpha,), trials, master_seed, budget,
-                       stream)[0]
-            for t in t_grid]
+    if alpha is not None:
+        _check_alpha(alpha)
+    stream = _TrialStream(n_items, k, p, noise_model, master_seed, trials, budget)
+    return [_estimates(stream, t, (alpha,))[0] for t in t_grid]
 
 
 def empirical_pei_profile(
@@ -333,8 +321,9 @@ def empirical_pei_profile(
     """Per-overlap error rates: entry i is the fraction of trials that erred
     with exactly i missed items.  The rates over all i sum to the average
     error rate of the same trial stream (i = 0 collects ties at the truth)."""
-    hist = _collect_histogram(n_items, k, n_tests, p, noise_model, trials, master_seed, budget)
-    return [(i, hist[i] / trials) for i in range(k + 1)]
+    stream = _TrialStream(n_items, k, p, noise_model, master_seed, trials, budget)
+    misses = _estimates(stream, n_tests, (None,))[0].miss_counts
+    return [(i, misses[i] / trials) for i in range(k + 1)]
 
 
 def estimate_worstcase_error(
@@ -351,8 +340,7 @@ def estimate_worstcase_error(
     if trials_per_set < 1:
         raise ParameterError(f"trials_per_set must be >= 1, got {trials_per_set}")
     n_items = codebook.n_items
-    if not 1 <= k <= n_items:
-        raise ParameterError(f"need 1 <= K <= N, got K={k}, N={n_items}")
+    _check_defectives(n_items, k)
     total = math.comb(n_items, k)
     if total > budget:
         raise CapacityError(
@@ -393,9 +381,7 @@ def find_minimal_t(
     (confidence half-width wider than its distance to the target).  Every
     probe is recorded.  Every probe reads the same trials off one trial
     stream, so the error estimates are paired across T and each trial is
-    drawn once.  Each estimate equals ``estimate_average_error`` at its T,
-    but the search holds trials x (N+1) x ceil(T/64) 64-bit words at the
-    largest probed T, where a single estimate holds one trial at a time.
+    drawn once.  Each estimate equals ``estimate_average_error`` at its T.
     """
     grid = [int(t) for t in t_grid]
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -406,11 +392,10 @@ def find_minimal_t(
         raise ParameterError(f"refine_to must be >= 1, got {refine_to}")
 
     probed: list[tuple[int, ErrorEstimate]] = []
-    stream = _TrialStream(n_items, k, p, noise_model, master_seed, trials)
+    stream = _TrialStream(n_items, k, p, noise_model, master_seed, trials, budget)
 
     def measure(t: int) -> ErrorEstimate:
-        est = _estimates(n_items, k, t, p, noise_model, (None,), trials, master_seed, budget,
-                         stream)[0]
+        est = _estimates(stream, t, (None,))[0]
         probed.append((t, est))
         return est
 

@@ -10,7 +10,8 @@ materialized, or how many threads are running.
 Two-level addressing: ``mix64(key, a)`` derives a sub-key, and a second
 application indexed by ``b`` produces the draw for cell (a, b).
 ``bernoulli_words`` draws the same Bernoulli cells as ``bernoulli_grid``
-straight into packed 64-bit words, for any column range.
+straight into packed 64-bit words, for any column range; codebooks,
+erasures and false alarms all come from it.
 """
 
 from __future__ import annotations
@@ -70,13 +71,14 @@ def bernoulli_grid(key: int, rows, cols, prob: float) -> np.ndarray:
 
 
 def bernoulli_words(key: int, rows, cols, prob: float) -> np.ndarray:
-    """``pack_bits(bernoulli_grid(key, rows, cols, prob))`` for 0 <= prob < 1,
+    """``pack_bits(bernoulli_grid(key, rows, cols, prob))`` for 0 < prob <= 1,
     without the float grid: (len(rows), n_words(len(cols))) uint64.
 
     With u = (z >> 11) * 2**-53, u < prob is exactly z < ceil(prob * 2**53) << 11
-    on the whole word z, and prob < 1 keeps that threshold below 2**64.
+    on the whole word z; it is tested as z <= that threshold minus 1, which
+    fits in 64 bits on all of (0, 1], prob = 1 included.
     """
-    hits = _mixed_grid(key, rows, cols) < np.uint64(math.ceil(prob * (1 << 53)) << 11)
+    hits = _mixed_grid(key, rows, cols) <= np.uint64((math.ceil(prob * (1 << 53)) << 11) - 1)
     packed = np.zeros((hits.shape[0], 8 * n_words(hits.shape[1])), dtype=np.uint8)
     packed[:, : (hits.shape[1] + 7) // 8] = np.packbits(hits, axis=1, bitorder="little")
     return packed.view("<u8")

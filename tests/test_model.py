@@ -13,8 +13,10 @@ from gtlab import (
     read_codebook,
     write_codebook,
 )
-from gtlab.bitops import pack_bits
-from gtlab.rng import bernoulli_grid, bernoulli_words, uniform_grid
+from gtlab.bitops import pack_bits, unpack_bits
+from gtlab.model import _ADDITIVE_STREAM, _DILUTION_STREAM, _channel_words
+from gtlab.montecarlo import _TrialStream
+from gtlab.rng import bernoulli_grid, bernoulli_words, mix64, uniform_grid
 
 
 def make_codebook(bits, p=0.5, seed=0):
@@ -52,7 +54,7 @@ def test_packed_sampler_equals_the_packed_float_grid():
     """The integer threshold on the mixed word draws exactly the cells u < p."""
     rng = np.random.default_rng(2024)
     edge_tests = (0, 1, 63, 64, 65, 127, 128, 129)
-    edge_p = (1e-9, np.nextafter(1.0, 0.0), 0.5)
+    edge_p = (1e-9, np.nextafter(1.0, 0.0), 0.5, 1.0)
     cases = [(t, p) for t in edge_tests for p in edge_p]
     cases += [(int(rng.integers(0, 300)), float(rng.uniform(0.0, 1.0))) for _ in range(250)]
     for n_tests, p in cases:
@@ -195,6 +197,60 @@ def test_saturated_channels_fix_the_outcome():
     for seed in range(5):
         assert apply_channel(cb, truth, NoiseModel.additive(1.0), seed).bits().all()
         assert not apply_channel(cb, truth, NoiseModel.dilution(1.0), seed).bits().any()
+
+
+def reference_channel_bits(bits, idx, noise_model, noise_seed, tests):
+    """The channel law on the float grid, independent of the packed sampler:
+    ``bits`` holds the defectives ``idx``'s codebook bits at the tests ``tests``."""
+    q, u = noise_model.law
+    if u > 0.0:
+        bits = bits & (1 - bernoulli_grid(mix64(noise_seed, _DILUTION_STREAM), idx, tests, u))
+    out = bits.any(axis=0).astype(np.uint8)
+    if q > 0.0:
+        out |= bernoulli_grid(mix64(noise_seed, _ADDITIVE_STREAM), [0], tests, q)[0]
+    return out
+
+
+REFERENCE_CHANNELS = [NoiseModel.dilution(0.3), NoiseModel.dilution(1.0),
+                      NoiseModel.additive(0.25), NoiseModel.additive(1.0)]
+EDGE_TESTS = (0, 1, 63, 64, 65, 129)
+
+
+@pytest.mark.parametrize("noise", REFERENCE_CHANNELS, ids=lambda m: m.describe())
+def test_channel_equals_the_float_grid_reference(noise):
+    """apply_channel, and the packed channel on a column range that starts
+    inside a word, draw exactly the float grid's cells."""
+    truth = DefectiveSet((1, 4, 6))
+    idx = np.asarray(truth.indices)
+    for n_tests in EDGE_TESTS:
+        cb = generate_codebook(8, n_tests, 0.4, 21)
+        for seed in (0, 5, (1 << 63) + 3):
+            expected = reference_channel_bits(cb.dense_bits()[idx], idx, noise, seed,
+                                              np.arange(n_tests))
+            assert np.array_equal(apply_channel(cb, truth, noise, seed).bits(), expected)
+            for start in (1, 37, 64, 100):
+                tests = np.arange(start, start + n_tests)
+                rows = bernoulli_words(cb.seed, idx, tests, 0.4)
+                words = _channel_words(rows, idx, noise, seed, tests)
+                assert words.shape == (rows.shape[1],)
+                assert np.array_equal(
+                    unpack_bits(words, n_tests),
+                    reference_channel_bits(unpack_bits(rows, n_tests), idx, noise, seed, tests))
+
+
+@pytest.mark.parametrize("noise", REFERENCE_CHANNELS, ids=lambda m: m.describe())
+def test_stream_extension_equals_the_float_grid_reference(noise):
+    """A trial stream extended from inside a word, read back at every edge T,
+    gives each trial's outcome as the float-grid channel would."""
+    n, k, p, trials, seed = 20, 3, 1.0 / 3.0, 4, 77
+    stream = _TrialStream(n, k, p, noise, seed, trials)
+    for n_tests in (1, 63, 65, 129, 200, *EDGE_TESTS):
+        for trial, truth, codebook, outcome in stream.draw(n_tests):
+            idx = np.asarray(truth.indices)
+            noise_seed = mix64(mix64(seed, trial), 2)
+            expected = reference_channel_bits(codebook.dense_bits()[idx], idx, noise, noise_seed,
+                                              np.arange(n_tests))
+            assert np.array_equal(outcome.bits(), expected), (n_tests, trial)
 
 
 def test_dilution_law_two_members_in_one_test():

@@ -10,6 +10,7 @@ from gtlab import (
     NoiseModel,
     ParameterError,
     achievable_tests,
+    additive_converse,
     apply_channel,
     ci_half_width,
     empirical_pei_profile,
@@ -20,9 +21,12 @@ from gtlab import (
     fano_lower_bound,
     find_minimal_t,
     generate_codebook,
+    miss_distance,
     ml_decode,
+    pei_upper_bound,
 )
 from gtlab.bitops import pack_bits
+from gtlab.cli import main as cli_main
 import gtlab.montecarlo
 from gtlab.montecarlo import _collect_histogram, _sample_truth, _TrialStream
 from gtlab.rng import mix64
@@ -34,6 +38,22 @@ def make_codebook(bits, p=0.5, seed=0):
     bits = np.asarray(bits, dtype=np.uint8)
     return Codebook(n_items=bits.shape[0], n_tests=bits.shape[1], p=p, seed=seed,
                     words=pack_bits(bits))
+
+
+def reference_histogram(n, k, t, p, noise, trials, seed):
+    """Erring trials by miss distance, each trial drawn afresh at T from its
+    keys (codebook 0, truth 1, noise 2 under mix64(seed, trial)), apart from
+    the trial stream."""
+    hist = [0] * (k + 1)
+    for trial in range(trials):
+        trial_key = mix64(seed, trial)
+        codebook = generate_codebook(n, t, p, mix64(trial_key, 0))
+        truth = _sample_truth(n, k, mix64(trial_key, 1))
+        outcome = apply_channel(codebook, truth, noise, mix64(trial_key, 2))
+        result = ml_decode(codebook, outcome, k, noise)
+        if result.tie or result.best_set != truth:
+            hist[miss_distance(truth, result.best_set)] += 1
+    return tuple(hist)
 
 
 # ---------------------------------------------------------------------------
@@ -68,14 +88,7 @@ def test_average_error_matches_independent_trial_loop():
     n, k, t, p = 10, 2, 14, 0.5
     noise = NoiseModel.additive(0.9)
     trials, master_seed = 200, 77
-    errors = 0
-    for trial in range(trials):
-        trial_key = mix64(master_seed, trial)
-        codebook = generate_codebook(n, t, p, mix64(trial_key, 0))
-        truth = _sample_truth(n, k, mix64(trial_key, 1))
-        outcome = apply_channel(codebook, truth, noise, mix64(trial_key, 2))
-        result = ml_decode(codebook, outcome, k, noise)
-        errors += result.tie or result.best_set != truth
+    errors = sum(reference_histogram(n, k, t, p, noise, trials, master_seed))
     est = estimate_average_error(n, k, t, p, noise, trials, master_seed)
     assert est.errors == errors
     assert est.p_hat == errors / trials
@@ -110,6 +123,27 @@ def test_budget_error_propagates():
 def test_invalid_trial_counts():
     with pytest.raises(ParameterError):
         estimate_average_error(10, 2, 5, 0.5, NF, 0, 1)
+
+
+def test_every_entry_point_needs_one_to_n_minus_one_defectives():
+    """The estimators, the worst case, the bounds and the command line all
+    reject K = 0 and K >= N alike."""
+    for n, k in ((6, 0), (6, 6), (6, 7)):
+        for call in (
+            lambda: estimate_average_error(n, k, 8, 0.5, NF, 10, 1),
+            lambda: estimate_partial_error(n, k, 8, 0.5, NF, 0.5, 10, 1),
+            lambda: empirical_pei_profile(n, k, 8, 0.5, NF, 10, 1),
+            lambda: estimate_sweep(n, k, 0.5, NF, [4, 8], 10, 1),
+            lambda: find_minimal_t(n, k, 0.5, NF, 0.1, 10, [4, 8], 1),
+            lambda: estimate_worstcase_error(generate_codebook(n, 8, 0.5, 1), k, NF, 1),
+            lambda: achievable_tests(n, k, 0.5, NF),
+            lambda: fano_lower_bound(n, k, 0.5, NF),
+            lambda: additive_converse(n, k, 0.2),
+            lambda: pei_upper_bound(n, k, 1, 8, 0.5, NF),
+        ):
+            with pytest.raises(ParameterError, match=f"need 1 <= K < N, got N={n}, K={k}"):
+                call()
+        assert cli_main(["bounds", "-N", str(n), "-K", str(k), "--p", "0.5"]) == 2
 
 
 @pytest.mark.parametrize("trials", [0, -5])
@@ -314,6 +348,8 @@ def test_stream_reads_every_t_as_a_fresh_draw(noise):
         draws = list(stream.draw(t))
         assert [d[0] for d in draws] == list(range(trials))
         for trial, truth, codebook, outcome in draws:
+            # each yielded trial owns its words: keeping one pins no other
+            assert codebook.words.base is None and outcome.words.base is None
             trial_key = mix64(seed, trial)
             fresh = generate_codebook(n, t, p, mix64(trial_key, 0))
             assert codebook == fresh
@@ -321,12 +357,20 @@ def test_stream_reads_every_t_as_a_fresh_draw(noise):
             assert outcome == apply_channel(fresh, truth, noise, mix64(trial_key, 2))
 
 
-def test_stream_rejects_another_configuration():
-    stream = _TrialStream(20, 2, 0.5, NF, 3, 10)
+def test_stream_validates_its_configuration_before_drawing(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(gtlab.montecarlo, "_sample_truth", lambda *args: drawn.append(args))
+    for args in ((20, 2, 1.5, NF, 3, 10), (20, 2, 0.0, NF, 3, 10), (20, 20, 0.5, NF, 3, 10),
+                 (20, 0, 0.5, NF, 3, 10), (20, 2, 0.5, NF, 3, 0)):
+        with pytest.raises(ParameterError):
+            _TrialStream(*args)
+    with pytest.raises(CapacityError):
+        _TrialStream(20, 2, 0.5, NF, 3, 10, budget=189)
+    assert not drawn
+    stream = _TrialStream(20, 2, 0.5, NF, 3, 10, budget=190)
+    assert len(drawn) == 10
     with pytest.raises(ParameterError):
-        _collect_histogram(20, 2, 8, 0.5, NF, 10, 4, 10**6, stream)
-    with pytest.raises(ParameterError):
-        list(_TrialStream(20, 2, 1.5, NF, 3, 10).draw(8))
+        list(stream.draw(-1))
 
 
 @pytest.mark.parametrize("noise", CHANNELS, ids=lambda m: m.describe())
@@ -338,6 +382,7 @@ def test_minimal_t_probes_equal_independent_estimates(noise):
     assert len(result.probed) > 3  # the bisection ran
     for t, est in result.probed:
         assert est == estimate_average_error(n, k, t, p, noise, trials, seed)
+        assert est.miss_counts == reference_histogram(n, k, t, p, noise, trials, seed)
 
 
 @pytest.mark.parametrize("noise", CHANNELS, ids=lambda m: m.describe())
@@ -345,10 +390,15 @@ def test_sweep_rows_equal_independent_estimates(noise):
     """Every row of a sweep read off one stream, average and partial, equals
     a fresh estimate at its T, on a grid that crosses a word boundary."""
     n, k, p, trials, seed, grid = 30, 3, 1.0 / 3.0, 120, 17, (10, 40, 63, 64, 65, 100)
-    assert estimate_sweep(n, k, p, noise, grid, trials, seed) == [
-        estimate_average_error(n, k, t, p, noise, trials, seed) for t in grid]
-    assert estimate_sweep(n, k, p, noise, grid, trials, seed, alpha=0.4) == [
-        estimate_partial_error(n, k, t, p, noise, 0.4, trials, seed) for t in grid]
+    average = estimate_sweep(n, k, p, noise, grid, trials, seed)
+    partial = estimate_sweep(n, k, p, noise, grid, trials, seed, alpha=0.4)
+    assert average == [estimate_average_error(n, k, t, p, noise, trials, seed) for t in grid]
+    assert partial == [estimate_partial_error(n, k, t, p, noise, 0.4, trials, seed)
+                       for t in grid]
+    for t, avg, part in zip(grid, average, partial):
+        hist = reference_histogram(n, k, t, p, noise, trials, seed)
+        assert avg.miss_counts == part.miss_counts == hist
+        assert (avg.errors, part.errors) == (sum(hist), sum(hist[2:]))  # misses > 0.4 * 3
 
 
 def test_noise_free_shortcut_keeps_every_histogram(monkeypatch):
@@ -356,7 +406,7 @@ def test_noise_free_shortcut_keeps_every_histogram(monkeypatch):
     histogram still equals the one from decoding every trial afresh."""
     n, k, p, trials, seed = 40, 2, 0.5, 200, 8
     grid = (12, 30, 8, 64, 20, 65, 129, 25)
-    expected = [_collect_histogram(n, k, t, p, NF, trials, seed, 10**6) for t in grid]
+    expected = [reference_histogram(n, k, t, p, NF, trials, seed) for t in grid]
     calls = []
     decode = gtlab.montecarlo.ml_decode
 
@@ -367,8 +417,7 @@ def test_noise_free_shortcut_keeps_every_histogram(monkeypatch):
     monkeypatch.setattr(gtlab.montecarlo, "ml_decode", counting_decode)
     stream = _TrialStream(n, k, p, NF, seed, trials)
     for t, hist in zip(grid, expected):
-        assert np.array_equal(_collect_histogram(n, k, t, p, NF, trials, seed, 10**6, stream),
-                              hist)
+        assert tuple(_collect_histogram(n, k, t, p, NF, trials, seed, stream)) == hist
     assert len(calls) < len(grid) * trials // 2
 
 
