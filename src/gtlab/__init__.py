@@ -23,6 +23,7 @@ from .bounds import (
     log2_binom,
     mi_bruteforce,
     mutual_information,
+    mutual_information_by_overlap,
     pei_upper_bound,
 )
 from .decoder import DecodeResult, dump_decode_trace, log_likelihood, miss_distance, ml_decode

@@ -12,8 +12,10 @@ I(X1; X2, Y) under i.i.d. Bernoulli(p) item-participation.
 ``mutual_information`` computes it for every channel from the one law
 (q, u), as a difference of two binomial mixtures of binary entropies; it
 is validated against ``mi_bruteforce``, an exact enumeration of the joint
-distribution that serves as the independent oracle.  No code here
-branches on the channel kind, and none imports scipy.
+distribution that serves as the independent oracle.  The second mixture
+does not depend on i, so ``mutual_information_by_overlap`` computes it once
+for all i.  No code here branches on the channel kind, and none imports
+scipy.
 
 Two test-count bounds are computed from these quantities: a sufficient
 count (random coding, union of per-overlap error events, numerator
@@ -141,24 +143,42 @@ def _binomial_pmf(n: int, p: float) -> np.ndarray:
     return pmf
 
 
+def _h_given_all(k: int, p: float, noise_model: NoiseModel) -> float:
+    """H(Y | X1, X2): with c of all K members pooled, P(Y=0 | c) = (1-q) u**c.
+    It does not depend on the split i."""
+    q, u = noise_model.law
+    pooled = np.arange(k + 1)
+    return (_binomial_pmf(k, p) * _h2((1.0 - q) * np.float_power(u, pooled))).sum()
+
+
+def _h_given_known(k: int, i: int, p: float, noise_model: NoiseModel) -> float:
+    """H(Y | X2): with w2 of the K-i known members pooled, a test reads
+    negative when no false alarm fires, no pooled known member gets through,
+    and no unknown member is both pooled and unerased:
+    P(Y=0 | w2) = (1-q) u**w2 (1 - p(1-u))**i."""
+    q, u = noise_model.law
+    known = np.arange(k - i + 1)
+    unknown_negative = (1.0 - p * (1.0 - u)) ** i
+    return (_binomial_pmf(k - i, p)
+            * _h2((1.0 - q) * np.float_power(u, known) * unknown_negative)).sum()
+
+
 def mutual_information(k: int, i: int, p: float, noise_model: NoiseModel) -> float:
     """I(X1; X2, Y) = H(Y|X2) - H(Y|X1,X2), from the channel law (q, u).
 
-    With w2 of the K-i known members pooled, a test reads negative when no
-    false alarm fires, no pooled known member gets through, and no unknown
-    member is both pooled and unerased:
-    P(Y=0 | w2) = (1-q) u**w2 (1 - p(1-u))**i.  With c of all K members
-    pooled, P(Y=0 | c) = (1-q) u**c.  Each entropy is a binomial mixture
-    over the pooled count.
+    Each entropy is a binomial mixture over the pooled count.
     """
     _check_partition(k, i, p)
-    q, u = noise_model.law
-    known, pooled = np.arange(k - i + 1), np.arange(k + 1)
-    unknown_negative = (1.0 - p * (1.0 - u)) ** i
-    h_given_known = (_binomial_pmf(k - i, p)
-                     * _h2((1.0 - q) * np.float_power(u, known) * unknown_negative)).sum()
-    h_given_all = (_binomial_pmf(k, p) * _h2((1.0 - q) * np.float_power(u, pooled))).sum()
-    return float(h_given_known - h_given_all)
+    return float(_h_given_known(k, i, p, noise_model) - _h_given_all(k, p, noise_model))
+
+
+def mutual_information_by_overlap(k: int, p: float, noise_model: NoiseModel) -> tuple[float, ...]:
+    """``mutual_information(k, i, p, noise_model)`` for i = 1..K, with the
+    i-independent H(Y|X1,X2) computed once."""
+    _check_partition(k, 1, p)
+    h_given_all = _h_given_all(k, p, noise_model)
+    return tuple(float(_h_given_known(k, i, p, noise_model) - h_given_all)
+                 for i in range(1, k + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +352,13 @@ def bound_report_rows(report: BoundReport) -> list[list]:
 
 
 def _build_report(kind: str, n_items: int, k: int, p: float, noise: NoiseModel,
-                  numerator_bits_fn) -> BoundReport:
+                  numerator_bits_fn, mi_bits) -> BoundReport:
     _check_defectives(n_items, k)
+    if mi_bits is None:
+        mi_bits = mutual_information_by_overlap(k, p, noise)
     entries = []
-    for i in range(1, k + 1):
+    for i, mi in enumerate(mi_bits, start=1):
         num = numerator_bits_fn(i)
-        mi = mutual_information(k, i, p, noise)
         if mi <= 0.0:
             entries.append(BoundEntry(i, num, max(mi, 0.0), math.inf, True))
         else:
@@ -356,20 +377,26 @@ def _build_report(kind: str, n_items: int, k: int, p: float, noise: NoiseModel,
     )
 
 
-def achievable_tests(n_items: int, k: int, p: float, noise_model: NoiseModel) -> BoundReport:
-    """Sufficient test count: max_i log2[K C(N-K,i) C(K,i)] / I_i."""
+def achievable_tests(n_items: int, k: int, p: float, noise_model: NoiseModel,
+                     mi_bits=None) -> BoundReport:
+    """Sufficient test count: max_i log2[K C(N-K,i) C(K,i)] / I_i.
+
+    ``mi_bits`` may pass ``mutual_information_by_overlap(k, p, noise_model)``
+    in, so that both bound families share one evaluation."""
     def numerator(i: int) -> float:
         return math.log2(k) + log2_binom(n_items - k, i) + log2_binom(k, i)
 
-    return _build_report(ACHIEVABLE, n_items, k, p, noise_model, numerator)
+    return _build_report(ACHIEVABLE, n_items, k, p, noise_model, numerator, mi_bits)
 
 
-def fano_lower_bound(n_items: int, k: int, p: float, noise_model: NoiseModel) -> BoundReport:
-    """Necessary test count: max_i log2 C(N-K+i, i) / I_i."""
+def fano_lower_bound(n_items: int, k: int, p: float, noise_model: NoiseModel,
+                     mi_bits=None) -> BoundReport:
+    """Necessary test count: max_i log2 C(N-K+i, i) / I_i; ``mi_bits`` as in
+    ``achievable_tests``."""
     def numerator(i: int) -> float:
         return log2_binom(n_items - k + i, i)
 
-    return _build_report(FANO, n_items, k, p, noise_model, numerator)
+    return _build_report(FANO, n_items, k, p, noise_model, numerator, mi_bits)
 
 
 def additive_converse(n_items: int, k: int, q: float, statement_form: bool = False) -> float:

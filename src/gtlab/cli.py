@@ -28,6 +28,7 @@ from .bounds import (
     bound_report_header,
     bound_report_rows,
     fano_lower_bound,
+    mutual_information_by_overlap,
 )
 from .errors import CapacityError, ParameterError
 from .model import ADDITIVE, DILUTION, NOISE_FREE, NoiseModel, _check_defectives, generate_codebook
@@ -294,10 +295,12 @@ def _cell(value) -> str:
 
 def _run_bounds(cfg: ExperimentConfig) -> int:
     kinds = [cfg.kind] if cfg.kind != "both" else [ACHIEVABLE, FANO]
+    mi_bits = mutual_information_by_overlap(cfg.n_defectives, cfg.p, cfg.noise)
     rows = []
     for kind in kinds:
         fn = achievable_tests if kind == ACHIEVABLE else fano_lower_bound
-        rows.extend(bound_report_rows(fn(cfg.n_items, cfg.n_defectives, cfg.p, cfg.noise)))
+        rows.extend(bound_report_rows(fn(cfg.n_items, cfg.n_defectives, cfg.p, cfg.noise,
+                                         mi_bits)))
     _emit(cfg, bound_report_header(), rows)
     if cfg.fmt == "table" and cfg.noise.kind == ADDITIVE and 0.0 < cfg.noise.q < 1.0:
         converse = additive_converse(cfg.n_items, cfg.n_defectives, cfg.noise.q)

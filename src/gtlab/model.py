@@ -30,7 +30,7 @@ import numpy as np
 from .bitops import pack_bits, unpack_bits
 from .errors import ParameterError
 # bernoulli_grid is not called here; bench/probes.py traces it by name in this module
-from .rng import bernoulli_grid, bernoulli_words, mix64  # noqa: F401
+from .rng import bernoulli_grid, bernoulli_words, mix64_array  # noqa: F401
 
 NOISE_FREE = "noise-free"
 ADDITIVE = "additive"
@@ -270,18 +270,24 @@ def apply_channel(
 
 
 def _channel_words(rows: np.ndarray, idx: np.ndarray, noise_model: NoiseModel,
-                  noise_seed: int, tests: np.ndarray) -> np.ndarray:
+                  noise_seed, tests: np.ndarray) -> np.ndarray:
     """Packed outcomes of the consecutive tests ``tests`` under the channel law.
 
     ``rows`` holds the defectives ``idx``'s codebook bits for those tests,
     packed from ``tests[0]``; test t reads the same as in ``apply_channel``.
+    An int ``noise_seed`` takes rows (K, W) and idx (K,) and gives (W,)
+    words.  A block of trials takes one noise seed per trial, a (B,) uint64
+    array, with rows (B, K, W) and idx (B, K), and gives (B, W) words.  On
+    a noisy channel the block may also share one trial's rows and idx.
     """
     q, u = noise_model.law
+    seeds = np.asarray(noise_seed, dtype=np.uint64)[..., None]
     if u > 0.0:
-        rows = rows & ~bernoulli_words(mix64(noise_seed, _DILUTION_STREAM), idx, tests, u)
-    words = np.bitwise_or.reduce(rows, axis=0)
+        rows = rows & ~bernoulli_words(mix64_array(seeds, _DILUTION_STREAM), idx, tests, u)
+    words = np.bitwise_or.reduce(rows, axis=-2)
     if q > 0.0:
-        words |= bernoulli_words(mix64(noise_seed, _ADDITIVE_STREAM), [0], tests, q)[0]
+        alarms = bernoulli_words(mix64_array(seeds, _ADDITIVE_STREAM), [0], tests, q)[..., 0, :]
+        words = words | alarms
     return words
 
 

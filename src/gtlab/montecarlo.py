@@ -3,11 +3,11 @@
 Every trial is a pure function of (configuration, master_seed, trial
 index): a fresh codebook, a uniformly random truth set, and a noise
 realization are all derived from per-trial keys, so estimates do not
-depend on the order in which trials run.  The trials run one after another
-in the calling thread: each is many small numpy calls that hold the GIL,
-so worker threads gave no speed-up.  The average and partial criteria and
-the per-overlap error profile share one trial stream (one miss histogram),
-which makes their comparisons paired.
+depend on the order in which trials run or are drawn.  The codebook and
+channel words of a block of trials come from one sampler call; each trial
+is then decoded in turn, in the calling thread.  The average and partial
+criteria and the per-overlap error profile share one trial stream (one
+miss histogram), which makes their comparisons paired.
 
 Codebook and noise cells are addressed by (seed, item, test) and truth
 sets by trial alone, so a trial at T is the first T tests of the same
@@ -16,9 +16,10 @@ trial at any larger T.  Every estimate draws its trials into one
 reads one T, a sweep and the minimal-T search read every T they probe.
 The stream holds trials x (N+1) x ceil(T/64) 64-bit words at the largest
 T drawn, so a single estimate holds all its trials' words at once, as a
-one-point sweep does.  On the noise-free channel a trial that decoded
-uniquely and correctly at some probed T' <= T is not decoded again at T:
-a larger T only removes consistent candidate sets.
+one-point sweep does.  Extending it also holds at most one block of
+``_BLOCK_CELLS`` cells of sampler scratch.  On the noise-free channel a
+trial that decoded uniquely and correctly at some probed T' <= T is not
+decoded again at T: a larger T only removes consistent candidate sets.
 
 Error conventions: a trial errs when the decoder returns a set other than
 the truth or reports a tie (ties count against the decoder).  The partial
@@ -46,12 +47,12 @@ from .model import (
     _channel_words,
     _check_defectives,
     _check_design,
-    apply_channel,
     noiseless_outcome,
 )
-# generate_codebook is not called here; bench/probes.py traces it by name in this module
-from .model import generate_codebook  # noqa: F401
-from .rng import bernoulli_words, mix64
+# generate_codebook and apply_channel are not called here; bench/probes.py
+# traces them by name in this module
+from .model import apply_channel, generate_codebook  # noqa: F401
+from .rng import bernoulli_words, mix64, mix64_array
 
 AVERAGE = "average"
 WORST_CASE = "worst-case"
@@ -62,6 +63,11 @@ _WORST_STREAM = 0x57
 
 # below this error count the normal interval is unusable; switch to exact
 _EXACT_CI_THRESHOLD = 5
+
+# codebook cells per sampler call: at about 17 bytes of scratch a cell (the
+# mixed words and one temporary), a block fits a 2 MB L2 cache; the scan
+# behind the value is in BENCH_10.json
+_BLOCK_CELLS = 1 << 16
 
 ESTIMATE_CSV_HEADER = [
     "criterion", "N", "K", "T", "p", "channel", "param", "alpha",
@@ -133,6 +139,13 @@ def _sample_truth(n_items: int, k: int, seed: int) -> DefectiveSet:
     return DefectiveSet.of(int(v) for v in idx)
 
 
+def _blocks(count: int, cells_each: int):
+    """Consecutive slices of range(count), each of at most ``_BLOCK_CELLS``
+    cells at ``cells_each`` cells an element, and at least one element."""
+    step = max(1, _BLOCK_CELLS // max(1, cells_each))
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
 class _TrialStream:
     """The trials of one configuration, each drawn once and read at any T.
 
@@ -141,9 +154,11 @@ class _TrialStream:
     Each trial's truth set is drawn once, and its codebook and outcome words
     are kept at the largest T drawn so far: trials x (N+1) x ceil(T/64)
     words.  A larger T draws only the new tests, from the last partly
-    filled word on; a smaller T reads the masked prefix.  Every random cell
-    is addressed by (seed, item, test), so either way a trial at T is
-    bit-identical to the same trial drawn afresh at T.
+    filled word on; a smaller T reads the masked prefix.  Each extension
+    draws a block of trials per sampler call, at most ``_BLOCK_CELLS``
+    codebook cells.  Every random cell is addressed by (seed, item, test),
+    so a trial at T is bit-identical to the same trial drawn afresh at T,
+    whatever the block or the order of extensions.
     """
 
     def __init__(self, n_items: int, k: int, p: float, noise_model: NoiseModel,
@@ -159,8 +174,10 @@ class _TrialStream:
         self.n_items, self.k, self.p, self.noise_model = n_items, k, p, noise_model
         self.master_seed, self.trials, self.budget = master_seed, trials, budget
         keys = [mix64(master_seed, trial) for trial in range(trials)]
-        self.seeds = [(mix64(key, 0), mix64(key, 2)) for key in keys]
+        # (trials, 2): each trial's codebook and noise seeds
+        self.seeds = mix64_array(np.array(keys, dtype=np.uint64)[:, None], np.array([0, 2]))
         self.truths = [_sample_truth(n_items, k, mix64(key, 1)) for key in keys]
+        self.truth_idx = np.array([truth.indices for truth in self.truths], dtype=np.int64)
         self.n_tests = 0
         self.words = np.zeros((trials, n_items, 0), dtype=np.uint64)
         self.outcomes = np.zeros((trials, 0), dtype=np.uint64)
@@ -188,7 +205,8 @@ class _TrialStream:
             if tail:
                 words[:, -1] &= mask
                 outcome[-1] &= mask
-            codebook = Codebook(self.n_items, n_tests, float(self.p), self.seeds[trial][0], words)
+            codebook = Codebook(self.n_items, n_tests, float(self.p), int(self.seeds[trial, 0]),
+                                words)
             yield trial, truth, codebook, OutcomeVector(n_tests, outcome)
 
     def solved(self, trial: int, n_tests: int) -> None:
@@ -202,13 +220,13 @@ class _TrialStream:
         self.words = np.pad(self.words, ((0, 0), (0, 0), (0, grow)))
         self.outcomes = np.pad(self.outcomes, ((0, 0), (0, grow)))
         items, tests = np.arange(self.n_items), np.arange(start * WORD_BITS, n_tests)
-        for trial, truth in enumerate(self.truths):
-            codebook_seed, noise_seed = self.seeds[trial]
-            rows = bernoulli_words(codebook_seed, items, tests, self.p)
-            self.words[trial, :, start:] = rows
-            idx = np.asarray(truth.indices)
-            self.outcomes[trial, start:] = _channel_words(rows[idx], idx, self.noise_model,
-                                                          noise_seed, tests)
+        for block in _blocks(self.trials, self.n_items * len(tests)):
+            seeds, idx = self.seeds[block], self.truth_idx[block]
+            rows = bernoulli_words(seeds[:, :1], items, tests, self.p)
+            self.words[block, :, start:] = rows
+            members = np.take_along_axis(rows, idx[:, :, None], axis=1)
+            self.outcomes[block, start:] = _channel_words(members, idx, self.noise_model,
+                                                          seeds[:, 1], tests)
         self.n_tests = n_tests
 
 
@@ -346,19 +364,14 @@ def estimate_worstcase_error(
         raise CapacityError(
             f"worst-case enumeration needs {total} truth sets, above the budget {budget}"
         )
-    exact = noise_model.deterministic
-    draws = 1 if exact else trials_per_set
+    draws = 1 if noise_model.deterministic else trials_per_set
     worst_errors = -1
     worst_key = mix64(codebook.seed, _WORST_STREAM)
     for index, members in enumerate(combinations(range(n_items), k)):
         truth = DefectiveSet(members)
         errors = 0
         set_key = mix64(worst_key, index)
-        for trial in range(draws):
-            if exact:
-                outcome = noiseless_outcome(codebook, truth)
-            else:
-                outcome = apply_channel(codebook, truth, noise_model, mix64(set_key, trial))
+        for outcome in _worst_outcomes(codebook, truth, noise_model, set_key, draws):
             result = ml_decode(codebook, outcome, k, noise_model, budget=budget)
             errors += result.tie or result.best_set != truth
         if errors > worst_errors:
@@ -367,6 +380,22 @@ def estimate_worstcase_error(
                 break  # no later set can err more often
     return _make_estimate(WORST_CASE, n_items, k, codebook.n_tests, codebook.p,
                           noise_model, None, draws, worst_errors, codebook.seed)
+
+
+def _worst_outcomes(codebook: Codebook, truth: DefectiveSet, noise_model: NoiseModel,
+                    set_key: int, draws: int):
+    """Yield the ``draws`` outcomes of ``truth``: on a noisy channel draw j is
+    ``apply_channel`` under noise seed mix64(set_key, j), drawn a block of
+    draws per sampler call; a deterministic channel gives its one outcome."""
+    if noise_model.deterministic:
+        yield noiseless_outcome(codebook, truth)
+        return
+    idx = np.asarray(truth.indices)
+    rows, tests = codebook.words[idx], np.arange(codebook.n_tests)
+    for block in _blocks(draws, len(idx) * codebook.n_tests):
+        seeds = mix64_array(set_key, np.arange(block.start, block.stop))
+        for words in _channel_words(rows, idx, noise_model, seeds, tests):
+            yield OutcomeVector(codebook.n_tests, words)
 
 
 def find_minimal_t(

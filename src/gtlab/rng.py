@@ -11,7 +11,8 @@ Two-level addressing: ``mix64(key, a)`` derives a sub-key, and a second
 application indexed by ``b`` produces the draw for cell (a, b).
 ``bernoulli_words`` draws the same Bernoulli cells as ``bernoulli_grid``
 straight into packed 64-bit words, for any column range; codebooks,
-erasures and false alarms all come from it.
+erasures and false alarms all come from it.  Its key may be an array, one
+key per row, so a single call draws the grids of a whole block of trials.
 """
 
 from __future__ import annotations
@@ -51,13 +52,25 @@ def _finalize(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _mixed_grid(key: int, rows, cols) -> np.ndarray:
-    """(len(rows), len(cols)) mixed 64-bit words; cell (a,b) depends only on
-    (key, rows[a], cols[b])."""
-    rows = np.asarray(rows, dtype=np.uint64)
-    cols = np.asarray(cols, dtype=np.uint64)
-    row_keys = _finalize(np.uint64(key & _MASK64) + _GOLDEN * (rows + np.uint64(1)))
-    return _finalize(row_keys[:, None] + _GOLDEN * (cols[None, :] + np.uint64(1)))
+def mix64_array(keys, counters) -> np.ndarray:
+    """``mix64`` elementwise over the uint64 arrays ``keys`` and ``counters``,
+    broadcast together (a scalar counter acts as a length-1 array)."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    counters = np.atleast_1d(np.asarray(counters, dtype=np.uint64))
+    return _finalize(keys + _GOLDEN * (counters + np.uint64(1)))
+
+
+def _mixed_grid(key, rows, cols) -> np.ndarray:
+    """Mixed 64-bit words, one per (row, column); cell (a,b) depends only on
+    (key, rows[a], cols[b]).
+
+    ``key`` is an int, giving a (len(rows), len(cols)) grid, or an array of
+    keys that broadcasts against ``rows``, giving shape
+    broadcast(key, rows) + (len(cols),)."""
+    if not isinstance(key, np.ndarray):
+        key = int(key) & _MASK64
+    row_keys = mix64_array(key, np.asarray(rows, dtype=np.uint64))
+    return mix64_array(row_keys[..., None], np.asarray(cols, dtype=np.uint64))
 
 
 def uniform_grid(key: int, rows, cols) -> np.ndarray:
@@ -70,15 +83,18 @@ def bernoulli_grid(key: int, rows, cols, prob: float) -> np.ndarray:
     return (uniform_grid(key, rows, cols) < prob).astype(np.uint8)
 
 
-def bernoulli_words(key: int, rows, cols, prob: float) -> np.ndarray:
+def bernoulli_words(key, rows, cols, prob: float) -> np.ndarray:
     """``pack_bits(bernoulli_grid(key, rows, cols, prob))`` for 0 < prob <= 1,
-    without the float grid: (len(rows), n_words(len(cols))) uint64.
+    without the float grid: uint64 words, ``n_words(len(cols))`` along the
+    last axis.  An int key gives (len(rows), n_words) words; a key array,
+    as in ``_mixed_grid``, gives a leading axis per key.
 
     With u = (z >> 11) * 2**-53, u < prob is exactly z < ceil(prob * 2**53) << 11
     on the whole word z; it is tested as z <= that threshold minus 1, which
     fits in 64 bits on all of (0, 1], prob = 1 included.
     """
     hits = _mixed_grid(key, rows, cols) <= np.uint64((math.ceil(prob * (1 << 53)) << 11) - 1)
-    packed = np.zeros((hits.shape[0], 8 * n_words(hits.shape[1])), dtype=np.uint8)
-    packed[:, : (hits.shape[1] + 7) // 8] = np.packbits(hits, axis=1, bitorder="little")
+    n_cols = hits.shape[-1]
+    packed = np.zeros(hits.shape[:-1] + (8 * n_words(n_cols),), dtype=np.uint8)
+    packed[..., : (n_cols + 7) // 8] = np.packbits(hits, axis=-1, bitorder="little")
     return packed.view("<u8")

@@ -18,10 +18,13 @@ from gtlab import (
     log2_binom,
     mi_bruteforce,
     mutual_information,
+    mutual_information_by_overlap,
     pei_upper_bound,
 )
 from gtlab.acceptance import _MI_KS, _channel_grid, _p_values
+import gtlab.bounds
 from gtlab.bounds import _check_partition, _h2
+from gtlab.cli import main as cli_main
 from gtlab.model import ADDITIVE, NOISE_FREE
 
 NF = NoiseModel.noise_free()
@@ -407,6 +410,30 @@ def test_bound_report_csv_shape():
     assert summary[9] == report.bound_tests
     for row, entry in zip(rows, report.per_i):
         assert row[6] == entry.i and row[9] == entry.ratio_tests
+
+
+def test_shared_mutual_information_keeps_every_value():
+    """I_i from the one shared H(Y|X1,X2) equals each separate evaluation
+    exactly, and both bound families built on it equal the unshared ones."""
+    for noise in (NF, NoiseModel.additive(0.25), NoiseModel.dilution(0.3)):
+        for k, p in ((1, 0.5), (4, 0.25), (40, 1 / 40), (300, 0.01)):
+            shared = mutual_information_by_overlap(k, p, noise)
+            assert shared == tuple(mutual_information(k, i, p, noise) for i in range(1, k + 1))
+            for bound in (achievable_tests, fano_lower_bound):
+                assert bound(1000, k, p, noise, shared) == bound(1000, k, p, noise)
+
+
+def test_bounds_both_computes_each_mixture_once(monkeypatch, tmp_path):
+    calls = {"all": 0, "known": 0}
+    for name, key in (("_h_given_all", "all"), ("_h_given_known", "known")):
+        def counted(*args, _original=getattr(gtlab.bounds, name), _key=key):
+            calls[_key] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(gtlab.bounds, name, counted)
+    assert cli_main(["bounds", "--model", "dilution", "--u", "0.3", "-N", "500", "-K", "50",
+                     "--kind", "both", "--out", str(tmp_path / "b.csv")]) == 0
+    assert calls == {"all": 1, "known": 50}
 
 
 # ---------------------------------------------------------------------------

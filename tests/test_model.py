@@ -76,6 +76,24 @@ def test_packed_sampler_equals_the_packed_float_grid():
                           pack_bits(np.ones((4, 70), dtype=np.uint8)))
 
 
+@pytest.mark.parametrize("p", [1e-9, 1 / 3, 0.5, 1.0])
+def test_key_array_equals_the_stacked_per_key_calls(p):
+    """One call with a key per row of a block draws each row as its own
+    call with that key would, in blocks of trials and of item sets alike."""
+    keys = np.array([0, 7, (1 << 64) - 1, (1 << 63) + 5], dtype=np.uint64)
+    items = np.array([3, 0, 9])
+    members = np.array([[1, 4], [0, 2], [5, 8], [2, 3]])
+    for n_tests in (0, 1, 63, 64, 65, 129):
+        cols = np.arange(n_tests) + 37
+        block = bernoulli_words(keys[:, None], items, cols, p)
+        assert block.shape == (len(keys), len(items), (n_tests + 63) // 64)
+        assert np.array_equal(block, np.stack([bernoulli_words(int(key), items, cols, p)
+                                               for key in keys]))
+        block = bernoulli_words(keys[:, None], members, cols, p)
+        assert np.array_equal(block, np.stack([bernoulli_words(int(key), rows, cols, p)
+                                               for key, rows in zip(keys, members)]))
+
+
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.5])
 def test_p_outside_open_interval_rejected(p):
     with pytest.raises(ParameterError):
@@ -236,6 +254,25 @@ def test_channel_equals_the_float_grid_reference(noise):
                 assert np.array_equal(
                     unpack_bits(words, n_tests),
                     reference_channel_bits(unpack_bits(rows, n_tests), idx, noise, seed, tests))
+
+
+@pytest.mark.parametrize("noise", [NoiseModel.noise_free(), *REFERENCE_CHANNELS],
+                         ids=lambda m: m.describe())
+def test_channel_block_equals_the_per_trial_calls(noise):
+    """A block of trials, one noise seed each, gives each trial's outcome
+    words as its own call would, from a column range inside a word."""
+    seeds = np.array([0, 5, (1 << 63) + 3, (1 << 64) - 1], dtype=np.uint64)
+    idx = np.array([[1, 4, 6], [0, 2, 7], [3, 5, 6], [0, 1, 2]])
+    for start in (1, 37, 64):
+        for n_tests in EDGE_TESTS:
+            tests = np.arange(start, start + n_tests)
+            rows = np.stack([bernoulli_words(9 + trial, members, tests, 0.4)
+                             for trial, members in enumerate(idx)])
+            block = _channel_words(rows, idx, noise, seeds, tests)
+            assert block.shape == (len(seeds), rows.shape[2])
+            for trial, seed in enumerate(seeds):
+                single = _channel_words(rows[trial], idx[trial], noise, int(seed), tests)
+                assert np.array_equal(block[trial], single), (start, n_tests, trial)
 
 
 @pytest.mark.parametrize("noise", REFERENCE_CHANNELS, ids=lambda m: m.describe())

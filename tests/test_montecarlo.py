@@ -28,7 +28,7 @@ from gtlab import (
 from gtlab.bitops import pack_bits
 from gtlab.cli import main as cli_main
 import gtlab.montecarlo
-from gtlab.montecarlo import _collect_histogram, _sample_truth, _TrialStream
+from gtlab.montecarlo import _collect_histogram, _sample_truth, _TrialStream, _worst_outcomes
 from gtlab.rng import mix64
 
 NF = NoiseModel.noise_free()
@@ -276,6 +276,24 @@ def test_noisy_worst_case_is_deterministic():
     assert 0.0 <= a.p_hat <= 1.0
 
 
+@pytest.mark.parametrize("noise", [NoiseModel.additive(0.3), NoiseModel.dilution(0.25)],
+                         ids=lambda m: m.describe())
+def test_worst_case_block_outcomes_equal_per_draw_channels(noise, monkeypatch):
+    """Each truth set's noisy outcomes, drawn a block per sampler call, are
+    the ones apply_channel gives draw by draw under mix64(set key, draw)."""
+    truth = DefectiveSet((1, 4))
+    for n_tests in (1, 64, 65, 129):
+        codebook = generate_codebook(7, n_tests, 0.4, 13)
+        expected = [apply_channel(codebook, truth, noise, mix64(99, draw)) for draw in range(10)]
+        for cells in (2 * n_tests * 3, 1 << 16):  # blocks of 3, 3, 3 and 1 draws; one block
+            monkeypatch.setattr(gtlab.montecarlo, "_BLOCK_CELLS", cells)
+            assert list(_worst_outcomes(codebook, truth, noise, 99, 10)) == expected
+    codebook = generate_codebook(7, 40, 0.4, 13)
+    whole = estimate_worstcase_error(codebook, 2, noise, 10)
+    monkeypatch.setattr(gtlab.montecarlo, "_BLOCK_CELLS", 1)
+    assert estimate_worstcase_error(codebook, 2, noise, 10) == whole
+
+
 # ---------------------------------------------------------------------------
 # minimal T
 
@@ -339,10 +357,14 @@ CHANNELS = [NF, NoiseModel.additive(0.25), NoiseModel.dilution(0.3)]
 
 
 @pytest.mark.parametrize("noise", CHANNELS, ids=lambda m: m.describe())
-def test_stream_reads_every_t_as_a_fresh_draw(noise):
+def test_stream_reads_every_t_as_a_fresh_draw(noise, monkeypatch):
     """Extending, then reading shorter prefixes, gives each trial exactly as
-    an independent draw at that T would."""
+    an independent draw at that T would, whatever block the trial was drawn in."""
     n, k, p, trials, seed = 30, 2, 0.5, 12, 41
+    # 2,000 cells a block: extending by 5 tests draws one block of all 12 trials,
+    # by 6 tests blocks of 11 and 1, and by 64 tests or more one trial a block
+    monkeypatch.setattr(gtlab.montecarlo, "_BLOCK_CELLS", 2000)
+    assert [len(range(12)[b]) for b in gtlab.montecarlo._blocks(trials, n * 6)] == [11, 1]
     stream = _TrialStream(n, k, p, noise, seed, trials)
     for t in (5, 64, 70, 129, 0, 63, 65, 128, 200, 1):
         draws = list(stream.draw(t))
@@ -359,7 +381,11 @@ def test_stream_reads_every_t_as_a_fresh_draw(noise):
 
 def test_stream_validates_its_configuration_before_drawing(monkeypatch):
     drawn = []
-    monkeypatch.setattr(gtlab.montecarlo, "_sample_truth", lambda *args: drawn.append(args))
+    def sample_truth(n_items, k, seed):
+        drawn.append(seed)
+        return DefectiveSet(tuple(range(k)))
+
+    monkeypatch.setattr(gtlab.montecarlo, "_sample_truth", sample_truth)
     for args in ((20, 2, 1.5, NF, 3, 10), (20, 2, 0.0, NF, 3, 10), (20, 20, 0.5, NF, 3, 10),
                  (20, 0, 0.5, NF, 3, 10), (20, 2, 0.5, NF, 3, 0)):
         with pytest.raises(ParameterError):
