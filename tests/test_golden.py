@@ -22,6 +22,8 @@ from gtlab.cli import main
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 COMMANDS = {
+    "additive-bounds": ["bounds", "--model", "additive", "--q", "0.1", "-N", "1000", "-K", "5",
+                        "--kind", "both"],
     "dilution-estimate": ["estimate", "--model", "dilution", "--u", "0.3", "-N", "24", "-K", "4",
                           "-T", "70", "--trials", "1000", "--seed", "7", "--format", "csv"],
     "dilution-profile": ["estimate", "--model", "dilution", "--u", "0.2", "-N", "24", "-K", "4",
@@ -33,6 +35,8 @@ COMMANDS = {
     "noise-free-minimal-t": ["minimal-t", "--model", "noise-free", "-N", "32", "-K", "2",
                              "--target", "0.1", "--t-grid", "8:48:8", "--trials", "400",
                              "--seed", "4"],
+    "noise-free-partial": ["estimate", "-N", "24", "-K", "4", "-T", "16", "--criterion", "partial",
+                           "--alpha", "0.5", "--trials", "300", "--seed", "6"],
 }
 
 
