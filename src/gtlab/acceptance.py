@@ -32,6 +32,7 @@ from .bounds import (
     mutual_information,
     pei_upper_bound,
 )
+from .errors import ParameterError
 from .model import NoiseModel, generate_codebook
 from .montecarlo import (
     _estimates,
@@ -364,7 +365,12 @@ def run_criterion(number: int) -> CriterionResult:
 
 
 def run_criteria(numbers=None, log=None) -> list[CriterionResult]:
-    selected = [num for num, _, _ in CRITERIA] if numbers is None else list(numbers)
+    """Run the numbered criteria (default: all), after checking that each exists."""
+    known = [num for num, _, _ in CRITERIA]
+    selected = known if numbers is None else list(numbers)
+    unknown = [num for num in selected if num not in known]
+    if unknown:
+        raise ParameterError(f"no acceptance criterion numbered {', '.join(map(str, unknown))}")
     results = []
     for number in selected:
         result = run_criterion(number)

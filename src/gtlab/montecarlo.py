@@ -47,6 +47,7 @@ from .model import (
     _channel_words,
     _check_defectives,
     _check_design,
+    _check_seed,
     noiseless_outcome,
 )
 # generate_codebook and apply_channel are not called here; bench/probes.py
@@ -171,6 +172,7 @@ class _TrialStream:
                 f"each trial needs {math.comb(n_items, k)} set evaluations, above the budget {budget}"
             )
         _check_design(n_items, 0, p)
+        master_seed = _check_seed(master_seed, "master_seed")
         self.n_items, self.k, self.p, self.noise_model = n_items, k, p, noise_model
         self.master_seed, self.trials, self.budget = master_seed, trials, budget
         keys = [mix64(master_seed, trial) for trial in range(trials)]

@@ -147,6 +147,12 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
         ["sweep", "--model", "noise-free", "-N", "10", "-K", "2", "--t-grid", "5:1:2",
          "--trials", "5"],
         ["bounds", "--model", "additive", "--q", "1.5", "-N", "10", "-K", "2"],
+        ["accept", "--criteria", "11"],
+        ["estimate", "-N", "8", "-K", "2", "-T", "6", "--trials", "2", "--seed", "-1"],
+        ["minimal-t", "-N", "8", "-K", "2", "--target", "0.1", "--t-grid", "2:6:2",
+         "--trials", "2", "--seed", str(2**64 + 1)],
+        ["estimate", "-N", "8", "-K", "2", "-T", "6", "--trials", "2", "--alpha", "0.5"],
+        ["sweep", "-N", "8", "-K", "2", "--t-grid", "2:6:2", "--trials", "2", "--alpha", "0.5"],
     ],
 )
 def test_validation_errors_exit_2(argv):
@@ -269,3 +275,17 @@ def test_accept_fails_a_raising_criterion_and_runs_the_rest(monkeypatch):
     assert code == 1
     assert "FAIL  criterion 90  raises: target 0.1 unattained for N=64 K=2 dilution(0.25)" in text
     assert "PASS  criterion 91  passes: ok" in text
+
+
+def test_accept_checks_every_number_before_running_any(monkeypatch):
+    from gtlab import acceptance
+
+    ran = []
+
+    def passing():
+        ran.append(90)
+        return True, "ok"
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [(90, "passes", passing)])
+    assert main(["accept", "--criteria", "90,11"]) == 2
+    assert not ran

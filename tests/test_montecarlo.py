@@ -387,7 +387,8 @@ def test_stream_validates_its_configuration_before_drawing(monkeypatch):
 
     monkeypatch.setattr(gtlab.montecarlo, "_sample_truth", sample_truth)
     for args in ((20, 2, 1.5, NF, 3, 10), (20, 2, 0.0, NF, 3, 10), (20, 20, 0.5, NF, 3, 10),
-                 (20, 0, 0.5, NF, 3, 10), (20, 2, 0.5, NF, 3, 0)):
+                 (20, 0, 0.5, NF, 3, 10), (20, 2, 0.5, NF, 3, 0), (20, 2, 0.5, NF, -1, 10),
+                 (20, 2, 0.5, NF, 2**64, 10)):
         with pytest.raises(ParameterError):
             _TrialStream(*args)
     with pytest.raises(CapacityError):
