@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .model import NoiseModel, _check_defectives
+from .model import NoiseModel, _check_defectives, _check_p
 
 LN2 = math.log(2.0)
 
@@ -85,8 +85,7 @@ def log2_binom(n: int, k: int) -> float:
 def _check_partition(k: int, i: int, p: float) -> None:
     if not 1 <= i <= k:
         raise ParameterError(f"partition size i must satisfy 1 <= i <= K, got i={i}, K={k}")
-    if not 0.0 < p < 1.0:
-        raise ParameterError(f"participation probability p must lie in (0, 1), got {p}")
+    _check_p(p)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +239,7 @@ def e0_curve(k: int, i: int, p: float, noise_model: NoiseModel, rho_grid) -> Exp
 
 
 _GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
+_RHO_GRID_POINTS = 101
 
 
 def pei_upper_bound(
@@ -249,33 +249,30 @@ def pei_upper_bound(
     n_tests: int,
     p: float,
     noise_model: NoiseModel,
-    grid_points: int = 101,
 ) -> float:
     """Upper bound on the probability that some set differing from the truth
     in exactly i items is at least as likely to the ML decoder.
 
     min over rho in [0,1] of 2**-(T*E0(rho) - rho*log2[C(N-K,i) C(K,i)]),
-    evaluated on a grid and sharpened by golden-section refinement, then
-    clamped to at most 1.
+    evaluated on a grid of ``_RHO_GRID_POINTS`` values of rho and sharpened
+    by golden-section refinement, then clamped to at most 1.
     """
     _check_defectives(n_items, k)
     if n_tests < 0:
         raise ParameterError(f"n_tests must be nonnegative, got {n_tests}")
-    if grid_points < 2:
-        raise ParameterError("grid_points must be at least 2")
     log_num = log2_binom(n_items - k, i) + log2_binom(k, i)
 
     def exponent(rho: float) -> float:
         return n_tests * gallager_e0(k, i, p, noise_model, rho) - rho * log_num
 
-    grid = np.linspace(0.0, 1.0, grid_points)
+    grid = np.linspace(0.0, 1.0, _RHO_GRID_POINTS)
     values = [exponent(float(r)) for r in grid]
     best = int(np.argmax(values))
     best_exp = values[best]
 
     # golden-section sharpening of the (concave) exponent around the grid optimum
     lo = float(grid[max(best - 1, 0)])
-    hi = float(grid[min(best + 1, grid_points - 1)])
+    hi = float(grid[min(best + 1, _RHO_GRID_POINTS - 1)])
     a, b = lo, hi
     c = b - _GOLDEN_RATIO * (b - a)
     d = a + _GOLDEN_RATIO * (b - a)

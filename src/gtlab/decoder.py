@@ -23,20 +23,20 @@ with 0 * log2 0 = 0, and any positive count on a -inf coefficient scores
 -inf.  Candidates with equal statistics therefore get bit-identical scores
 and the tie rule is exact on every channel; the single-set scorer
 ``log_likelihood`` runs the same code.  The statistics come from popcounts
-on the packed rows, and the law decides how much of them is computed,
-without changing any score:
+on the packed rows: each chunk of candidates gathers its member rows,
+masked to the positive tests, and ORs them once.  The law decides how much
+more is computed, without changing any score:
 
 * when log2 u = -inf a member pooled in a negative test makes the score
   -inf, so only the items whose rows the outcome covers are enumerated;
+* when log2 q = -inf (q = 0: noise-free and dilution) a candidate leaving
+  a positive test unpooled scores -inf, so only the candidates whose OR is
+  every positive test are kept and scored.  Their n+[0] is 0.  When q > 0,
+  n+[0] is n+ minus the popcount of the OR;
 * n+[1..K] come from a bit-sliced recurrence over K threshold levels,
-  which is built only when some coefficient of n+[1..K] is nonzero;
-  otherwise n+[0] needs one level, the OR of the member rows;
-* the K levels are built only under dilution, where q = 0 makes
-  log2 q = -inf, so a candidate leaving a positive test unpooled scores
-  -inf: each chunk first ORs its candidates' member rows, and only the
-  candidates whose OR is every positive test get the K levels.  Their
-  n+[0] is 0 and their OR level holds every positive test, so neither is
-  counted.
+  built only when some coefficient of n+[1..K] is nonzero, which happens
+  only under dilution.  The OR level holds every positive test of a kept
+  candidate, so it is not counted again.
 
 Scoring is deterministic, so results are identical across platforms and
 runs.
@@ -64,7 +64,7 @@ from .model import (
     _check_members,
 )
 
-DEFAULT_BUDGET = 10**8
+BUDGET = 10**8  # the most K-sets an exhaustive enumeration may visit
 _CHUNK = 8192
 _CACHE_LIMIT = 1 << 21  # combination tables up to ~2M rows are kept
 
@@ -75,6 +75,16 @@ class DecodeResult:
     log_likelihood: float
     tie: bool
     n_evaluated: int
+
+
+def _enumeration_size(n_items: int, k: int) -> int:
+    """C(n_items, k), the K-sets an exhaustive scan visits; CapacityError above ``BUDGET``."""
+    total = math.comb(n_items, k)
+    if total > BUDGET:
+        raise CapacityError(
+            f"enumerating the {total} {k}-sets of {n_items} items exceeds the budget of {BUDGET}"
+        )
+    return total
 
 
 def miss_distance(true_set: DefectiveSet, decoded_set: DefectiveSet) -> int:
@@ -98,8 +108,7 @@ class _Coefficients:
     n+[c] for c = 0..k.  ``full`` is set when some coefficient of n+[1..k]
     is nonzero, and then a candidate's statistics need k threshold levels.
     Only dilution (u > 0) sets it, and its q = 0 makes ``positive[0]``
-    -inf.  Otherwise n+[0] needs one level, the OR, when ``positive[0]`` is
-    nonzero, and none when it is 0.
+    -inf, so the candidates that get the levels pool every positive test.
     """
 
     negative: float
@@ -135,11 +144,10 @@ class _Pool(NamedTuple):
 
     ``items`` maps pool positions to item indices (None: every item, in
     order) and ``size`` counts them.  ``pos`` holds the pool's rows masked
-    to the positive tests, word-major (W, P) when K levels are built and
-    (P, W) otherwise.  ``neg`` is each item's count of negative
-    tests, read only when log2 u is finite and every item is in the pool.
-    ``y`` is the outcome's words as a (W, 1) column, and ``start`` the n-
-    term, the same for every candidate.
+    to the positive tests, word-major (W, P).  ``neg`` is each item's count
+    of negative tests, read only when log2 u is finite and every item is in
+    the pool.  ``y`` is the outcome's words as a (W, 1) column, and
+    ``start`` the n- term, the same for every candidate.
     """
 
     items: np.ndarray | None
@@ -164,8 +172,8 @@ def _pool(co: _Coefficients, words: np.ndarray, n_tests: int, y_words: np.ndarra
     else:
         items = None
         rows = words & y_words
-    pos = np.ascontiguousarray(rows.T) if co.full else rows
-    return _Pool(items, rows.shape[0], pos, neg, y_words[:, None], n_pos, start)
+    return _Pool(items, rows.shape[0], np.ascontiguousarray(rows.T), neg, y_words[:, None],
+                 n_pos, start)
 
 
 def _positive_counts(rows: np.ndarray, n_pos: int) -> np.ndarray:
@@ -211,30 +219,27 @@ def _scores(co: _Coefficients, pool: _Pool, local: np.ndarray) -> tuple[np.ndarr
     """(scores, candidates): log2 likelihoods of the candidates ``local``,
     (B, M) indices into the pool.
 
-    With K levels only the candidates whose members pool every positive
-    test are scored and returned: q = 0 there, so n+[0] log2 q = -inf
-    scores every other candidate -inf.
+    When q = 0 only the candidates whose members pool every positive test
+    are scored and returned: n+[0] log2 q = -inf scores every other
+    candidate -inf.
     """
-    if not co.full:
-        scores = np.full(local.shape[0], pool.start)
-        if co.positive[0]:
-            covered = popcount(np.bitwise_or.reduce(pool.pos[local], axis=1))
-            _add_term(scores, pool.n_pos - covered, co.positive[0])
-        return scores, local
     b, m = local.shape
     rows = _gather_block(pool.pos.shape[0], m, b)
     pool.pos.take(local.T, axis=1, out=rows, mode="clip")  # mode="raise" copies through a fresh array
-    covers = np.logical_and.reduce(np.bitwise_or.reduce(rows, axis=1) == pool.y, axis=0)
-    keep = covers.nonzero()[0]
-    if keep.size < b:
-        local, rows = local.take(keep, axis=0), rows.take(keep, axis=2)
-        if not keep.size:
-            return np.empty(0), local
-    scores = np.full(keep.size, pool.start)
-    if co.participation:
-        _add_term(scores, np.add.reduce(pool.neg.take(local), axis=1), co.participation)
-    for coef, count in zip(co.positive[1:], _positive_counts(rows, pool.n_pos)):
-        _add_term(scores, count, coef)
+    union = np.bitwise_or.reduce(rows, axis=1)
+    if co.positive[0] == -math.inf:
+        keep = np.logical_and.reduce(union == pool.y, axis=0).nonzero()[0]
+        if keep.size < b:
+            local, rows = local.take(keep, axis=0), rows.take(keep, axis=2)
+        scores = np.full(keep.size, pool.start)
+    else:
+        scores = np.full(b, pool.start)
+        _add_term(scores, pool.n_pos - popcount(union, axis=0), co.positive[0])
+    if co.full and scores.size:
+        if co.participation:
+            _add_term(scores, np.add.reduce(pool.neg.take(local), axis=1), co.participation)
+        for coef, count in zip(co.positive[1:], _positive_counts(rows, pool.n_pos)):
+            _add_term(scores, count, coef)
     return scores, local
 
 
@@ -341,7 +346,6 @@ def ml_decode(
     outcome: OutcomeVector,
     k: int,
     noise_model: NoiseModel,
-    budget: int = DEFAULT_BUDGET,
 ) -> DecodeResult:
     """Scan all C(N, K) candidate sets; return the lexicographically first
     maximizer and a tie flag.
@@ -356,12 +360,7 @@ def ml_decode(
         )
     if not 1 <= k <= codebook.n_items:
         raise ParameterError(f"need 1 <= K <= N, got K={k}, N={codebook.n_items}")
-    total = math.comb(codebook.n_items, k)
-    if total > budget:
-        raise CapacityError(
-            f"decoding needs {total} set evaluations, above the budget of {budget}; "
-            f"pass budget={total} to force the scan"
-        )
+    total = _enumeration_size(codebook.n_items, k)
     co = _coefficients(noise_model, k)
     pool = _pool(co, codebook.words, codebook.n_tests, outcome.words)
     state = _ScanState()
@@ -379,15 +378,12 @@ def dump_decode_trace(
     k: int,
     noise_model: NoiseModel,
     path,
-    budget: int = DEFAULT_BUDGET,
 ) -> None:
     """Debug dump: one CSV row (candidate, log2 likelihood) per candidate set.
 
     Scores every set through the public single-set scorer, so this is slow
     and meant for small instances only."""
-    total = math.comb(codebook.n_items, k)
-    if total > budget:
-        raise CapacityError(f"trace would cover {total} sets, above the budget of {budget}")
+    _enumeration_size(codebook.n_items, k)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["candidate", "log2_likelihood"])

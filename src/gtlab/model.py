@@ -208,6 +208,11 @@ def _check_design(n_items: int, n_tests: int, p: float) -> None:
         raise ParameterError(
             f"need at least one item and a nonnegative test count, got {n_items}x{n_tests}"
         )
+    _check_p(p)
+
+
+def _check_p(p: float) -> None:
+    """The domain of the inclusion probability, for the codebooks and the bounds alike."""
     if not 0.0 < p < 1.0:
         raise ParameterError(f"inclusion probability p must lie strictly inside (0, 1), got {p}")
 

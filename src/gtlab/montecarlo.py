@@ -37,8 +37,8 @@ import numpy as np
 from scipy.special import betaincinv
 
 from .bitops import WORD_BITS, n_words
-from .decoder import DEFAULT_BUDGET, ml_decode, miss_distance
-from .errors import CapacityError, ParameterError
+from .decoder import _enumeration_size, ml_decode, miss_distance
+from .errors import ParameterError
 from .model import (
     Codebook,
     DefectiveSet,
@@ -151,11 +151,11 @@ class _TrialStream:
     """The trials of one configuration, each drawn once and read at any T.
 
     The stream states the configuration (N, K, p, channel, master seed,
-    trials, decode budget) once and validates it before drawing anything.
-    Each trial's truth set is drawn once, and its codebook and outcome words
-    are kept at the largest T drawn so far: trials x (N+1) x ceil(T/64)
-    words.  A larger T draws only the new tests, from the last partly
-    filled word on; a smaller T reads the masked prefix.  Each extension
+    trials) once and validates it, the enumeration budget included, before
+    drawing anything.  Each trial's truth set is drawn once, and its codebook
+    and outcome words are kept at the largest T drawn so far: trials x (N+1)
+    x ceil(T/64) words.  A larger T draws only the new tests, from the last
+    partly filled word on; a smaller T reads the masked prefix.  Each extension
     draws a block of trials per sampler call, at most ``_BLOCK_CELLS``
     codebook cells.  Every random cell is addressed by (seed, item, test),
     so a trial at T is bit-identical to the same trial drawn afresh at T,
@@ -163,18 +163,14 @@ class _TrialStream:
     """
 
     def __init__(self, n_items: int, k: int, p: float, noise_model: NoiseModel,
-                 master_seed: int, trials: int, budget: int = DEFAULT_BUDGET):
-        if trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {trials}")
+                 master_seed: int, trials: int):
+        _check_trials(trials)
         _check_defectives(n_items, k)
-        if math.comb(n_items, k) > budget:
-            raise CapacityError(
-                f"each trial needs {math.comb(n_items, k)} set evaluations, above the budget {budget}"
-            )
+        _enumeration_size(n_items, k)
         _check_design(n_items, 0, p)
         master_seed = _check_seed(master_seed, "master_seed")
         self.n_items, self.k, self.p, self.noise_model = n_items, k, p, noise_model
-        self.master_seed, self.trials, self.budget = master_seed, trials, budget
+        self.master_seed, self.trials = master_seed, trials
         keys = [mix64(master_seed, trial) for trial in range(trials)]
         # (trials, 2): each trial's codebook and noise seeds
         self.seeds = mix64_array(np.array(keys, dtype=np.uint64)[:, None], np.array([0, 2]))
@@ -236,7 +232,7 @@ def _miss_histogram(stream: _TrialStream, n_tests: int) -> np.ndarray:
     """Histogram over miss distance of ``stream``'s erring trials at n_tests."""
     hist = np.zeros(stream.k + 1, dtype=np.int64)
     for trial, truth, codebook, outcome in stream.draw(n_tests):
-        result = ml_decode(codebook, outcome, stream.k, stream.noise_model, budget=stream.budget)
+        result = ml_decode(codebook, outcome, stream.k, stream.noise_model)
         if result.tie or result.best_set != truth:
             hist[miss_distance(truth, result.best_set)] += 1
         else:
@@ -253,6 +249,11 @@ def _collect_histogram(n_items, k, n_tests, p, noise_model, trials, master_seed,
     position to count the trials of each (configuration, T).
     """
     return _miss_histogram(stream, n_tests)
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ParameterError(f"trials must be >= 1, got {trials}")
 
 
 def _check_alpha(alpha: float) -> None:
@@ -301,26 +302,26 @@ def _estimates(stream: _TrialStream, n_tests: int, alphas) -> list[ErrorEstimate
 
 def estimate_average_error(
     n_items: int, k: int, n_tests: int, p: float, noise_model: NoiseModel,
-    trials: int, master_seed: int, budget: int = DEFAULT_BUDGET,
+    trials: int, master_seed: int,
 ) -> ErrorEstimate:
     """Average error over fresh codebooks and uniform truth sets per trial."""
-    stream = _TrialStream(n_items, k, p, noise_model, master_seed, trials, budget)
+    stream = _TrialStream(n_items, k, p, noise_model, master_seed, trials)
     return _estimates(stream, n_tests, (None,))[0]
 
 
 def estimate_partial_error(
     n_items: int, k: int, n_tests: int, p: float, noise_model: NoiseModel,
-    alpha: float, trials: int, master_seed: int, budget: int = DEFAULT_BUDGET,
+    alpha: float, trials: int, master_seed: int,
 ) -> ErrorEstimate:
     """Error only when the decoded set misses more than alpha*K true items."""
     _check_alpha(alpha)
-    stream = _TrialStream(n_items, k, p, noise_model, master_seed, trials, budget)
+    stream = _TrialStream(n_items, k, p, noise_model, master_seed, trials)
     return _estimates(stream, n_tests, (alpha,))[0]
 
 
 def estimate_sweep(
     n_items: int, k: int, p: float, noise_model: NoiseModel, t_grid, trials: int,
-    master_seed: int, alpha: float | None = None, budget: int = DEFAULT_BUDGET,
+    master_seed: int, alpha: float | None = None,
 ) -> list[ErrorEstimate]:
     """The average error, or with ``alpha`` the partial error, at each T of ``t_grid``.
 
@@ -330,25 +331,24 @@ def estimate_sweep(
     """
     if alpha is not None:
         _check_alpha(alpha)
-    stream = _TrialStream(n_items, k, p, noise_model, master_seed, trials, budget)
+    stream = _TrialStream(n_items, k, p, noise_model, master_seed, trials)
     return [_estimates(stream, t, (alpha,))[0] for t in t_grid]
 
 
 def empirical_pei_profile(
     n_items: int, k: int, n_tests: int, p: float, noise_model: NoiseModel,
-    trials: int, master_seed: int, budget: int = DEFAULT_BUDGET,
+    trials: int, master_seed: int,
 ) -> list[tuple[int, float]]:
     """Per-overlap error rates: entry i is the fraction of trials that erred
     with exactly i missed items.  The rates over all i sum to the average
     error rate of the same trial stream (i = 0 collects ties at the truth)."""
-    stream = _TrialStream(n_items, k, p, noise_model, master_seed, trials, budget)
+    stream = _TrialStream(n_items, k, p, noise_model, master_seed, trials)
     misses = _estimates(stream, n_tests, (None,))[0].miss_counts
     return [(i, misses[i] / trials) for i in range(k + 1)]
 
 
 def estimate_worstcase_error(
     codebook: Codebook, k: int, noise_model: NoiseModel, trials_per_set: int,
-    budget: int = DEFAULT_BUDGET,
 ) -> ErrorEstimate:
     """Worst conditional error over every truth set, for one fixed codebook.
 
@@ -357,15 +357,10 @@ def estimate_worstcase_error(
     trials_per_set independent noise draws keyed by the codebook seed.
     Returns the estimate for the worst set.
     """
-    if trials_per_set < 1:
-        raise ParameterError(f"trials_per_set must be >= 1, got {trials_per_set}")
+    _check_trials(trials_per_set)
     n_items = codebook.n_items
     _check_defectives(n_items, k)
-    total = math.comb(n_items, k)
-    if total > budget:
-        raise CapacityError(
-            f"worst-case enumeration needs {total} truth sets, above the budget {budget}"
-        )
+    _enumeration_size(n_items, k)
     draws = 1 if noise_model.deterministic else trials_per_set
     worst_errors = -1
     worst_key = mix64(codebook.seed, _WORST_STREAM)
@@ -374,7 +369,7 @@ def estimate_worstcase_error(
         errors = 0
         set_key = mix64(worst_key, index)
         for outcome in _worst_outcomes(codebook, truth, noise_model, set_key, draws):
-            result = ml_decode(codebook, outcome, k, noise_model, budget=budget)
+            result = ml_decode(codebook, outcome, k, noise_model)
             errors += result.tie or result.best_set != truth
         if errors > worst_errors:
             worst_errors = errors
@@ -402,7 +397,7 @@ def _worst_outcomes(codebook: Codebook, truth: DefectiveSet, noise_model: NoiseM
 
 def find_minimal_t(
     n_items: int, k: int, p: float, noise_model: NoiseModel, target_error: float,
-    trials: int, t_grid, master_seed: int, refine_to: int = 1, budget: int = DEFAULT_BUDGET,
+    trials: int, t_grid, master_seed: int, refine_to: int = 1,
 ) -> MinimalTResult:
     """Smallest probed T whose estimated average error meets the target.
 
@@ -423,7 +418,7 @@ def find_minimal_t(
         raise ParameterError(f"refine_to must be >= 1, got {refine_to}")
 
     probed: list[tuple[int, ErrorEstimate]] = []
-    stream = _TrialStream(n_items, k, p, noise_model, master_seed, trials, budget)
+    stream = _TrialStream(n_items, k, p, noise_model, master_seed, trials)
 
     def measure(t: int) -> ErrorEstimate:
         est = _estimates(stream, t, (None,))[0]

@@ -133,30 +133,52 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     assert read_rows(out)[1][12] == "777"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["estimate", "--model", "additive", "-N", "10", "-K", "2", "-T", "5", "--trials", "5"],
-        ["estimate", "--model", "additive", "--q", "0.2", "--u", "0.1", "-N", "10", "-K", "2",
-         "-T", "5", "--trials", "5"],
-        ["estimate", "--model", "noise-free", "--q", "0.2", "-N", "10", "-K", "2", "-T", "5",
-         "--trials", "5"],
-        ["estimate", "--model", "noise-free", "-N", "10", "-K", "12", "-T", "5", "--trials", "5"],
-        ["estimate", "--model", "noise-free", "-N", "10", "-K", "2", "-T", "5", "--trials", "5",
-         "--criterion", "partial"],
-        ["sweep", "--model", "noise-free", "-N", "10", "-K", "2", "--t-grid", "5:1:2",
-         "--trials", "5"],
-        ["bounds", "--model", "additive", "--q", "1.5", "-N", "10", "-K", "2"],
-        ["accept", "--criteria", "11"],
-        ["estimate", "-N", "8", "-K", "2", "-T", "6", "--trials", "2", "--seed", "-1"],
-        ["minimal-t", "-N", "8", "-K", "2", "--target", "0.1", "--t-grid", "2:6:2",
-         "--trials", "2", "--seed", str(2**64 + 1)],
-        ["estimate", "-N", "8", "-K", "2", "-T", "6", "--trials", "2", "--alpha", "0.5"],
-        ["sweep", "-N", "8", "-K", "2", "--t-grid", "2:6:2", "--trials", "2", "--alpha", "0.5"],
-    ],
-)
-def test_validation_errors_exit_2(argv):
+VALIDATION_ERRORS = [
+    (["estimate", "--model", "additive", "-N", "10", "-K", "2", "-T", "5", "--trials", "5"],
+     "additive channel carries exactly the parameter q"),
+    (["estimate", "--model", "additive", "--q", "0.2", "--u", "0.1", "-N", "10", "-K", "2",
+      "-T", "5", "--trials", "5"],
+     "additive channel carries exactly the parameter q"),
+    (["estimate", "--model", "noise-free", "--q", "0.2", "-N", "10", "-K", "2", "-T", "5",
+      "--trials", "5"],
+     "noise-free channel carries no parameter"),
+    (["estimate", "--model", "noise-free", "-N", "10", "-K", "12", "-T", "5", "--trials", "5"],
+     "need 1 <= K < N, got N=10, K=12"),
+    (["estimate", "--model", "noise-free", "-N", "10", "-K", "2", "-T", "5", "--trials", "5",
+      "--criterion", "partial"],
+     "--criterion partial requires --alpha"),
+    (["sweep", "--model", "noise-free", "-N", "10", "-K", "2", "--t-grid", "5:1:2",
+      "--trials", "5"],
+     "--t-grid must satisfy start >= 0, stop >= start, step > 0, got '5:1:2'"),
+    (["bounds", "--model", "additive", "--q", "1.5", "-N", "10", "-K", "2"],
+     "additive q must lie in [0, 1], got 1.5"),
+    (["accept", "--criteria", "11"], "no acceptance criterion numbered 11"),
+    (["estimate", "-N", "8", "-K", "2", "-T", "6", "--trials", "2", "--seed", "-1"],
+     "master_seed must be an unsigned 64-bit integer, got -1"),
+    (["minimal-t", "-N", "8", "-K", "2", "--target", "0.1", "--t-grid", "2:6:2",
+      "--trials", "2", "--seed", str(2**64 + 1)],
+     f"master_seed must be an unsigned 64-bit integer, got {2**64 + 1}"),
+    (["estimate", "-N", "8", "-K", "2", "-T", "6", "--trials", "2", "--alpha", "0.5"],
+     "--alpha applies only to --criterion partial"),
+    (["sweep", "-N", "8", "-K", "2", "--t-grid", "2:6:2", "--trials", "2", "--alpha", "0.5"],
+     "--alpha applies only to --criterion partial"),
+    # every criterion names the trial count as the command line does
+    (["estimate", "-N", "8", "-K", "2", "-T", "6", "--criterion", "worst", "--trials", "0"],
+     "trials must be >= 1, got 0"),
+    # the codebooks and the bounds share one domain for p
+    (["estimate", "-N", "8", "-K", "2", "-T", "6", "--trials", "3", "--p", "1"],
+     "inclusion probability p must lie strictly inside (0, 1), got 1.0"),
+    (["bounds", "-N", "8", "-K", "2", "--p", "1"],
+     "inclusion probability p must lie strictly inside (0, 1), got 1.0"),
+]
+
+
+# numbered ids, which stay put as cases are appended
+@pytest.mark.parametrize("argv, message", VALIDATION_ERRORS,
+                         ids=[f"argv{i}" for i in range(len(VALIDATION_ERRORS))])
+def test_validation_errors_exit_2(argv, message, capsys):
     assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("criterion", ["avg", "worst"])

@@ -47,9 +47,11 @@ def reference_log_likelihood(codebook, members, outcome, noise):
     n+[c] (positive tests pooling exactly c members), added from 0.0 in the
     order w- * log2 u, then n+[c] * log2(1 - u**c) for c = 1..K.  No bit
     packing anywhere."""
-    dense = codebook.dense_bits()
-    y = outcome.bits()
-    counts = [sum(int(dense[i, t]) for i in members.indices) for t in range(codebook.n_tests)]
+    dense = codebook.dense_bits().tolist()  # Python ints: numpy scalars are ~10x slower
+    y = outcome.bits().tolist()
+    counts = [0] * codebook.n_tests  # per test, the members it pools
+    for i in members.indices:
+        counts = [c + bit for c, bit in zip(counts, dense[i])]
     if noise.kind == "noise-free":
         consistent = all((c > 0) == bool(y[t]) for t, c in enumerate(counts))
         return 0.0 if consistent else -math.inf
@@ -296,10 +298,11 @@ def test_endpoint_channels_match_reference(noise):
                     cb, members, out, noise)
 
 
-def test_concurrent_dilution_decodes_match_serial():
-    """Each thread scores in its own work arrays, so dilution decodes
-    running in two threads at once return the serial results."""
-    noise = NoiseModel.dilution(0.3)
+@pytest.mark.parametrize("noise", [NoiseModel.dilution(0.3), NF, NoiseModel.additive(0.1)],
+                         ids=lambda noise: noise.describe())
+def test_concurrent_decodes_match_serial(noise):
+    """Each thread scores in its own work arrays, so decodes running in two
+    threads at once return the serial results."""
     cases = []
     for seed in range(8):
         cb = generate_codebook(24, 30, 0.25, seed)
@@ -384,6 +387,25 @@ def test_budget_error_names_required_size():
         ml_decode(cb, noiseless_outcome(cb, DefectiveSet((0, 1, 2, 3, 4, 5, 6, 7, 8))), 9, NF)
 
 
+@pytest.mark.parametrize("scan", ["ml_decode", "dump_decode_trace", "estimate_worstcase_error"])
+def test_every_enumeration_reads_the_budget_at_call_time(scan, monkeypatch, tmp_path):
+    """C(8, 2) = 28 sets: a budget of 27 refuses the scan, 28 runs it."""
+    from gtlab import dump_decode_trace, estimate_worstcase_error
+
+    cb = generate_codebook(8, 10, 0.3, 1)
+    out = noiseless_outcome(cb, DefectiveSet((2, 5)))
+    run = {
+        "ml_decode": lambda: ml_decode(cb, out, 2, NF),
+        "dump_decode_trace": lambda: dump_decode_trace(cb, out, 2, NF, tmp_path / "trace.csv"),
+        "estimate_worstcase_error": lambda: estimate_worstcase_error(cb, 2, NF, 1),
+    }[scan]
+    monkeypatch.setattr(gtlab.decoder, "BUDGET", 27)
+    with pytest.raises(CapacityError, match="enumerating the 28 2-sets of 8 items"):
+        run()
+    monkeypatch.setattr(gtlab.decoder, "BUDGET", 28)
+    run()
+
+
 def test_decode_rejects_mismatched_outcome():
     cb = generate_codebook(6, 10, 0.3, 1)
     with pytest.raises(ParameterError):
@@ -391,10 +413,14 @@ def test_decode_rejects_mismatched_outcome():
 
 
 # ---------------------------------------------------------------------------
-# dilution cover stage: only the candidates pooling every positive test get
-# K-level statistics.  N = 24, K = 4 gives 10,626 sets, two chunks of the
-# scan in colex order (the combination table) and in lexicographic order
-# (``itertools``, reached by lowering the table limit).
+# cover stage: every channel ORs each chunk's member rows once; when q = 0
+# (noise-free, dilution) only the candidates pooling every positive test are
+# scored, and under dilution only they get K-level statistics.  N = 24,
+# K = 4 gives 10,626 sets, two chunks of the scan in colex order (the
+# combination table) and in lexicographic order (``itertools``, reached by
+# lowering the table limit).
+
+COVER_CHANNELS = (NoiseModel.dilution(0.3), NF, NoiseModel.additive(0.1))
 
 
 def decode_both_scans(cb, out, k, noise, monkeypatch):
@@ -410,33 +436,37 @@ def decode_both_scans(cb, out, k, noise, monkeypatch):
 @pytest.mark.parametrize("t", [0, 64, 65, 130])
 def test_cover_stage_matches_reference_across_chunks(t, monkeypatch):
     """Channel, all-one and all-zero outcomes (every set covers the last)."""
-    noise = NoiseModel.dilution(0.3)
     cb = generate_codebook(24, t, 0.25, 40 + t)
     truth = DefectiveSet((2, 9, 17, 23))
-    for out in (apply_channel(cb, truth, noise, t),
-                OutcomeVector.from_bits(np.ones(t, dtype=np.uint8)),
-                OutcomeVector.from_bits(np.zeros(t, dtype=np.uint8))):
-        want = reference_decode(cb, out, 4, noise) + (math.comb(24, 4),)
-        assert decode_both_scans(cb, out, 4, noise, monkeypatch) == [want, want]
+    for noise in COVER_CHANNELS:
+        for out in (apply_channel(cb, truth, noise, t),
+                    OutcomeVector.from_bits(np.ones(t, dtype=np.uint8)),
+                    OutcomeVector.from_bits(np.zeros(t, dtype=np.uint8))):
+            want = reference_decode(cb, out, 4, noise) + (math.comb(24, 4),)
+            assert decode_both_scans(cb, out, 4, noise, monkeypatch) == [want, want]
 
 
 def test_cover_stage_skips_a_chunk_without_survivors(monkeypatch):
     """Only tests 126..129 are positive, pooled by disjoint groups of items
     7..23, the last by item 23 alone.  A covering set holds 23 and has no
     member below 7, so the first chunk has no survivors in either order.
-    Every set covers the first word."""
+    Every set covers the first word.  A noise-free decode enumerates only
+    the items pooled in no negative test, so there the rows are cleared
+    outside the positive tests and all 150 covering sets tie."""
     rng = np.random.default_rng(5)
     bits = (rng.random((24, 130)) < 0.25).astype(np.uint8)
     bits[:, 126:] = 0
     for test, group in zip(range(126, 130), ([7, 8, 9, 10, 11], [12, 13, 14, 15, 16],
                                                [17, 18, 19, 20, 21, 22], [23])):
         bits[group, test] = 1
-    cb = make_codebook(bits, p=0.25)
-    noise = NoiseModel.dilution(0.3)
     out = OutcomeVector.from_bits(np.arange(130) >= 126)
-    want = reference_decode(cb, out, 4, noise)
-    assert want[1] > -math.inf
-    assert decode_both_scans(cb, out, 4, noise, monkeypatch) == [want + (10626,)] * 2
+    for noise in (NoiseModel.dilution(0.3), NF):
+        if noise is NF:
+            bits[:, :126] = 0
+        cb = make_codebook(bits, p=0.25)
+        want = reference_decode(cb, out, 4, noise)
+        assert want[1] > -math.inf
+        assert decode_both_scans(cb, out, 4, noise, monkeypatch) == [want + (10626,)] * 2
 
 
 def test_cover_stage_counts_ties_across_chunks(monkeypatch):
@@ -446,11 +476,11 @@ def test_cover_stage_counts_ties_across_chunks(monkeypatch):
     words = cb.words.copy()
     words[23] = words[0]
     cb = Codebook(n_items=24, n_tests=130, p=0.25, seed=8, words=words)
-    noise = NoiseModel.dilution(0.1)
-    out = apply_channel(cb, DefectiveSet((0, 9, 15, 20)), noise, 4)
-    want = reference_decode(cb, out, 4, noise)
-    assert want[0] == (0, 9, 15, 20) and want[2]
-    assert decode_both_scans(cb, out, 4, noise, monkeypatch) == [want + (10626,)] * 2
+    for noise in (NoiseModel.dilution(0.1), NF, NoiseModel.additive(0.1)):
+        out = apply_channel(cb, DefectiveSet((0, 9, 15, 20)), noise, 4)
+        want = reference_decode(cb, out, 4, noise)
+        assert want[0] == (0, 9, 15, 20) and want[2]
+        assert decode_both_scans(cb, out, 4, noise, monkeypatch) == [want + (10626,)] * 2
 
 
 def test_cover_stage_at_full_dilution(monkeypatch):

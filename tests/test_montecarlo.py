@@ -27,6 +27,7 @@ from gtlab import (
 )
 from gtlab.bitops import pack_bits
 from gtlab.cli import main as cli_main
+import gtlab.decoder
 import gtlab.montecarlo
 from gtlab.montecarlo import _collect_histogram, _sample_truth, _TrialStream, _worst_outcomes
 from gtlab.rng import mix64
@@ -391,10 +392,12 @@ def test_stream_validates_its_configuration_before_drawing(monkeypatch):
                  (20, 2, 0.5, NF, 2**64, 10)):
         with pytest.raises(ParameterError):
             _TrialStream(*args)
+    monkeypatch.setattr(gtlab.decoder, "BUDGET", 189)  # C(20, 2) = 190
     with pytest.raises(CapacityError):
-        _TrialStream(20, 2, 0.5, NF, 3, 10, budget=189)
+        _TrialStream(20, 2, 0.5, NF, 3, 10)
     assert not drawn
-    stream = _TrialStream(20, 2, 0.5, NF, 3, 10, budget=190)
+    monkeypatch.setattr(gtlab.decoder, "BUDGET", 190)
+    stream = _TrialStream(20, 2, 0.5, NF, 3, 10)
     assert len(drawn) == 10
     with pytest.raises(ParameterError):
         list(stream.draw(-1))
