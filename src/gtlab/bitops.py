@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 WORD_BITS = 64
-_SHIFTS = np.arange(WORD_BITS, dtype=np.uint64)
 
 
 def n_words(n_bits: int) -> int:
@@ -19,21 +18,17 @@ def n_words(n_bits: int) -> int:
 
 def pack_bits(bits) -> np.ndarray:
     """Pack a (..., T) array of {0,1} into (..., n_words(T)) uint64."""
-    bits = np.asarray(bits, dtype=np.uint64)
+    bits = np.asarray(bits)
     n_bits = bits.shape[-1]
-    words = n_words(n_bits)
-    padded = np.zeros(bits.shape[:-1] + (words * WORD_BITS,), dtype=np.uint64)
-    padded[..., :n_bits] = bits
-    chunks = padded.reshape(bits.shape[:-1] + (words, WORD_BITS))
-    return (chunks << _SHIFTS).sum(axis=-1, dtype=np.uint64)
+    packed = np.zeros(bits.shape[:-1] + (8 * n_words(n_bits),), dtype=np.uint8)
+    packed[..., : (n_bits + 7) // 8] = np.packbits(bits, axis=-1, bitorder="little")
+    return packed.view("<u8")
 
 
 def unpack_bits(words, n_bits: int) -> np.ndarray:
     """Inverse of pack_bits; returns a (..., n_bits) uint8 array."""
-    words = np.asarray(words, dtype=np.uint64)
-    expanded = (words[..., :, None] >> _SHIFTS) & np.uint64(1)
-    flat = expanded.reshape(words.shape[:-1] + (words.shape[-1] * WORD_BITS,))
-    return flat[..., :n_bits].astype(np.uint8)
+    octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=-1, count=n_bits, bitorder="little")
 
 
 def popcount(words, axis=-1) -> np.ndarray:

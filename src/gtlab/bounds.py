@@ -14,8 +14,9 @@ I(X1; X2, Y) under i.i.d. Bernoulli(p) item-participation.
 is validated against ``mi_bruteforce``, an exact enumeration of the joint
 distribution that serves as the independent oracle.  The second mixture
 does not depend on i, so ``mutual_information_by_overlap`` computes it once
-for all i.  No code here branches on the channel kind, and none imports
-scipy.
+for all i, and it keeps its recent tables, so every bound family and every
+command in a process that asks for the same (K, p, channel) shares one.
+No code here branches on the channel kind, and none imports scipy.
 
 Two test-count bounds are computed from these quantities: a sufficient
 count (random coding, union of per-overlap error events, numerator
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -171,9 +173,10 @@ def mutual_information(k: int, i: int, p: float, noise_model: NoiseModel) -> flo
     return float(_h_given_known(k, i, p, noise_model) - _h_given_all(k, p, noise_model))
 
 
+@lru_cache(maxsize=64)  # a K = 2,000 table takes 0.15-0.2 s; one value 0.3 ms
 def mutual_information_by_overlap(k: int, p: float, noise_model: NoiseModel) -> tuple[float, ...]:
     """``mutual_information(k, i, p, noise_model)`` for i = 1..K, with the
-    i-independent H(Y|X1,X2) computed once."""
+    i-independent H(Y|X1,X2) computed once; recent tables are memoized."""
     _check_partition(k, 1, p)
     h_given_all = _h_given_all(k, p, noise_model)
     return tuple(float(_h_given_known(k, i, p, noise_model) - h_given_all)
@@ -239,7 +242,6 @@ def e0_curve(k: int, i: int, p: float, noise_model: NoiseModel, rho_grid) -> Exp
 
 
 _GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
-_RHO_GRID_POINTS = 101
 
 
 def pei_upper_bound(
@@ -254,8 +256,11 @@ def pei_upper_bound(
     in exactly i items is at least as likely to the ML decoder.
 
     min over rho in [0,1] of 2**-(T*E0(rho) - rho*log2[C(N-K,i) C(K,i)]),
-    evaluated on a grid of ``_RHO_GRID_POINTS`` values of rho and sharpened
-    by golden-section refinement, then clamped to at most 1.
+    then clamped to at most 1.  E0 is concave in rho (Gallager 1968,
+    Thm 5.6.3), so the exponent is too, and golden-section search over
+    [0, 1] finds its maximum.  The search never evaluates the endpoints, so
+    it is compared with the exponent at rho = 1; the clamp at 1 stands for
+    rho = 0, where the exponent is 0.
     """
     _check_defectives(n_items, k)
     if n_tests < 0:
@@ -265,17 +270,8 @@ def pei_upper_bound(
     def exponent(rho: float) -> float:
         return n_tests * gallager_e0(k, i, p, noise_model, rho) - rho * log_num
 
-    grid = np.linspace(0.0, 1.0, _RHO_GRID_POINTS)
-    values = [exponent(float(r)) for r in grid]
-    best = int(np.argmax(values))
-    best_exp = values[best]
-
-    # golden-section sharpening of the (concave) exponent around the grid optimum
-    lo = float(grid[max(best - 1, 0)])
-    hi = float(grid[min(best + 1, _RHO_GRID_POINTS - 1)])
-    a, b = lo, hi
-    c = b - _GOLDEN_RATIO * (b - a)
-    d = a + _GOLDEN_RATIO * (b - a)
+    a, b = 0.0, 1.0
+    c, d = 1.0 - _GOLDEN_RATIO, _GOLDEN_RATIO
     fc, fd = exponent(c), exponent(d)
     for _ in range(40):
         if fc >= fd:
@@ -286,8 +282,7 @@ def pei_upper_bound(
             a, c, fc = c, d, fd
             d = a + _GOLDEN_RATIO * (b - a)
             fd = exponent(d)
-    best_exp = max(best_exp, fc, fd)
-    return min(1.0, 2.0 ** (-best_exp))
+    return min(1.0, 2.0 ** -max(exponent(1.0), fc, fd))
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +344,10 @@ def bound_report_rows(report: BoundReport) -> list[list]:
 
 
 def _build_report(kind: str, n_items: int, k: int, p: float, noise: NoiseModel,
-                  numerator_bits_fn, mi_bits) -> BoundReport:
+                  numerator_bits_fn) -> BoundReport:
     _check_defectives(n_items, k)
-    if mi_bits is None:
-        mi_bits = mutual_information_by_overlap(k, p, noise)
     entries = []
-    for i, mi in enumerate(mi_bits, start=1):
+    for i, mi in enumerate(mutual_information_by_overlap(k, p, noise), start=1):
         num = numerator_bits_fn(i)
         if mi <= 0.0:
             entries.append(BoundEntry(i, num, max(mi, 0.0), math.inf, True))
@@ -374,41 +367,33 @@ def _build_report(kind: str, n_items: int, k: int, p: float, noise: NoiseModel,
     )
 
 
-def achievable_tests(n_items: int, k: int, p: float, noise_model: NoiseModel,
-                     mi_bits=None) -> BoundReport:
-    """Sufficient test count: max_i log2[K C(N-K,i) C(K,i)] / I_i.
-
-    ``mi_bits`` may pass ``mutual_information_by_overlap(k, p, noise_model)``
-    in, so that both bound families share one evaluation."""
+def achievable_tests(n_items: int, k: int, p: float, noise_model: NoiseModel) -> BoundReport:
+    """Sufficient test count: max_i log2[K C(N-K,i) C(K,i)] / I_i."""
     def numerator(i: int) -> float:
         return math.log2(k) + log2_binom(n_items - k, i) + log2_binom(k, i)
 
-    return _build_report(ACHIEVABLE, n_items, k, p, noise_model, numerator, mi_bits)
+    return _build_report(ACHIEVABLE, n_items, k, p, noise_model, numerator)
 
 
-def fano_lower_bound(n_items: int, k: int, p: float, noise_model: NoiseModel,
-                     mi_bits=None) -> BoundReport:
-    """Necessary test count: max_i log2 C(N-K+i, i) / I_i; ``mi_bits`` as in
-    ``achievable_tests``."""
+def fano_lower_bound(n_items: int, k: int, p: float, noise_model: NoiseModel) -> BoundReport:
+    """Necessary test count: max_i log2 C(N-K+i, i) / I_i."""
     def numerator(i: int) -> float:
         return log2_binom(n_items - k + i, i)
 
-    return _build_report(FANO, n_items, k, p, noise_model, numerator, mi_bits)
+    return _build_report(FANO, n_items, k, p, noise_model, numerator)
 
 
-def additive_converse(n_items: int, k: int, q: float, statement_form: bool = False) -> float:
+def additive_converse(n_items: int, k: int, q: float) -> float:
     """Order-of-growth necessary test count for the additive channel.
 
     K log2(N/K) divided by the large-K information ceiling
-    (1-1/K)**K (2(1-q) + q ln(1/q)) / ln 2.  ``statement_form`` swaps the
-    q ln(1/q) term for ln(1/q) (two circulating variants of the same
-    result); the default keeps the tighter q ln(1/q) form.  This is an
-    asymptotic witness, not a sharp finite-size constant; K = 1 returns inf.
+    (1-1/K)**K (2(1-q) + q ln(1/q)) / ln 2.  This is an asymptotic
+    witness, not a sharp finite-size constant; K = 1 returns inf.
     """
     if not 0.0 < q < 1.0:
         raise ParameterError(f"additive q must lie strictly inside (0, 1), got {q}")
     _check_defectives(n_items, k)
-    noise_term = 2.0 * (1.0 - q) + (math.log(1.0 / q) if statement_form else q * math.log(1.0 / q))
+    noise_term = 2.0 * (1.0 - q) + q * math.log(1.0 / q)
     denom = ((1.0 - 1.0 / k) ** k) * noise_term / LN2
     if denom == 0.0:
         return math.inf

@@ -22,7 +22,6 @@ import csv
 import functools
 import os
 import sys
-import tempfile
 
 from . import __version__
 from .bounds import (
@@ -33,10 +32,10 @@ from .bounds import (
     bound_report_header,
     bound_report_rows,
     fano_lower_bound,
-    mutual_information_by_overlap,
 )
 from .errors import CapacityError, ParameterError
-from .model import ADDITIVE, DILUTION, NOISE_FREE, NoiseModel, _check_defectives, generate_codebook
+from .model import (ADDITIVE, DILUTION, NOISE_FREE, NoiseModel, _atomic_text, _check_defectives,
+                    generate_codebook)
 from .montecarlo import (  # noqa: F401 (bench/probes.py wraps every estimator by name here)
     ESTIMATE_CSV_HEADER,
     empirical_pei_profile,
@@ -114,16 +113,8 @@ def _write_csv(handle, header: list, rows: list) -> None:
 
 
 def _save_csv(path: str, header: list, rows: list) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".gtlab-", suffix=".csv", dir=directory)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            _write_csv(handle, header, rows)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with _atomic_text(path) as handle:
+        _write_csv(handle, header, rows)
 
 
 def _emit(args, header: list, rows: list) -> None:
@@ -150,11 +141,10 @@ def _cell(value) -> str:
 def _run_bounds(args) -> int:
     noise, p = _channel_and_p(args)
     kinds = [args.kind] if args.kind != "both" else [ACHIEVABLE, FANO]
-    mi_bits = mutual_information_by_overlap(args.K, p, noise)
     rows = []
     for kind in kinds:
         fn = achievable_tests if kind == ACHIEVABLE else fano_lower_bound
-        rows.extend(bound_report_rows(fn(args.N, args.K, p, noise, mi_bits)))
+        rows.extend(bound_report_rows(fn(args.N, args.K, p, noise)))
     _emit(args, bound_report_header(), rows)
     if args.fmt == "table" and noise.kind == ADDITIVE and 0.0 < noise.q < 1.0:
         converse = additive_converse(args.N, args.K, noise.q)

@@ -61,6 +61,7 @@ from .model import (
     DefectiveSet,
     NoiseModel,
     OutcomeVector,
+    _atomic_text,
     _check_members,
 )
 
@@ -85,6 +86,23 @@ def _enumeration_size(n_items: int, k: int) -> int:
             f"enumerating the {total} {k}-sets of {n_items} items exceeds the budget of {BUDGET}"
         )
     return total
+
+
+def _check_tests(codebook: Codebook, outcome: OutcomeVector) -> None:
+    if outcome.n_tests != codebook.n_tests:
+        raise ParameterError(
+            f"outcome has {outcome.n_tests} tests but codebook has {codebook.n_tests}"
+        )
+
+
+def _check_decode(codebook: Codebook, outcome: OutcomeVector, k: int) -> int:
+    """The domain of a K-set scan, checked before it enumerates or writes
+    anything: matching test counts and 1 <= K <= N.  Returns C(N, K), the
+    sets it visits, within ``BUDGET``."""
+    _check_tests(codebook, outcome)
+    if not 1 <= k <= codebook.n_items:
+        raise ParameterError(f"need 1 <= K <= N, got K={k}, N={codebook.n_items}")
+    return _enumeration_size(codebook.n_items, k)
 
 
 def miss_distance(true_set: DefectiveSet, decoded_set: DefectiveSet) -> int:
@@ -255,10 +273,7 @@ def log_likelihood(
     as ``ml_decode`` scores them (see the module docstring), so equal
     statistics score bit-identically.
     """
-    if outcome.n_tests != codebook.n_tests:
-        raise ParameterError(
-            f"outcome has {outcome.n_tests} tests but codebook has {codebook.n_tests}"
-        )
+    _check_tests(codebook, outcome)
     idx = _check_members(codebook, candidate_set)
     co = _coefficients(noise_model, idx.size)
     pool = _pool(co, codebook.words[idx], codebook.n_tests, outcome.words)
@@ -288,17 +303,17 @@ def _combo_table(n: int, k: int) -> np.ndarray:
     return table[:total]
 
 
-def _combo_chunks(n: int, k: int, chunk: int = _CHUNK):
+def _combo_chunks(n: int, k: int):
     """Yield blocks of all K-combinations of range(n) as (B, k) int arrays."""
     total = math.comb(n, k)
     if total <= _CACHE_LIMIT:
         table = _combo_table(n, k)
-        for start in range(0, total, chunk):
-            yield table[start : start + chunk]
+        for start in range(0, total, _CHUNK):
+            yield table[start : start + _CHUNK]
         return
     it = itertools.combinations(range(n), k)
     while True:
-        block = list(itertools.islice(it, chunk))
+        block = list(itertools.islice(it, _CHUNK))
         if not block:
             return
         yield np.asarray(block, dtype=np.int32)
@@ -354,13 +369,7 @@ def ml_decode(
     out in bulk (score provably -inf) are scored as a class, which does not
     change the maximizer, the tie flag, or determinism.
     """
-    if outcome.n_tests != codebook.n_tests:
-        raise ParameterError(
-            f"outcome has {outcome.n_tests} tests but codebook has {codebook.n_tests}"
-        )
-    if not 1 <= k <= codebook.n_items:
-        raise ParameterError(f"need 1 <= K <= N, got K={k}, N={codebook.n_items}")
-    total = _enumeration_size(codebook.n_items, k)
+    total = _check_decode(codebook, outcome, k)
     co = _coefficients(noise_model, k)
     pool = _pool(co, codebook.words, codebook.n_tests, outcome.words)
     state = _ScanState()
@@ -382,9 +391,10 @@ def dump_decode_trace(
     """Debug dump: one CSV row (candidate, log2 likelihood) per candidate set.
 
     Scores every set through the public single-set scorer, so this is slow
-    and meant for small instances only."""
-    _enumeration_size(codebook.n_items, k)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    and meant for small instances only.  Checks its inputs as ``ml_decode``
+    does before it writes, and replaces ``path`` atomically."""
+    _check_decode(codebook, outcome, k)
+    with _atomic_text(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["candidate", "log2_likelihood"])
         for members in itertools.combinations(range(codebook.n_items), k):

@@ -21,9 +21,11 @@ and the bounds all read it from there.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 import os
+import tempfile
 
 import numpy as np
 
@@ -197,7 +199,7 @@ class OutcomeVector:
         bits = np.asarray(bits)
         if bits.ndim != 1 or not np.isin(bits, (0, 1)).all():
             raise ParameterError("outcome bits must be a 1-D array of {0,1}")
-        return cls(n_tests=bits.shape[0], words=pack_bits(bits))
+        return cls(n_tests=bits.shape[0], words=pack_bits(bits == 1))
 
     def bits(self) -> np.ndarray:
         return unpack_bits(self.words, self.n_tests)
@@ -296,15 +298,30 @@ def _channel_words(rows: np.ndarray, idx: np.ndarray, noise_model: NoiseModel,
     return words
 
 
+@contextmanager
+def _atomic_text(path):
+    """A UTF-8 text handle, written as is (no newline translation), whose
+    content replaces ``path`` only when the block completes.
+
+    It writes a temporary ``.gtlab-*`` file in the target directory, so the
+    rename stays on one file system, and unlinks it if the block raises."""
+    fd, tmp = tempfile.mkstemp(prefix=".gtlab-", dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_codebook(codebook: Codebook, path) -> None:
     """Debug dump: header line "N T p seed", then N rows of T characters in {0,1}."""
     lines = [f"{codebook.n_items} {codebook.n_tests} {codebook.p!r} {codebook.seed}"]
     dense = codebook.dense_bits()
     lines.extend("".join("1" if b else "0" for b in row) for row in dense)
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n", newline="\n")
-    os.replace(tmp, path)
+    with _atomic_text(path) as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def read_codebook(path) -> Codebook:

@@ -59,7 +59,6 @@ AVERAGE = "average"
 WORST_CASE = "worst-case"
 PARTIAL = "partial"
 
-_TRUTH_STREAM = 0x54
 _WORST_STREAM = 0x57
 
 # below this error count the normal interval is unusable; switch to exact

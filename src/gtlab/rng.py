@@ -10,9 +10,11 @@ materialized, or how many threads are running.
 Two-level addressing: ``mix64(key, a)`` derives a sub-key, and a second
 application indexed by ``b`` produces the draw for cell (a, b).
 ``bernoulli_words`` draws the same Bernoulli cells as ``bernoulli_grid``
-straight into packed 64-bit words, for any column range; codebooks,
-erasures and false alarms all come from it.  Its key may be an array, one
-key per row, so a single call draws the grids of a whole block of trials.
+straight into packed 64-bit words, for any column range, and packs them
+through ``bitops.pack_bits``, the one statement of the bit layout;
+codebooks, erasures and false alarms all come from it.  Its key may be an
+array, one key per row, so a single call draws the grids of a whole block
+of trials.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 
 import numpy as np
 
-from .bitops import n_words
+from .bitops import pack_bits
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_INT = 0x9E3779B97F4A7C15
@@ -93,8 +95,5 @@ def bernoulli_words(key, rows, cols, prob: float) -> np.ndarray:
     on the whole word z; it is tested as z <= that threshold minus 1, which
     fits in 64 bits on all of (0, 1], prob = 1 included.
     """
-    hits = _mixed_grid(key, rows, cols) <= np.uint64((math.ceil(prob * (1 << 53)) << 11) - 1)
-    n_cols = hits.shape[-1]
-    packed = np.zeros(hits.shape[:-1] + (8 * n_words(n_cols),), dtype=np.uint8)
-    packed[..., : (n_cols + 7) // 8] = np.packbits(hits, axis=-1, bitorder="little")
-    return packed.view("<u8")
+    return pack_bits(_mixed_grid(key, rows, cols)
+                     <= np.uint64((math.ceil(prob * (1 << 53)) << 11) - 1))

@@ -412,6 +412,24 @@ def test_decode_rejects_mismatched_outcome():
         ml_decode(cb, OutcomeVector.from_bits([1, 0]), 2, NF)
 
 
+@pytest.mark.parametrize("k, n_tests", [(9, 10), (0, 10), (-1, 10), (2, 2)],
+                         ids=["K>N", "K=0", "K=-1", "2-test outcome"])
+def test_decode_trace_checks_its_inputs_before_writing(k, n_tests, tmp_path):
+    """A 6-item, 10-test codebook: each input raises ParameterError, creates
+    no file, and leaves a file already at the path byte-identical."""
+    from gtlab import dump_decode_trace
+
+    cb = generate_codebook(6, 10, 0.3, 1)
+    out = OutcomeVector.from_bits([1, 0] * (n_tests // 2))
+    fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+    kept.write_bytes(b"candidate,log2_likelihood\n0 1,-1.0\n")
+    for path in (fresh, kept):
+        with pytest.raises(ParameterError):
+            dump_decode_trace(cb, out, k, NF, path)
+    assert kept.read_bytes() == b"candidate,log2_likelihood\n0 1,-1.0\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
+
+
 # ---------------------------------------------------------------------------
 # cover stage: every channel ORs each chunk's member rows once; when q = 0
 # (noise-free, dilution) only the candidates pooling every positive test are

@@ -14,7 +14,7 @@ from gtlab import (
     write_codebook,
 )
 from gtlab.bitops import pack_bits, unpack_bits
-from gtlab.model import _ADDITIVE_STREAM, _DILUTION_STREAM, _channel_words
+from gtlab.model import _ADDITIVE_STREAM, _DILUTION_STREAM, _atomic_text, _channel_words
 from gtlab.montecarlo import _TrialStream
 from gtlab.rng import bernoulli_grid, bernoulli_words, mix64, uniform_grid
 
@@ -74,6 +74,26 @@ def test_packed_sampler_equals_the_packed_float_grid():
     assert not bernoulli_words(3, np.arange(64), np.arange(129), 1e-9).any()
     assert np.array_equal(bernoulli_words(3, np.arange(4), np.arange(70), np.nextafter(1.0, 0.0)),
                           pack_bits(np.ones((4, 70), dtype=np.uint8)))
+
+
+def reference_words(row) -> list[int]:
+    """A 0/1 row as one Python int with bit t = row[t], cut into 64-bit words
+    from the low end."""
+    value = sum(1 << t for t, bit in enumerate(row) if bit)
+    return [(value >> (64 * w)) & ((1 << 64) - 1) for w in range(-(-len(row) // 64))]
+
+
+@pytest.mark.parametrize("n_bits", [0, 1, 63, 64, 65, 129])
+def test_bit_t_lands_in_word_t_div_64_at_position_t_mod_64(n_bits):
+    """The packed layout against Python ints, on a leading block axis of
+    one-hot rows (row t packs to word t // 64 holding 1 << (t % 64)) and
+    their complements; unpack_bits inverts it."""
+    eye = np.eye(n_bits, dtype=np.uint8)
+    block = np.stack([eye, 1 - eye])
+    packed = pack_bits(block)
+    assert packed.dtype == np.uint64 and packed.shape == (2, n_bits, -(-n_bits // 64))
+    assert packed.tolist() == [[reference_words(row) for row in rows] for rows in block.tolist()]
+    assert np.array_equal(unpack_bits(packed, n_bits), block)
 
 
 @pytest.mark.parametrize("p", [1e-9, 1 / 3, 0.5, 1.0])
@@ -387,6 +407,18 @@ def test_codebook_file_round_trip(tmp_path):
     assert back == cb
     # stored bits agree with regeneration from the recorded parameters
     assert back == generate_codebook(back.n_items, back.n_tests, back.p, back.seed)
+
+
+def test_a_write_that_raises_partway_keeps_the_old_file(tmp_path):
+    path = tmp_path / "codebook.txt"
+    path.write_bytes(b"old contents\n")
+    with pytest.raises(RuntimeError, match="partway"):
+        with _atomic_text(path) as handle:
+            handle.write("new contents\n")
+            handle.flush()
+            raise RuntimeError("partway")
+    assert path.read_bytes() == b"old contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["codebook.txt"]
 
 
 def test_read_codebook_rejects_malformed(tmp_path):
