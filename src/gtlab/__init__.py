@@ -11,13 +11,11 @@ from .bounds import (
     FANO,
     BoundEntry,
     BoundReport,
-    ExponentCurve,
     achievable_tests,
     additive_converse,
     binary_entropy,
     bound_report_header,
     bound_report_rows,
-    e0_curve,
     fano_lower_bound,
     gallager_e0,
     log2_binom,
@@ -55,4 +53,4 @@ from .montecarlo import (
     find_minimal_t,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -223,24 +223,6 @@ def gallager_e0(k: int, i: int, p: float, noise_model: NoiseModel, rho: float) -
     return -math.log2(total)
 
 
-@dataclass(frozen=True)
-class ExponentCurve:
-    """E0(rho) sampled on a grid, for one overlap size and channel."""
-
-    rho_grid: tuple[float, ...]
-    e0_values: tuple[float, ...]
-    i: int
-    channel: NoiseModel
-    k: int
-    p: float
-
-
-def e0_curve(k: int, i: int, p: float, noise_model: NoiseModel, rho_grid) -> ExponentCurve:
-    rho_grid = tuple(float(r) for r in rho_grid)
-    values = tuple(gallager_e0(k, i, p, noise_model, r) for r in rho_grid)
-    return ExponentCurve(rho_grid=rho_grid, e0_values=values, i=i, channel=noise_model, k=k, p=p)
-
-
 _GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -260,11 +242,15 @@ def pei_upper_bound(
     Thm 5.6.3), so the exponent is too, and golden-section search over
     [0, 1] finds its maximum.  The search never evaluates the endpoints, so
     it is compared with the exponent at rho = 1; the clamp at 1 stands for
-    rho = 0, where the exponent is 0.
+    rho = 0, where the exponent is 0.  It is 0 for i > N-K: no set differs
+    from the truth in more items than lie outside it.
     """
     _check_defectives(n_items, k)
     if n_tests < 0:
         raise ParameterError(f"n_tests must be nonnegative, got {n_tests}")
+    _check_partition(k, i, p)
+    if i > n_items - k:
+        return 0.0
     log_num = log2_binom(n_items - k, i) + log2_binom(k, i)
 
     def exponent(rho: float) -> float:
@@ -344,10 +330,11 @@ def bound_report_rows(report: BoundReport) -> list[list]:
 
 
 def _build_report(kind: str, n_items: int, k: int, p: float, noise: NoiseModel,
-                  numerator_bits_fn) -> BoundReport:
+                  numerator_bits_fn, overlaps: int) -> BoundReport:
+    """The report over i = 1..overlaps."""
     _check_defectives(n_items, k)
     entries = []
-    for i, mi in enumerate(mutual_information_by_overlap(k, p, noise), start=1):
+    for i, mi in enumerate(mutual_information_by_overlap(k, p, noise)[:overlaps], start=1):
         num = numerator_bits_fn(i)
         if mi <= 0.0:
             entries.append(BoundEntry(i, num, max(mi, 0.0), math.inf, True))
@@ -368,11 +355,13 @@ def _build_report(kind: str, n_items: int, k: int, p: float, noise: NoiseModel,
 
 
 def achievable_tests(n_items: int, k: int, p: float, noise_model: NoiseModel) -> BoundReport:
-    """Sufficient test count: max_i log2[K C(N-K,i) C(K,i)] / I_i."""
+    """Sufficient test count: max_i log2[K C(N-K,i) C(K,i)] / I_i, over the
+    overlaps i = 1..min(K, N-K) that a competing set can have."""
     def numerator(i: int) -> float:
         return math.log2(k) + log2_binom(n_items - k, i) + log2_binom(k, i)
 
-    return _build_report(ACHIEVABLE, n_items, k, p, noise_model, numerator)
+    return _build_report(ACHIEVABLE, n_items, k, p, noise_model, numerator,
+                         min(k, n_items - k))
 
 
 def fano_lower_bound(n_items: int, k: int, p: float, noise_model: NoiseModel) -> BoundReport:
@@ -380,7 +369,7 @@ def fano_lower_bound(n_items: int, k: int, p: float, noise_model: NoiseModel) ->
     def numerator(i: int) -> float:
         return log2_binom(n_items - k + i, i)
 
-    return _build_report(FANO, n_items, k, p, noise_model, numerator)
+    return _build_report(FANO, n_items, k, p, noise_model, numerator, k)
 
 
 def additive_converse(n_items: int, k: int, q: float) -> float:

@@ -25,7 +25,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 import os
-import tempfile
 
 import numpy as np
 
@@ -304,8 +303,11 @@ def _atomic_text(path):
     content replaces ``path`` only when the block completes.
 
     It writes a temporary ``.gtlab-*`` file in the target directory, so the
-    rename stays on one file system, and unlinks it if the block raises."""
-    fd, tmp = tempfile.mkstemp(prefix=".gtlab-", dir=os.path.dirname(os.path.abspath(path)))
+    rename stays on one file system, and unlinks it if the block raises.
+    The file is created with mode 0o666 less the umask, as ``open`` would
+    create it."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".gtlab-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             yield handle

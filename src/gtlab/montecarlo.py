@@ -2,12 +2,14 @@
 
 Every trial is a pure function of (configuration, master_seed, trial
 index): a fresh codebook, a uniformly random truth set, and a noise
-realization are all derived from per-trial keys, so estimates do not
-depend on the order in which trials run or are drawn.  The codebook and
-channel words of a block of trials come from one sampler call; each trial
-is then decoded in turn, in the calling thread.  The average and partial
-criteria and the per-overlap error profile share one trial stream (one
-miss histogram), which makes their comparisons paired.
+realization are all drawn from the addressed ``mix64`` stream under
+per-trial keys (the truth set by ``_sample_truth``), so estimates do not
+depend on the order in which trials run or are drawn, nor on numpy's
+sampler streams.  The codebook and channel words of a block of trials
+come from one sampler call; each trial is then decoded in turn, in the
+calling thread.  The average and partial criteria and the per-overlap
+error profile share one trial stream (one miss histogram), which makes
+their comparisons paired.
 
 Codebook and noise cells are addressed by (seed, item, test) and truth
 sets by trial alone, so a trial at T is the first T tests of the same
@@ -34,7 +36,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .bitops import WORD_BITS, n_words
 from .decoder import _enumeration_size, ml_decode, miss_distance
@@ -122,21 +123,60 @@ class MinimalTResult:
 
 def ci_half_width(errors: int, trials: int) -> float:
     """95% half-width: normal approximation, or half the exact
-    (Clopper-Pearson) interval when either count is below 5."""
+    (Clopper-Pearson) interval when either count is below 5.
+
+    The interval at n - x mirrors the one at x, so the half-width is
+    computed at x = min(errors, trials - errors) and is the same at both.
+    The exact upper limit solves P(Bin(n, p) <= x) = 0.025 and the lower
+    one, 0 at x = 0, solves P(Bin(n, p) <= x - 1) = 0.975."""
     if trials < 1 or not 0 <= errors <= trials:
         raise ParameterError(f"need 0 <= errors <= trials, got {errors}/{trials}")
-    if min(errors, trials - errors) < _EXACT_CI_THRESHOLD:
-        lo = 0.0 if errors == 0 else float(betaincinv(errors, trials - errors + 1, 0.025))
-        hi = 1.0 if errors == trials else float(betaincinv(errors + 1, trials - errors, 0.975))
-        return (hi - lo) / 2.0
-    p_hat = errors / trials
+    x = min(errors, trials - errors)
+    if x < _EXACT_CI_THRESHOLD:
+        lo = 0.0 if x == 0 else _binomial_cdf_root(x - 1, trials, 0.975)
+        return (_binomial_cdf_root(x, trials, 0.025) - lo) / 2.0
+    p_hat = x / trials
     return 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
 
 
-def _sample_truth(n_items: int, k: int, seed: int) -> DefectiveSet:
-    gen = np.random.Generator(np.random.PCG64(seed))
-    idx = gen.choice(n_items, size=k, replace=False)
-    return DefectiveSet.of(int(v) for v in idx)
+def _binomial_cdf_root(x: int, n: int, target: float) -> float:
+    """The smallest double p in (0, 1] with P(Bin(n, p) <= x) <= target, for
+    0 <= x < n, by bisection down to adjacent doubles; the CDF falls in p."""
+    coefficients = [math.comb(n, j) for j in range(x + 1)]
+    lo, hi = 0.0, 1.0
+    while (mid := (lo + hi) / 2.0) not in (lo, hi):
+        log_p, log_q = math.log(mid), math.log1p(-mid)
+        cdf = math.fsum(c * math.exp(j * log_p + (n - j) * log_q)
+                        for j, c in enumerate(coefficients))
+        if cdf > target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _sample_truth(n_items: int, k: int, truth_keys: np.ndarray) -> np.ndarray:
+    """One uniformly random K-subset of range(n_items) per truth key, as
+    strictly increasing rows of a (len(truth_keys), K) int64 array.
+
+    Floyd's algorithm (Bentley & Floyd, CACM 1987), run on every row at
+    once: step s = 0..K-1 sets j = N-K+s, draws z = mix64(key, s) and maps
+    it to t = floor(z * (j+1) / 2**64) in [0, j]; the row takes t, or j if
+    t is already in it.  Each subset is equally likely up to the rounding
+    of z to [0, j], at most (j+1) / 2**64 relative.  The 32-bit halves of
+    z keep t exact in uint64 while j+1 <= 2**32, which the enumeration
+    budget (C(N, K) >= N) ensures.
+    """
+    keys = np.asarray(truth_keys, dtype=np.uint64)
+    rows = np.empty((keys.size, k), dtype=np.int64)
+    half, low = np.uint64(32), np.uint64(0xFFFFFFFF)
+    for s in range(k):
+        j = n_items - k + s
+        z, m = mix64_array(keys, s), np.uint64(j + 1)
+        t = (((z >> half) * m + (((z & low) * m) >> half)) >> half).astype(np.int64)
+        rows[:, s] = np.where((rows[:, :s] == t[:, None]).any(axis=1), j, t)
+    rows.sort(axis=1)
+    return rows
 
 
 def _blocks(count: int, cells_each: int):
@@ -170,11 +210,11 @@ class _TrialStream:
         master_seed = _check_seed(master_seed, "master_seed")
         self.n_items, self.k, self.p, self.noise_model = n_items, k, p, noise_model
         self.master_seed, self.trials = master_seed, trials
-        keys = [mix64(master_seed, trial) for trial in range(trials)]
+        keys = mix64_array(master_seed, np.arange(trials))
         # (trials, 2): each trial's codebook and noise seeds
-        self.seeds = mix64_array(np.array(keys, dtype=np.uint64)[:, None], np.array([0, 2]))
-        self.truths = [_sample_truth(n_items, k, mix64(key, 1)) for key in keys]
-        self.truth_idx = np.array([truth.indices for truth in self.truths], dtype=np.int64)
+        self.seeds = mix64_array(keys[:, None], np.array([0, 2]))
+        self.truth_idx = _sample_truth(n_items, k, mix64_array(keys, 1))
+        self.truths = [DefectiveSet(row) for row in self.truth_idx.tolist()]
         self.n_tests = 0
         self.words = np.zeros((trials, n_items, 0), dtype=np.uint64)
         self.outcomes = np.zeros((trials, 0), dtype=np.uint64)

@@ -14,7 +14,9 @@ straight into packed 64-bit words, for any column range, and packs them
 through ``bitops.pack_bits``, the one statement of the bit layout;
 codebooks, erasures and false alarms all come from it.  Its key may be an
 array, one key per row, so a single call draws the grids of a whole block
-of trials.
+of trials.  Truth sets are addressed too: ``montecarlo._sample_truth``
+draws step s of a trial's set from ``mix64(truth_key, s)``, so no random
+number in gtlab comes from numpy's samplers.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ from gtlab import (
     binary_entropy,
     bound_report_header,
     bound_report_rows,
-    e0_curve,
     fano_lower_bound,
     gallager_e0,
     log2_binom,
@@ -309,13 +308,6 @@ def test_e0_domain_and_cap():
         gallager_e0(25, 2, 0.3, NF, 0.5)
 
 
-def test_e0_curve_record():
-    curve = e0_curve(4, 2, 0.25, NoiseModel.additive(0.1), np.linspace(0, 1, 5))
-    assert curve.e0_values[0] == 0.0
-    assert all(math.isfinite(v) for v in curve.e0_values)
-    assert curve.i == 2 and curve.k == 4
-
-
 # ---------------------------------------------------------------------------
 # per-overlap error bound
 
@@ -364,17 +356,27 @@ def test_achievable_smallest_case_is_degenerate_zero():
     assert not report.per_i[0].flagged
 
 
-def test_achievable_entries_cross_checked_against_oracle():
-    report = achievable_tests(100, 2, 0.5, NF)
-    for entry in report.per_i:
-        numerator = math.log2(2 * math.comb(98, entry.i) * math.comb(2, entry.i))
-        oracle = mi_bruteforce(2, entry.i, 0.5, NF)
-        assert abs(entry.numerator_bits - numerator) <= 1e-9
-        assert abs(entry.ratio_tests - numerator / oracle) <= 1e-6
-    assert report.bound_tests == max(e.ratio_tests for e in report.per_i)
-    assert report.argmax_i == min(
-        e.i for e in report.per_i if e.ratio_tests == report.bound_tests
-    )
+def test_achievable_entries_cross_checked_against_oracle(tmp_path):
+    # at N = K+1 a competing set differs from the truth in one item at most,
+    # so the report lists i = 1 only and the per-overlap bound is 0 beyond it
+    for n, k in ((100, 2), (3, 2), (5, 4)):
+        report = achievable_tests(n, k, 0.5, NF)
+        assert [e.i for e in report.per_i] == list(range(1, min(k, n - k) + 1))
+        for entry in report.per_i:
+            numerator = math.log2(k * math.comb(n - k, entry.i) * math.comb(k, entry.i))
+            oracle = mi_bruteforce(k, entry.i, 0.5, NF)
+            assert abs(entry.numerator_bits - numerator) <= 1e-9
+            assert abs(entry.ratio_tests - numerator / oracle) <= 1e-6
+        assert report.bound_tests == max(e.ratio_tests for e in report.per_i)
+        assert report.argmax_i == min(
+            e.i for e in report.per_i if e.ratio_tests == report.bound_tests
+        )
+    assert pei_upper_bound(3, 2, 2, 10, 0.5, NF) == 0.0
+    assert 0.0 < pei_upper_bound(3, 2, 1, 10, 0.5, NF) < 1.0
+    with pytest.raises(ParameterError):
+        pei_upper_bound(3, 2, 3, 10, 0.5, NF)
+    assert cli_main(["bounds", "-N", "3", "-K", "2", "--kind", "both",
+                     "--out", str(tmp_path / "b.csv")]) == 0
 
 
 def test_achievable_scaling_is_k_log_n():

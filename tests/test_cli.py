@@ -257,18 +257,26 @@ import contextlib, io, sys
 import gtlab, gtlab.cli
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in (["estimate", "-N", "8", "-K", "2", "-T", "6", "--trials", "2", "--profile"],
+                 ["estimate", "-N", "8", "-K", "2", "-T", "6", "--trials", "2",
+                  "--criterion", "partial", "--alpha", "0.5"],
+                 ["estimate", "-N", "8", "-K", "2", "-T", "6", "--trials", "2",
+                  "--criterion", "worst"],
+                 ["sweep", "-N", "8", "-K", "2", "--t-grid", "2:10:4", "--trials", "2"],
+                 ["minimal-t", "-N", "8", "-K", "2", "--target", "0.5", "--t-grid", "2:10:4",
+                  "--trials", "2"],
                  ["bounds", "--model", "additive", "--q", "0.1", "-N", "64", "-K", "2"],
                  ["bounds", "--model", "dilution", "--u", "0.2", "-N", "64", "-K", "4",
                   "--kind", "both"]):
         assert gtlab.cli.main(argv) == 0, argv
-loaded = sorted(name for name in sys.modules if name.startswith("scipy.stats"))
+loaded = sorted(name for name in sys.modules
+                if name.startswith("scipy") or name.startswith("numpy.random"))
 assert not loaded, loaded
 """
 
 
-def test_estimates_and_additive_bounds_do_not_import_scipy_stats():
-    # estimates and the bounds of the additive and dilution channels, in a fresh
-    # interpreter: this test process may have imported scipy.stats already
+def test_commands_load_neither_scipy_nor_numpy_random():
+    # every command in a fresh interpreter: this test process has imported
+    # both for the tests' oracles
     src = os.path.dirname(os.path.dirname(os.path.abspath(gtlab.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", LEAN_IMPORT_SCRIPT], capture_output=True,

@@ -2,9 +2,6 @@
 
 Each command's stdout and ``--out`` CSV must equal the stored files byte for
 byte, so a change that claims unchanged outputs is checked, not asserted.
-The truth sets come from numpy's ``Generator.choice``, whose streams numpy
-may change between releases; a failure on another numpy version with
-otherwise unchanged code points there.
 
 After a deliberate, declared change of output bytes, rewrite the files with
 ``PYTHONPATH=src python tests/test_golden.py``.

@@ -1,3 +1,8 @@
+import io
+import os
+import stat
+from contextlib import redirect_stdout
+
 import numpy as np
 import pytest
 
@@ -8,12 +13,14 @@ from gtlab import (
     OutcomeVector,
     ParameterError,
     apply_channel,
+    dump_decode_trace,
     generate_codebook,
     noiseless_outcome,
     read_codebook,
     write_codebook,
 )
 from gtlab.bitops import pack_bits, unpack_bits
+from gtlab.cli import main as cli_main
 from gtlab.model import _ADDITIVE_STREAM, _DILUTION_STREAM, _atomic_text, _channel_words
 from gtlab.montecarlo import _TrialStream
 from gtlab.rng import bernoulli_grid, bernoulli_words, mix64, uniform_grid
@@ -419,6 +426,23 @@ def test_a_write_that_raises_partway_keeps_the_old_file(tmp_path):
             raise RuntimeError("partway")
     assert path.read_bytes() == b"old contents\n"
     assert [p.name for p in tmp_path.iterdir()] == ["codebook.txt"]
+
+
+def test_written_files_follow_the_umask(tmp_path):
+    # each writer creates its file as open() would: 0o666 less the umask
+    codebook = generate_codebook(4, 6, 0.5, 1)
+    old_umask = os.umask(0o022)
+    try:
+        write_codebook(codebook, tmp_path / "codebook.txt")
+        dump_decode_trace(codebook, noiseless_outcome(codebook, DefectiveSet((0, 2))), 2,
+                          NoiseModel.noise_free(), tmp_path / "trace.csv")
+        with redirect_stdout(io.StringIO()):
+            assert cli_main(["bounds", "-N", "8", "-K", "2",
+                             "--out", str(tmp_path / "bounds.csv")]) == 0
+    finally:
+        os.umask(old_umask)
+    assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()} == \
+        {"codebook.txt": 0o644, "trace.csv": 0o644, "bounds.csv": 0o644}
 
 
 def test_read_codebook_rejects_malformed(tmp_path):
