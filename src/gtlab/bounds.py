@@ -8,15 +8,18 @@ test, P(Y=0 | c) = (1-q) * u**c (noise-free is q = u = 0, additive
 
 For a defective set of size K split into an unknown part of size i and a
 known part of size K-i, the per-test information about the unknown part is
-I(X1; X2, Y) under i.i.d. Bernoulli(p) item-participation.
-``mutual_information`` computes it for every channel from the one law
-(q, u), as a difference of two binomial mixtures of binary entropies; it
-is validated against ``mi_bruteforce``, an exact enumeration of the joint
-distribution that serves as the independent oracle.  The second mixture
-does not depend on i, so ``mutual_information_by_overlap`` computes it once
-for all i, and it keeps its recent tables, so every bound family and every
-command in a process that asks for the same (K, p, channel) shares one.
-No code here branches on the channel kind, and none imports scipy.
+I(X1; X2, Y) under i.i.d. Bernoulli(p) item-participation.  Every bound
+reads the law through binomial mixtures over the pooled counts of the two
+parts: the mutual information as a difference of two mixtures of binary
+entropies, and the random-coding exponent E0 as a mixture over the known
+part of a power of a mixture over the unknown part.  Both take every
+1 <= K < N.  ``mutual_information_by_overlap`` computes the
+i-independent mixture once for all i and keeps its recent tables, so every
+bound family and every command in a process that asks for the same
+(K, p, channel) shares one; ``mutual_information`` reads an entry of it.
+The information is validated against ``mi_bruteforce``, an exact
+enumeration of the joint distribution that serves as the independent
+oracle.  No code here branches on the channel kind, and none imports scipy.
 
 Two test-count bounds are computed from these quantities: a sufficient
 count (random coding, union of per-overlap error events, numerator
@@ -33,11 +36,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .model import NoiseModel, _check_defectives, _check_p
+from .model import NoiseModel, _check_defectives, _check_design, _check_p
 
 LN2 = math.log(2.0)
 
-ENUMERATION_CAP = 20  # brute-force MI and exponent enumerate 2**K joint states
+ENUMERATION_CAP = 20  # the oracle mi_bruteforce enumerates 2**K joint states
 
 ACHIEVABLE = "achievable"
 FANO = "fano"
@@ -51,9 +54,7 @@ def binary_entropy(x: float) -> float:
     """H(x) = -x log2 x - (1-x) log2 (1-x), with H(0) = H(1) = 0."""
     if not 0.0 <= x <= 1.0:
         raise ParameterError(f"binary_entropy requires x in [0, 1], got {x}")
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
+    return float(_h2(x))
 
 
 def _h2(x: np.ndarray) -> np.ndarray:
@@ -164,23 +165,21 @@ def _h_given_known(k: int, i: int, p: float, noise_model: NoiseModel) -> float:
             * _h2((1.0 - q) * np.float_power(u, known) * unknown_negative)).sum()
 
 
-def mutual_information(k: int, i: int, p: float, noise_model: NoiseModel) -> float:
-    """I(X1; X2, Y) = H(Y|X2) - H(Y|X1,X2), from the channel law (q, u).
-
-    Each entropy is a binomial mixture over the pooled count.
-    """
-    _check_partition(k, i, p)
-    return float(_h_given_known(k, i, p, noise_model) - _h_given_all(k, p, noise_model))
-
-
-@lru_cache(maxsize=64)  # a K = 2,000 table takes 0.15-0.2 s; one value 0.3 ms
+@lru_cache(maxsize=64)  # a K = 2,000 table takes 0.15-0.2 s
 def mutual_information_by_overlap(k: int, p: float, noise_model: NoiseModel) -> tuple[float, ...]:
-    """``mutual_information(k, i, p, noise_model)`` for i = 1..K, with the
-    i-independent H(Y|X1,X2) computed once; recent tables are memoized."""
+    """I(X1; X2, Y) = H(Y|X2) - H(Y|X1,X2) for i = 1..K, from the channel
+    law (q, u), with the i-independent H(Y|X1,X2) computed once; recent
+    tables are memoized."""
     _check_partition(k, 1, p)
     h_given_all = _h_given_all(k, p, noise_model)
     return tuple(float(_h_given_known(k, i, p, noise_model) - h_given_all)
                  for i in range(1, k + 1))
+
+
+def mutual_information(k: int, i: int, p: float, noise_model: NoiseModel) -> float:
+    """Entry i of ``mutual_information_by_overlap(k, p, noise_model)``."""
+    _check_partition(k, i, p)
+    return mutual_information_by_overlap(k, p, noise_model)[i - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -192,34 +191,20 @@ def gallager_e0(k: int, i: int, p: float, noise_model: NoiseModel, rho: float) -
 
     E0 = -log2 sum_{y, x2} [ sum_{x1} Q(x1) (Q(x2) P(y|x1,x2))^(1/(1+rho)) ]^(1+rho).
 
-    The enumeration groups states by participation weight (the summand
-    depends on x1, x2 only through their weights), which is exact.  The
-    slope at rho = 0 equals the per-test mutual information.
+    The summand depends on x1, x2 only through their weights w1, w2, so
+    E0 = -log2 sum_{y, w2} P_{K-i}(w2) [ sum_{w1} P_i(w1) P(y|w1+w2)^(1/(1+rho)) ]^(1+rho)
+    with the binomial weights the mutual information reads, which is exact.
+    The slope at rho = 0 equals the per-test mutual information.
     """
     _check_partition(k, i, p)
     if not 0.0 <= rho <= 1.0:
         raise ParameterError(f"rho must lie in [0, 1], got {rho}")
-    if k > ENUMERATION_CAP:
-        raise CapacityError(
-            f"exponent enumeration is capped at K <= {ENUMERATION_CAP}, got K={k}"
-        )
     if rho == 0.0:
         return 0.0  # the double sum collapses to total probability 1
-
-    s = 1.0 / (1.0 + rho)
-    w1 = np.arange(i + 1)
-    mult1 = np.array([math.comb(i, int(a)) for a in w1], dtype=np.float64)
-    q1 = p**w1 * (1.0 - p) ** (i - w1)
-    w2 = np.arange(k - i + 1)
-    mult2 = np.array([math.comb(k - i, int(b)) for b in w2], dtype=np.float64)
-    q2 = p**w2 * (1.0 - p) ** (k - i - w2)
-
-    total = 0.0
-    py1 = noise_model.positive_probability(w1[:, None] + w2[None, :])
-    for y in (0, 1):
-        pyx = py1 if y == 1 else 1.0 - py1  # (len(w1), len(w2))
-        inner = ((mult1 * q1)[:, None] * np.float_power(q2[None, :] * pyx, s)).sum(axis=0)
-        total += float((mult2 * np.float_power(inner, 1.0 + rho)).sum())
+    py1 = noise_model.positive_probability(np.arange(i + 1)[:, None] + np.arange(k - i + 1))
+    unknown, known = _binomial_pmf(i, p), _binomial_pmf(k - i, p)
+    total = sum(float(known @ (unknown @ np.float_power(pyx, 1.0 / (1.0 + rho))) ** (1.0 + rho))
+                for pyx in (1.0 - py1, py1))
     return -math.log2(total)
 
 
@@ -246,8 +231,7 @@ def pei_upper_bound(
     from the truth in more items than lie outside it.
     """
     _check_defectives(n_items, k)
-    if n_tests < 0:
-        raise ParameterError(f"n_tests must be nonnegative, got {n_tests}")
+    _check_design(n_items, n_tests, p)
     _check_partition(k, i, p)
     if i > n_items - k:
         return 0.0

@@ -12,7 +12,7 @@ reproduced in isolation.  Files are written atomically (temp file then
 rename), text is UTF-8 with LF line endings and '.' decimals.
 
 Exit codes: 0 success, 1 acceptance criterion failed, 2 invalid
-parameters, 3 enumeration budget exceeded.
+parameters or an unwritable --out, 3 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -207,7 +207,7 @@ def _run_minimal_t(args) -> int:
 def _run_accept(args) -> int:
     from . import acceptance
 
-    numbers = _parse_criteria(args.criteria) if args.criteria else None
+    numbers = _parse_criteria(args.criteria) if args.criteria is not None else None
     results = acceptance.run_criteria(numbers, log=print)
     if args.out:
         header = ["criterion", "name", "passed", "elapsed_s", "detail"]
@@ -301,7 +301,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.run(args)
-    except ParameterError as exc:
+    except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapacityError as exc:

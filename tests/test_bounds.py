@@ -90,6 +90,24 @@ def mi_closed_form(k: int, i: int, p: float, noise_model: NoiseModel) -> float:
     return mi_dilution(k, i, p, noise_model.u)
 
 
+def e0_by_weights(k: int, i: int, p: float, noise_model: NoiseModel, rho: float) -> float:
+    """E0(rho) summed over participation weights with multiplicities C(n, w)
+    and per-state probabilities p**w (1-p)**(n-w); float(C(n, w)) overflows
+    from n = 1,030, so this reference serves small K only."""
+    s = 1.0 / (1.0 + rho)
+    w1, w2 = np.arange(i + 1), np.arange(k - i + 1)
+    mult1 = np.array([math.comb(i, int(a)) for a in w1], dtype=np.float64)
+    mult2 = np.array([math.comb(k - i, int(b)) for b in w2], dtype=np.float64)
+    q1 = p**w1 * (1.0 - p) ** (i - w1)
+    q2 = p**w2 * (1.0 - p) ** (k - i - w2)
+    py1 = noise_model.positive_probability(w1[:, None] + w2[None, :])
+    total = 0.0
+    for pyx in (1.0 - py1, py1):
+        inner = ((mult1 * q1)[:, None] * np.float_power(q2[None, :] * pyx, s)).sum(axis=0)
+        total += float((mult2 * np.float_power(inner, 1.0 + rho)).sum())
+    return -math.log2(total)
+
+
 # ---------------------------------------------------------------------------
 # the channel law the bounds read
 
@@ -300,12 +318,25 @@ def test_e0_nondecreasing_in_rho():
 
 
 def test_e0_domain_and_cap():
+    # no enumeration cap: test_every_bound_takes_large_defective_counts runs K = 2,000
     with pytest.raises(ParameterError):
         gallager_e0(3, 1, 0.3, NF, 1.5)
     with pytest.raises(ParameterError):
         gallager_e0(3, 1, 0.3, NF, -0.1)
-    with pytest.raises(CapacityError):
-        gallager_e0(25, 2, 0.3, NF, 0.5)
+
+
+def test_e0_matches_the_per_weight_reference():
+    worst = 0.0
+    channels = [NF, NoiseModel.additive(0.1), NoiseModel.additive(0.25),
+                NoiseModel.dilution(0.1), NoiseModel.dilution(0.3)]
+    for k in range(2, 21):
+        for i in range(1, k + 1):
+            for p in (0.1, 1 / k, 0.5):
+                for noise in channels:
+                    for rho in (1e-5, 1e-3, 0.1, 0.5, 1.0):
+                        got = gallager_e0(k, i, p, noise, rho)
+                        worst = max(worst, abs(got - e0_by_weights(k, i, p, noise, rho)))
+    assert worst <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +463,14 @@ def test_bound_report_csv_shape():
 
 
 def test_shared_mutual_information_keeps_every_value():
-    """I_i from the one shared H(Y|X1,X2) equals each separate evaluation
-    exactly, and both bound families read that table."""
+    """I_i from the one shared H(Y|X1,X2) matches the closed forms to 1e-12
+    relative, and both bound families read that table."""
     mutual_information_by_overlap.cache_clear()
     for noise in (NF, NoiseModel.additive(0.25), NoiseModel.dilution(0.3)):
         for k, p in ((1, 0.5), (4, 0.25), (40, 1 / 40), (300, 0.01)):
             shared = mutual_information_by_overlap(k, p, noise)
-            assert shared == tuple(mutual_information(k, i, p, noise) for i in range(1, k + 1))
+            closed = [mi_closed_form(k, i, p, noise) for i in range(1, k + 1)]
+            assert all(abs(v - c) <= 1e-12 * c for v, c in zip(shared, closed))
             for bound in (achievable_tests, fano_lower_bound):
                 read = tuple(e.mutual_info_bits for e in bound(1000, k, p, noise).per_i)
                 assert read == tuple(max(v, 0.0) for v in shared)

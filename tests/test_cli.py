@@ -170,6 +170,8 @@ VALIDATION_ERRORS = [
      "inclusion probability p must lie strictly inside (0, 1), got 1.0"),
     (["bounds", "-N", "8", "-K", "2", "--p", "1"],
      "inclusion probability p must lie strictly inside (0, 1), got 1.0"),
+    # an empty list is not the absent flag
+    (["accept", "--criteria", ""], "--criteria must be a comma list of integers, got ''"),
 ]
 
 
@@ -319,3 +321,17 @@ def test_accept_checks_every_number_before_running_any(monkeypatch):
     monkeypatch.setattr(acceptance, "CRITERIA", [(90, "passes", passing)])
     assert main(["accept", "--criteria", "90,11"]) == 2
     assert not ran
+
+
+@pytest.mark.parametrize("argv", [["bounds", "-N", "64", "-K", "2", "--out", "{tmp}/missing/b.csv"],
+                                  ["accept", "--criteria", "90", "--out", "{tmp}/results"]],
+                         ids=["missing-directory", "onto-a-directory"])
+def test_unwritable_out_exits_2(argv, monkeypatch, tmp_path, capsys):
+    from gtlab import acceptance
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [(90, "passes", lambda: (True, "ok"))])
+    (tmp_path / "results").mkdir()
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert [path.name for path in tmp_path.rglob("*")] == ["results"]

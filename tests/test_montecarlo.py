@@ -20,6 +20,7 @@ from gtlab import (
     estimate_worstcase_error,
     fano_lower_bound,
     find_minimal_t,
+    gallager_e0,
     generate_codebook,
     miss_distance,
     ml_decode,
@@ -157,6 +158,18 @@ def test_every_entry_point_needs_one_to_n_minus_one_defectives():
             with pytest.raises(ParameterError, match=f"need 1 <= K < N, got N={n}, K={k}"):
                 call()
         assert cli_main(["bounds", "-N", str(n), "-K", str(k), "--p", "0.5"]) == 2
+
+
+@pytest.mark.parametrize("k", [25, 2000])
+def test_every_bound_takes_large_defective_counts(k):
+    """The bounds share the estimators' upper domain K < N: the exponent and
+    the per-overlap bound as well as the test counts, past any enumeration."""
+    n, p = 4000, 1 / k
+    for noise in (NF, NoiseModel.additive(0.1), NoiseModel.dilution(0.3)):
+        assert math.isfinite(achievable_tests(n, k, p, noise).bound_tests)
+        assert math.isfinite(fano_lower_bound(n, k, p, noise).bound_tests)
+        assert math.isfinite(gallager_e0(k, 1, p, noise, 0.5))
+        assert 0.0 <= pei_upper_bound(n, k, 1, 500, p, noise) <= 1.0
 
 
 @pytest.mark.parametrize("trials", [0, -5])
