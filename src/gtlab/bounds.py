@@ -145,19 +145,12 @@ def _binomial_pmf(n: int, p: float) -> np.ndarray:
     return pmf
 
 
-def _h_given_all(k: int, p: float, noise_model: NoiseModel) -> float:
-    """H(Y | X1, X2): with c of all K members pooled, P(Y=0 | c) = (1-q) u**c.
-    It does not depend on the split i."""
-    q, u = noise_model.law
-    pooled = np.arange(k + 1)
-    return (_binomial_pmf(k, p) * _h2((1.0 - q) * np.float_power(u, pooled))).sum()
-
-
 def _h_given_known(k: int, i: int, p: float, noise_model: NoiseModel) -> float:
     """H(Y | X2): with w2 of the K-i known members pooled, a test reads
     negative when no false alarm fires, no pooled known member gets through,
     and no unknown member is both pooled and unerased:
-    P(Y=0 | w2) = (1-q) u**w2 (1 - p(1-u))**i."""
+    P(Y=0 | w2) = (1-q) u**w2 (1 - p(1-u))**i.  At i = 0 every member is
+    known, and this is H(Y | X1, X2): the unknown factor is exactly 1.0."""
     q, u = noise_model.law
     known = np.arange(k - i + 1)
     unknown_negative = (1.0 - p * (1.0 - u)) ** i
@@ -168,12 +161,11 @@ def _h_given_known(k: int, i: int, p: float, noise_model: NoiseModel) -> float:
 @lru_cache(maxsize=64)  # a K = 2,000 table takes 0.15-0.2 s
 def mutual_information_by_overlap(k: int, p: float, noise_model: NoiseModel) -> tuple[float, ...]:
     """I(X1; X2, Y) = H(Y|X2) - H(Y|X1,X2) for i = 1..K, from the channel
-    law (q, u), with the i-independent H(Y|X1,X2) computed once; recent
-    tables are memoized."""
+    law (q, u), with the i-independent H(Y|X1,X2) read once as the i = 0
+    entry; recent tables are memoized."""
     _check_partition(k, 1, p)
-    h_given_all = _h_given_all(k, p, noise_model)
-    return tuple(float(_h_given_known(k, i, p, noise_model) - h_given_all)
-                 for i in range(1, k + 1))
+    h = [_h_given_known(k, i, p, noise_model) for i in range(k + 1)]
+    return tuple(float(h_i - h[0]) for h_i in h[1:])
 
 
 def mutual_information(k: int, i: int, p: float, noise_model: NoiseModel) -> float:

@@ -4,11 +4,12 @@ The decoder scans every candidate set, scores each with the log-likelihood
 of the observed outcomes, and returns the lexicographically first
 maximizer.  A tie is any other candidate attaining the same maximum under
 exact comparison; candidates with likelihood exactly zero (score -inf)
-never participate in tie detection.  The result does not depend on scan
-order: candidates come in colex order from one combination table per K,
-kept for the largest pool seen, whose first C(n, K) rows are the
-combinations of range(n); pools above the table limit are scanned
-lexicographically from ``itertools``.
+never participate in tie detection.  Every scan visits the candidates in
+lexicographic order, so the first maximizer it meets is the answer.  They
+come from one combination table per K, kept for the largest pool seen: the
+K-sets of range(n) are its last C(n, K) rows, shifted down by the
+difference of the two ranges.  Pools above the table limit are scanned
+from ``itertools``, in the same order.
 
 Scores read the channel law of ``model``, P(Y=0 | c) = (1-q) * u**c for a
 test pooling c candidate members.  A candidate reduces to integer
@@ -160,16 +161,14 @@ def _gather_block(w: int, m: int, b: int) -> np.ndarray:
 class _Pool(NamedTuple):
     """What scoring needs of one outcome, over the items a scan enumerates.
 
-    ``items`` maps pool positions to item indices (None: every item, in
-    order) and ``size`` counts them.  ``pos`` holds the pool's rows masked
-    to the positive tests, word-major (W, P).  ``neg`` is each item's count
-    of negative tests, read only when log2 u is finite and every item is in
-    the pool.  ``y`` is the outcome's words as a (W, 1) column, and
-    ``start`` the n- term, the same for every candidate.
+    ``items`` maps pool positions to item indices.  ``pos`` holds the pool's
+    rows masked to the positive tests, word-major (W, P).  ``neg`` is each
+    item's count of negative tests, read only when log2 u is finite and
+    every item is in the pool.  ``y`` is the outcome's words as a (W, 1)
+    column, and ``start`` the n- term, the same for every candidate.
     """
 
-    items: np.ndarray | None
-    size: int
+    items: np.ndarray
     pos: np.ndarray
     neg: np.ndarray
     y: np.ndarray
@@ -188,10 +187,9 @@ def _pool(co: _Coefficients, words: np.ndarray, n_tests: int, y_words: np.ndarra
         items = np.flatnonzero(neg == 0)
         rows = words[items]
     else:
-        items = None
+        items = np.arange(words.shape[0])
         rows = words & y_words
-    return _Pool(items, rows.shape[0], np.ascontiguousarray(rows.T), neg, y_words[:, None],
-                 n_pos, start)
+    return _Pool(items, np.ascontiguousarray(rows.T), neg, y_words[:, None], n_pos, start)
 
 
 def _positive_counts(rows: np.ndarray, n_pos: int) -> np.ndarray:
@@ -277,83 +275,41 @@ def log_likelihood(
     idx = _check_members(codebook, candidate_set)
     co = _coefficients(noise_model, idx.size)
     pool = _pool(co, codebook.words[idx], codebook.n_tests, outcome.words)
-    if pool.size < idx.size:
+    if pool.items.size < idx.size:
         return -math.inf
     scores, _ = _scores(co, pool, np.arange(idx.size)[None, :])
     return float(scores[0]) if scores.size else -math.inf
 
 
-# K -> the K-combinations of range(n) in colex order, for the largest n seen
+# K -> the K-combinations of range(n) in lexicographic order, for the largest n seen
 _combo_tables: dict[int, np.ndarray] = {}
 
 
-def _combo_table(n: int, k: int) -> np.ndarray:
-    """All K-combinations of range(n) in colex order, as a (C(n, k), k) int32 array."""
+def _combo_chunks(n: int, k: int):
+    """Yield blocks of all K-combinations of range(n), in lexicographic
+    order, as (B, k) int32 arrays.
+
+    Up to ``_CACHE_LIMIT`` sets they are read from the table for the largest
+    range seen, n_max, whose last C(n, k) rows are the K-sets of
+    range(n_max - n, n_max).
+    """
     total = math.comb(n, k)
+    if total > _CACHE_LIMIT:
+        it = itertools.combinations(range(n), k)
+        while block := list(itertools.islice(it, _CHUNK)):
+            yield np.asarray(block, dtype=np.int32)
+        return
     table = _combo_tables.get(k)
     if table is None or table.shape[0] < total:
-        lex = np.fromiter(
+        table = _combo_tables[k] = np.fromiter(
             itertools.chain.from_iterable(itertools.combinations(range(n), k)),
             dtype=np.int32,
             count=total * k,
         ).reshape(-1, k)
-        # complementing i -> n-1-i turns lex order into reversed colex order
-        table = np.ascontiguousarray(n - 1 - lex[::-1, ::-1])
-        _combo_tables[k] = table
-    return table[:total]
-
-
-def _combo_chunks(n: int, k: int):
-    """Yield blocks of all K-combinations of range(n) as (B, k) int arrays."""
-    total = math.comb(n, k)
-    if total <= _CACHE_LIMIT:
-        table = _combo_table(n, k)
-        for start in range(0, total, _CHUNK):
-            yield table[start : start + _CHUNK]
-        return
-    it = itertools.combinations(range(n), k)
-    while True:
-        block = list(itertools.islice(it, _CHUNK))
-        if not block:
-            return
-        yield np.asarray(block, dtype=np.int32)
-
-
-@dataclass
-class _ScanState:
-    """Running (max score, lexicographically first argmax, count at max) over
-    chunks scanned in any order."""
-
-    best: float = -math.inf
-    best_idx: np.ndarray | None = None
-    at_max: int = 0
-
-    def update(self, scores: np.ndarray, idx: np.ndarray) -> None:
-        m = float(scores.max())
-        if m == -math.inf or m < self.best:
-            return
-        hits = np.flatnonzero(scores == m)
-        lead = hits  # the lexicographic minimum, narrowed one column at a time
-        for column in idx.T:
-            if lead.size == 1:
-                break
-            values = column[lead]
-            lead = lead[values == values.min()]
-        first = idx[lead[0]]
-        if m > self.best:
-            self.best, self.best_idx, self.at_max = m, first, hits.size
-        else:
-            self.at_max += hits.size
-            if tuple(first) < tuple(self.best_idx):
-                self.best_idx = first
-
-    def result(self, items: np.ndarray | None, k: int, n_evaluated: int) -> DecodeResult:
-        """The decode result, with the argmax mapped from pool positions to ``items``."""
-        if self.best_idx is None:
-            return DecodeResult(DefectiveSet(tuple(range(k))), -math.inf, False, n_evaluated)
-        best = self.best_idx if items is None else items[self.best_idx]
-        best_set = DefectiveSet(tuple(int(v) for v in best))
-        return DecodeResult(best_set, self.best, self.at_max >= 2, n_evaluated)
+    shift = int(table[-1, -1]) + 1 - n  # n_max - n: the last row is range(n_max - k, n_max)
+    for start in range(table.shape[0] - total, table.shape[0], _CHUNK):
+        block = table[start : start + _CHUNK]
+        yield block - shift if shift else block
 
 
 def ml_decode(
@@ -372,13 +328,25 @@ def ml_decode(
     total = _check_decode(codebook, outcome, k)
     co = _coefficients(noise_model, k)
     pool = _pool(co, codebook.words, codebook.n_tests, outcome.words)
-    state = _ScanState()
-    if pool.size >= k:
-        for local in _combo_chunks(pool.size, k):
+    best, first, at_max = -math.inf, None, 0  # max score, its first set, the sets scoring it
+    if pool.items.size >= k:  # a smaller pool would build an empty table
+        for local in _combo_chunks(pool.items.size, k):
             scores, local = _scores(co, pool, local)
-            if scores.size:
-                state.update(scores, local)
-    return state.result(pool.items, k, total)
+            if not scores.size:
+                continue
+            i = int(scores.argmax())
+            m = float(scores[i])
+            if m == -math.inf or m < best:
+                continue
+            hits = int(np.count_nonzero(scores == m))
+            if m > best:
+                best, first, at_max = m, local[i], hits
+            else:
+                at_max += hits
+    if first is None:
+        return DecodeResult(DefectiveSet(tuple(range(k))), -math.inf, False, total)
+    best_set = DefectiveSet(tuple(int(v) for v in pool.items[first]))
+    return DecodeResult(best_set, best, at_max >= 2, total)
 
 
 def dump_decode_trace(

@@ -305,13 +305,20 @@ def _atomic_text(path):
     It writes a temporary ``.gtlab-*`` file in the target directory, so the
     rename stays on one file system, and unlinks it if the block raises.
     The file is created with mode 0o666 less the umask, as ``open`` would
-    create it."""
+    create it.  An ``OSError`` creating or renaming the temporary file is
+    raised for ``path``, the name the caller knows."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".gtlab-{os.urandom(8).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             yield handle
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     except BaseException:
         os.unlink(tmp)
         raise

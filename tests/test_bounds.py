@@ -477,20 +477,21 @@ def test_shared_mutual_information_keeps_every_value():
 
 
 def test_bounds_both_computes_each_mixture_once(monkeypatch, tmp_path):
-    calls = {"all": 0, "known": 0}
-    for name, key in (("_h_given_all", "all"), ("_h_given_known", "known")):
-        def counted(*args, _original=getattr(gtlab.bounds, name), _key=key):
-            calls[_key] += 1
-            return _original(*args)
+    """H(Y|X2) once per i = 1..K, and H(Y|X1,X2) once as its i = 0 entry."""
+    calls = []
 
-        monkeypatch.setattr(gtlab.bounds, name, counted)
+    def counted(*args, _original=gtlab.bounds._h_given_known):
+        calls.append(args[1])
+        return _original(*args)
+
+    monkeypatch.setattr(gtlab.bounds, "_h_given_known", counted)
     mutual_information_by_overlap.cache_clear()
     argv = ["bounds", "--model", "dilution", "--u", "0.3", "-N", "500", "-K", "50",
             "--kind", "both", "--out", str(tmp_path / "b.csv")]
     assert cli_main(argv) == 0
-    assert calls == {"all": 1, "known": 50}
+    assert calls == list(range(51))
     assert cli_main(argv) == 0  # the second run reads the memoized table
-    assert calls == {"all": 1, "known": 50}
+    assert calls == list(range(51))
 
 
 # ---------------------------------------------------------------------------

@@ -331,7 +331,9 @@ def test_unwritable_out_exits_2(argv, monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(acceptance, "CRITERIA", [(90, "passes", lambda: (True, "ok"))])
     (tmp_path / "results").mkdir()
-    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(argv[-1]) in err and ".gtlab-" not in err  # the path given, not the temporary file
     assert [path.name for path in tmp_path.rglob("*")] == ["results"]

@@ -355,21 +355,42 @@ def test_no_tests_ties_everything():
     assert res.log_likelihood == 0.0
 
 
-def test_combination_tables_are_colex_prefixes():
-    """One table per K serves every smaller pool as its leading rows."""
-    from gtlab.decoder import _combo_table
+def test_combination_tables_serve_smaller_pools_as_shifted_suffixes(monkeypatch):
+    """One lexicographic table per K, built for the largest pool, serves a
+    smaller pool from its last rows without being rebuilt."""
+    from gtlab.decoder import _combo_chunks
 
-    large = _combo_table(40, 3)
-    small = _combo_table(25, 3)
-    assert np.shares_memory(large, small)
-    for n, table in ((40, large), (25, small)):
-        colex = sorted(itertools.combinations(range(n), 3), key=lambda c: c[::-1])
-        assert [tuple(row) for row in table.tolist()] == colex
+    monkeypatch.setattr(gtlab.decoder, "_combo_tables", {})
+    large = np.concatenate(list(_combo_chunks(40, 3)))
+    assert [tuple(row) for row in large.tolist()] == list(itertools.combinations(range(40), 3))
+    table = gtlab.decoder._combo_tables[3]
+    assert table.shape == (math.comb(40, 3), 3)
+    small = np.concatenate(list(_combo_chunks(25, 3)))
+    assert [tuple(row) for row in small.tolist()] == list(itertools.combinations(range(25), 3))
+    assert gtlab.decoder._combo_tables[3] is table
+
+
+def test_pool_smaller_than_k_on_a_cold_cache(monkeypatch):
+    """Noise-free, only items 1 and 4 pooled in no negative test: the pool
+    of 2 items is smaller than K = 3, so no set scores above -inf, and no
+    empty combination table is cached for K."""
+    bits = np.zeros((6, 4), dtype=np.uint8)
+    bits[:, 0] = 1
+    bits[[1, 4], 0] = 0
+    bits[[1, 4], 1] = 1
+    cb = make_codebook(bits)
+    out = OutcomeVector.from_bits([0, 1, 0, 0])
+    monkeypatch.setattr(gtlab.decoder, "_combo_tables", {})
+    res = ml_decode(cb, out, 3, NF)
+    assert (res.best_set.indices, res.log_likelihood, res.tie) == reference_decode(cb, out, 3, NF)
+    assert res.best_set.indices == (0, 1, 2) and not res.tie
+    assert 3 not in gtlab.decoder._combo_tables
 
 
 def test_lexicographically_first_maximizer_wins_in_any_scan_order():
-    """Maximizers (0,190), (50,60) and (50,190): (50,60) comes first in colex
-    order, (0,190) in lexicographic order, several chunks later."""
+    """Maximizers (0,190), (50,60) and (50,190): (50,60) would come first in
+    colex order, (0,190) comes first in the lexicographic scan, several
+    chunks before the others."""
     bits = np.zeros((200, 3), dtype=np.uint8)
     bits[0] = bits[50] = (1, 0, 0)
     bits[50, 1] = 1
@@ -434,15 +455,15 @@ def test_decode_trace_checks_its_inputs_before_writing(k, n_tests, tmp_path):
 # cover stage: every channel ORs each chunk's member rows once; when q = 0
 # (noise-free, dilution) only the candidates pooling every positive test are
 # scored, and under dilution only they get K-level statistics.  N = 24,
-# K = 4 gives 10,626 sets, two chunks of the scan in colex order (the
-# combination table) and in lexicographic order (``itertools``, reached by
-# lowering the table limit).
+# K = 4 gives 10,626 sets, two chunks of the lexicographic scan, read from
+# the combination table and from ``itertools`` (reached by lowering the
+# table limit).
 
 COVER_CHANNELS = (NoiseModel.dilution(0.3), NF, NoiseModel.additive(0.1))
 
 
 def decode_both_scans(cb, out, k, noise, monkeypatch):
-    """(set, score, tie, n_evaluated) from the colex table and from the itertools path."""
+    """(set, score, tie, n_evaluated) from the combination table and from the itertools path."""
     results = []
     for limit in (gtlab.decoder._CACHE_LIMIT, 100):
         monkeypatch.setattr(gtlab.decoder, "_CACHE_LIMIT", limit)
