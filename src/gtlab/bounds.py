@@ -191,12 +191,23 @@ def gallager_e0(k: int, i: int, p: float, noise_model: NoiseModel, rho: float) -
     _check_partition(k, i, p)
     if not 0.0 <= rho <= 1.0:
         raise ParameterError(f"rho must lie in [0, 1], got {rho}")
+    return _e0(_e0_terms(k, i, p, noise_model), rho)
+
+
+def _e0_terms(k: int, i: int, p: float, noise_model: NoiseModel):
+    """E0's inputs, which do not depend on rho: the binomial weights of the
+    unknown and known parts and P(y | w1 + w2) for y = 0, 1."""
+    py1 = noise_model.positive_probability(np.arange(i + 1)[:, None] + np.arange(k - i + 1))
+    return _binomial_pmf(i, p), _binomial_pmf(k - i, p), (1.0 - py1, py1)
+
+
+def _e0(terms, rho: float) -> float:
+    """E0(rho) in bits from ``_e0_terms``."""
     if rho == 0.0:
         return 0.0  # the double sum collapses to total probability 1
-    py1 = noise_model.positive_probability(np.arange(i + 1)[:, None] + np.arange(k - i + 1))
-    unknown, known = _binomial_pmf(i, p), _binomial_pmf(k - i, p)
+    unknown, known, channel = terms
     total = sum(float(known @ (unknown @ np.float_power(pyx, 1.0 / (1.0 + rho))) ** (1.0 + rho))
-                for pyx in (1.0 - py1, py1))
+                for pyx in channel)
     return -math.log2(total)
 
 
@@ -215,12 +226,13 @@ def pei_upper_bound(
     in exactly i items is at least as likely to the ML decoder.
 
     min over rho in [0,1] of 2**-(T*E0(rho) - rho*log2[C(N-K,i) C(K,i)]),
-    then clamped to at most 1.  E0 is concave in rho (Gallager 1968,
-    Thm 5.6.3), so the exponent is too, and golden-section search over
-    [0, 1] finds its maximum.  The search never evaluates the endpoints, so
-    it is compared with the exponent at rho = 1; the clamp at 1 stands for
-    rho = 0, where the exponent is 0.  It is 0 for i > N-K: no set differs
-    from the truth in more items than lie outside it.
+    then clamped to at most 1.  E0's inputs are built once per bound.  E0
+    is concave in rho (Gallager 1968, Thm 5.6.3), so the exponent is too,
+    and golden-section search over [0, 1] finds its maximum.  The search
+    never evaluates the endpoints, so it is compared with the exponent at
+    rho = 1; the clamp at 1 stands for rho = 0, where the exponent is 0.
+    It is 0 for i > N-K: no set differs from the truth in more items than
+    lie outside it.
     """
     _check_defectives(n_items, k)
     _check_design(n_items, n_tests, p)
@@ -228,9 +240,10 @@ def pei_upper_bound(
     if i > n_items - k:
         return 0.0
     log_num = log2_binom(n_items - k, i) + log2_binom(k, i)
+    terms = _e0_terms(k, i, p, noise_model)
 
     def exponent(rho: float) -> float:
-        return n_tests * gallager_e0(k, i, p, noise_model, rho) - rho * log_num
+        return n_tests * _e0(terms, rho) - rho * log_num
 
     a, b = 0.0, 1.0
     c, d = 1.0 - _GOLDEN_RATIO, _GOLDEN_RATIO

@@ -19,9 +19,21 @@ reads one T, a sweep and the minimal-T search read every T they probe.
 The stream holds trials x (N+1) x ceil(T/64) 64-bit words at the largest
 T drawn, so a single estimate holds all its trials' words at once, as a
 one-point sweep does.  Extending it also holds at most one block of
-``_BLOCK_CELLS`` cells of sampler scratch.  On the noise-free channel a
-trial that decoded uniquely and correctly at some probed T' <= T is not
+``_BLOCK_CELLS`` cells of sampler scratch.
+
+Two rules skip decodes whose result is known, so every histogram equals
+the one from decoding every trial.  On a channel with u = 0 (noise-free
+or additive) a defective never sits in a negative test, so the truth
+lies in the pool, the items in no negative test.  Before decoding at T,
+``_TrialStream.settle`` counts each unsolved trial's pool at T in one
+vectorized pass over blocks of at most ``_BLOCK_CELLS`` words; a trial
+whose pool has exactly K items has one finite-likelihood candidate, the
+truth, so it is correct at T without a decode.  The pool of a T-prefix
+only shrinks as T grows and always holds the truth, so such a trial is
+correct at every larger T too.  On the noise-free channel a trial that
+decoded uniquely and correctly at some probed T' <= T is also not
 decoded again at T: a larger T only removes consistent candidate sets.
+Under additive noise a correct decode carries no such guarantee.
 
 Error conventions: a trial errs when the decoder returns a set other than
 the truth or reports a tie (ties count against the decoder).  The partial
@@ -199,6 +211,12 @@ class _TrialStream:
     codebook cells.  Every random cell is addressed by (seed, item, test),
     so a trial at T is bit-identical to the same trial drawn afresh at T,
     whatever the block or the order of extensions.
+
+    ``solved_at`` holds, per trial, the smallest T at which the trial is
+    known to be decoded uniquely and correctly at every T' >= T (inf when
+    none is known).  ``settle`` records it for the trials whose pool is
+    exactly K on a u = 0 channel, and ``solved`` for the trials a
+    noise-free decode got right; ``draw`` skips the trials it names.
     """
 
     def __init__(self, n_items: int, k: int, p: float, noise_model: NoiseModel,
@@ -218,20 +236,17 @@ class _TrialStream:
         self.n_tests = 0
         self.words = np.zeros((trials, n_items, 0), dtype=np.uint64)
         self.outcomes = np.zeros((trials, 0), dtype=np.uint64)
-        # noise-free only: the smallest T at which each trial decoded uniquely
-        # and correctly; it still does at any larger T, where the consistent
-        # sets are a subset of those at the smaller T
-        self.solved_at = [math.inf] * trials
+        self.solved_at = np.full(trials, math.inf)
 
     def draw(self, n_tests: int):
-        """Yield (trial, truth, codebook, outcome) at n_tests, skipping solved trials.
+        """Yield (trial, truth, codebook, outcome) at n_tests for every trial
+        not recorded as solved at some T <= n_tests (by ``settle`` or
+        ``solved``); a trial never recorded is yielded at every n_tests.
 
         Each codebook and outcome owns a copy of its trial's words, so one
         that is kept holds no other trial's words in memory.
         """
-        _check_design(self.n_items, n_tests, self.p)
-        if n_tests > self.n_tests:
-            self._extend(n_tests)
+        self._reach(n_tests)
         width, tail = n_words(n_tests), n_tests % WORD_BITS
         mask = np.uint64((1 << tail) - 1)
         for trial, truth in enumerate(self.truths):
@@ -246,10 +261,43 @@ class _TrialStream:
                                 words)
             yield trial, truth, codebook, OutcomeVector(n_tests, outcome)
 
+    def settle(self, n_tests: int) -> None:
+        """On a u = 0 channel, record as solved at n_tests every unsolved
+        trial whose pool at n_tests, the items in no negative test among the
+        first n_tests, has exactly K items.
+
+        The truth lies in the pool, so such a pool is the truth: the one set
+        of finite likelihood, which ML returns without a tie.  A longer
+        prefix only shrinks the pool, so the trial stays solved at every
+        larger T.  The unsolved trials are read in blocks of at most
+        ``_BLOCK_CELLS`` words; a dilution channel (u > 0), where a
+        defective can sit in a negative test, and n_tests = 0 record nothing.
+        """
+        self._reach(n_tests)
+        if self.noise_model.law[1] != 0.0 or n_tests == 0:
+            return
+        width, tail = n_words(n_tests), n_tests % WORD_BITS
+        unsolved = np.flatnonzero(self.solved_at > n_tests)
+        for block in _blocks(unsolved.size, self.n_items * width):
+            trials = unsolved[block]
+            negative = ~self.outcomes[trials, :width]
+            if tail:
+                negative[:, -1] &= np.uint64((1 << tail) - 1)
+            hits = self.words[trials, :, :width]  # a copy: ``trials`` is an index array
+            hits &= negative[:, None, :]
+            pool = self.n_items - np.count_nonzero(hits.any(axis=2), axis=1)
+            self.solved_at[trials[pool == self.k]] = n_tests
+
     def solved(self, trial: int, n_tests: int) -> None:
         """Record that ``trial`` decoded uniquely and correctly at n_tests."""
         if self.noise_model.deterministic:
             self.solved_at[trial] = min(self.solved_at[trial], n_tests)
+
+    def _reach(self, n_tests: int) -> None:
+        """Validate n_tests and draw the stream up to it."""
+        _check_design(self.n_items, n_tests, self.p)
+        if n_tests > self.n_tests:
+            self._extend(n_tests)
 
     def _extend(self, n_tests: int) -> None:
         start, width = self.n_tests // WORD_BITS, n_words(n_tests)
@@ -270,6 +318,7 @@ class _TrialStream:
 def _miss_histogram(stream: _TrialStream, n_tests: int) -> np.ndarray:
     """Histogram over miss distance of ``stream``'s erring trials at n_tests."""
     hist = np.zeros(stream.k + 1, dtype=np.int64)
+    stream.settle(n_tests)
     for trial, truth, codebook, outcome in stream.draw(n_tests):
         result = ml_decode(codebook, outcome, stream.k, stream.noise_model)
         if result.tie or result.best_set != truth:

@@ -376,6 +376,54 @@ def test_pei_bound_meets_the_minimum_over_a_dense_rho_grid():
     assert optima == {0.0, "inside", 1.0}
 
 
+def pei_by_e0_calls(n, k, i, t, p, noise):
+    """The per-overlap bound's golden-section search over the public
+    ``gallager_e0``, which rebuilds E0's inputs at every rho."""
+    if i > n - k:
+        return 0.0
+    log_num = log2_binom(n - k, i) + log2_binom(k, i)
+
+    def exponent(rho):
+        return t * gallager_e0(k, i, p, noise, rho) - rho * log_num
+
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = 0.0, 1.0
+    c, d = 1.0 - golden, golden
+    fc, fd = exponent(c), exponent(d)
+    for _ in range(40):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - golden * (b - a)
+            fc = exponent(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + golden * (b - a)
+            fd = exponent(d)
+    return min(1.0, 2.0 ** -max(exponent(1.0), fc, fd))
+
+
+def test_pei_bound_builds_e0_inputs_once_and_keeps_every_value(monkeypatch):
+    """E0's inputs built once per bound give the bound bit for bit as a
+    search that rebuilds them at every rho, and the binomial weights are
+    built at most twice per bound."""
+    calls = []
+
+    def counted(*args, _original=gtlab.bounds._binomial_pmf):
+        calls.append(args)
+        return _original(*args)
+
+    monkeypatch.setattr(gtlab.bounds, "_binomial_pmf", counted)
+    channels = (NF, NoiseModel.additive(0.1), NoiseModel.dilution(0.3))
+    for k in (2, 8, 50):
+        for i in sorted({1, k // 2, k}):
+            for t in (0, 5, 40, 400):
+                for noise in channels:
+                    expected = pei_by_e0_calls(10**4, k, i, t, 1.0 / k, noise)
+                    calls.clear()
+                    assert pei_upper_bound(10**4, k, i, t, 1.0 / k, noise) == expected
+                    assert len(calls) <= 2
+
+
 # ---------------------------------------------------------------------------
 # test-count bounds
 

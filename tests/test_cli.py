@@ -87,19 +87,32 @@ def test_profile_adds_an_i_column(tmp_path):
     assert sum(int(r[9]) for r in profile_rows) == int(body[0][9])
 
 
-def test_profile_decodes_each_trial_once(monkeypatch):
-    calls = []
+@pytest.mark.parametrize("model", [[], ["--model", "dilution", "--u", "0.3"]])
+def test_profile_decodes_each_trial_once(model, monkeypatch):
+    """The profile is read off the estimate's one pass: no trial is decoded
+    twice, and --profile decodes exactly the trials the plain estimate
+    decodes.  That is every trial under dilution; on the noise-free channel
+    the trials whose pool is exactly K are settled without a decode."""
+    decoded = []
     decode = gtlab.montecarlo.ml_decode
 
-    def counting_decode(*args, **kwargs):
-        calls.append(1)
-        return decode(*args, **kwargs)
+    def counting_decode(codebook, *args, **kwargs):
+        decoded.append(codebook.seed)
+        return decode(codebook, *args, **kwargs)
 
     monkeypatch.setattr(gtlab.montecarlo, "ml_decode", counting_decode)
-    code, text = run_cli(["estimate", "-N", "12", "-K", "2", "-T", "6", "--trials", "40",
-                          "--seed", "2", "--profile", "--format", "csv"])
+    argv = ["estimate", *model, "-N", "12", "-K", "2", "-T", "6", "--trials", "40",
+            "--seed", "2", "--format", "csv"]
+    code, text = run_cli(argv + ["--profile"])
     assert code == 0
-    assert len(calls) == 40
+    profiled = list(decoded)
+    decoded.clear()
+    assert run_cli(argv)[0] == 0
+    assert profiled == decoded and len(set(decoded)) == len(decoded)
+    if model:
+        assert len(decoded) == 40
+    else:
+        assert 0 < len(decoded) < 40
     rows = list(csv.reader(io.StringIO(text)))[1:]
     assert sum(int(r[9]) for r in rows if r[0] == "profile") == int(rows[0][9])
 

@@ -54,16 +54,21 @@ def reference_truth(n, k, key):
     return DefectiveSet.of(chosen)
 
 
-def reference_histogram(n, k, t, p, noise, trials, seed):
-    """Erring trials by miss distance, each trial drawn afresh at T from its
-    keys (codebook 0, truth 1, noise 2 under mix64(seed, trial)), apart from
-    the trial stream."""
-    hist = [0] * (k + 1)
+def fresh_trials(n, k, t, p, noise, trials, seed):
+    """Yield (trial, truth, codebook, outcome), each trial drawn afresh at T
+    from its keys (codebook 0, truth 1, noise 2 under mix64(seed, trial)),
+    apart from the trial stream."""
     for trial in range(trials):
         trial_key = mix64(seed, trial)
         codebook = generate_codebook(n, t, p, mix64(trial_key, 0))
         truth = reference_truth(n, k, mix64(trial_key, 1))
-        outcome = apply_channel(codebook, truth, noise, mix64(trial_key, 2))
+        yield trial, truth, codebook, apply_channel(codebook, truth, noise, mix64(trial_key, 2))
+
+
+def reference_histogram(n, k, t, p, noise, trials, seed):
+    """Erring trials by miss distance, each trial drawn afresh at T."""
+    hist = [0] * (k + 1)
+    for _, truth, codebook, outcome in fresh_trials(n, k, t, p, noise, trials, seed):
         result = ml_decode(codebook, outcome, k, noise)
         if result.tie or result.best_set != truth:
             hist[miss_distance(truth, result.best_set)] += 1
@@ -476,24 +481,55 @@ def test_sweep_rows_equal_independent_estimates(noise):
         assert (avg.errors, part.errors) == (sum(hist), sum(hist[2:]))  # misses > 0.4 * 3
 
 
-def test_noise_free_shortcut_keeps_every_histogram(monkeypatch):
-    """Trials solved at a smaller T are not decoded again, and every
-    histogram still equals the one from decoding every trial afresh."""
+def reference_pool_size(codebook, outcome):
+    """The number of items in no negative test, over unpacked bits."""
+    negative = outcome.bits() == 0
+    return sum(not (row.astype(bool) & negative).any() for row in codebook.dense_bits())
+
+
+@pytest.mark.parametrize(
+    "noise", [NF, NoiseModel.additive(0.25), NoiseModel.additive(0.9), NoiseModel.dilution(0.3)],
+    ids=lambda m: m.describe())
+def test_skipped_decodes_keep_every_histogram(noise, monkeypatch):
+    """One stream read out of order, across word boundaries: every histogram
+    equals decoding every trial afresh, and each read decodes exactly the
+    trials whose result is not yet known.  On a u = 0 channel those are the
+    trials whose pool at T is not exactly K, less, on the noise-free channel,
+    the trials decoded correctly at an earlier read of a T' <= T; under
+    dilution they are every trial."""
     n, k, p, trials, seed = 40, 2, 0.5, 200, 8
     grid = (12, 30, 8, 64, 20, 65, 129, 25)
-    expected = [reference_histogram(n, k, t, p, NF, trials, seed) for t in grid]
-    calls = []
+    trial_of = {mix64(mix64(seed, trial), 0): trial for trial in range(trials)}
+    decoded = []
     decode = gtlab.montecarlo.ml_decode
 
-    def counting_decode(*args, **kwargs):
-        calls.append(1)
-        return decode(*args, **kwargs)
+    def counting_decode(codebook, outcome, k, noise_model):
+        result = decode(codebook, outcome, k, noise_model)
+        decoded.append((trial_of[codebook.seed], result))
+        return result
 
     monkeypatch.setattr(gtlab.montecarlo, "ml_decode", counting_decode)
-    stream = _TrialStream(n, k, p, NF, seed, trials)
-    for t, hist in zip(grid, expected):
-        assert tuple(_collect_histogram(n, k, t, p, NF, trials, seed, stream)) == hist
-    assert len(calls) < len(grid) * trials // 2
+    stream = _TrialStream(n, k, p, noise, seed, trials)
+    decoded_right_at = {}  # noise-free: the smallest T read at which a trial decoded right
+    pool_sizes = set()
+    for t in grid:
+        decoded.clear()
+        hist = tuple(_collect_histogram(n, k, t, p, noise, trials, seed, stream))
+        assert hist == reference_histogram(n, k, t, p, noise, trials, seed)
+        fresh = list(fresh_trials(n, k, t, p, noise, trials, seed))
+        pools = [reference_pool_size(codebook, outcome) for _, _, codebook, outcome in fresh]
+        pool_sizes.update(pools)
+        if noise.law[1] == 0.0:
+            expected = [trial for trial in range(trials)
+                        if pools[trial] != k and decoded_right_at.get(trial, math.inf) > t]
+        else:
+            expected = list(range(trials))
+        assert [trial for trial, _ in decoded] == expected
+        for trial, result in decoded:
+            if noise.deterministic and not result.tie and result.best_set == fresh[trial][1]:
+                decoded_right_at[trial] = min(decoded_right_at.get(trial, math.inf), t)
+    # both sides of the rule occur: pools of exactly K items, and of K + 1
+    assert {k, k + 1} <= pool_sizes
 
 
 # ---------------------------------------------------------------------------
