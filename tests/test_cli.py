@@ -87,8 +87,7 @@ def test_profile_adds_an_i_column(tmp_path):
     assert sum(int(r[9]) for r in profile_rows) == int(body[0][9])
 
 
-@pytest.mark.parametrize("model", [[], ["--model", "dilution", "--u", "0.3"]])
-def test_profile_decodes_each_trial_once(model, monkeypatch):
+def test_profile_decodes_each_trial_once(monkeypatch):
     """The profile is read off the estimate's one pass: no trial is decoded
     twice, and --profile decodes exactly the trials the plain estimate
     decodes.  That is every trial under dilution; on the noise-free channel
@@ -101,20 +100,22 @@ def test_profile_decodes_each_trial_once(model, monkeypatch):
         return decode(codebook, *args, **kwargs)
 
     monkeypatch.setattr(gtlab.montecarlo, "ml_decode", counting_decode)
-    argv = ["estimate", *model, "-N", "12", "-K", "2", "-T", "6", "--trials", "40",
-            "--seed", "2", "--format", "csv"]
-    code, text = run_cli(argv + ["--profile"])
-    assert code == 0
-    profiled = list(decoded)
-    decoded.clear()
-    assert run_cli(argv)[0] == 0
-    assert profiled == decoded and len(set(decoded)) == len(decoded)
-    if model:
-        assert len(decoded) == 40
-    else:
-        assert 0 < len(decoded) < 40
-    rows = list(csv.reader(io.StringIO(text)))[1:]
-    assert sum(int(r[9]) for r in rows if r[0] == "profile") == int(rows[0][9])
+    for model in ([], ["--model", "dilution", "--u", "0.3"]):
+        argv = ["estimate", *model, "-N", "12", "-K", "2", "-T", "6", "--trials", "40",
+                "--seed", "2", "--format", "csv"]
+        decoded.clear()
+        code, text = run_cli(argv + ["--profile"])
+        assert code == 0
+        profiled = list(decoded)
+        decoded.clear()
+        assert run_cli(argv)[0] == 0
+        assert profiled == decoded and len(set(decoded)) == len(decoded)
+        if model:
+            assert len(decoded) == 40
+        else:
+            assert 0 < len(decoded) < 40
+        rows = list(csv.reader(io.StringIO(text)))[1:]
+        assert sum(int(r[9]) for r in rows if r[0] == "profile") == int(rows[0][9])
 
 
 def test_sweep_emits_one_row_per_t(tmp_path):

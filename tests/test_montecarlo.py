@@ -487,10 +487,7 @@ def reference_pool_size(codebook, outcome):
     return sum(not (row.astype(bool) & negative).any() for row in codebook.dense_bits())
 
 
-@pytest.mark.parametrize(
-    "noise", [NF, NoiseModel.additive(0.25), NoiseModel.additive(0.9), NoiseModel.dilution(0.3)],
-    ids=lambda m: m.describe())
-def test_skipped_decodes_keep_every_histogram(noise, monkeypatch):
+def check_skipped_decodes(noise, monkeypatch):
     """One stream read out of order, across word boundaries: every histogram
     equals decoding every trial afresh, and each read decodes exactly the
     trials whose result is not yet known.  On a u = 0 channel those are the
@@ -530,6 +527,19 @@ def test_skipped_decodes_keep_every_histogram(noise, monkeypatch):
                 decoded_right_at[trial] = min(decoded_right_at.get(trial, math.inf), t)
     # both sides of the rule occur: pools of exactly K items, and of K + 1
     assert {k, k + 1} <= pool_sizes
+
+
+def test_noise_free_shortcut_keeps_every_histogram(monkeypatch):
+    """Both noise-free skips, the pool rule and trials decoded right at a
+    smaller T, keep every histogram and skip exactly their trials."""
+    check_skipped_decodes(NF, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "noise", [NoiseModel.additive(0.25), NoiseModel.additive(0.9), NoiseModel.dilution(0.3)],
+    ids=lambda m: m.describe())
+def test_skipped_decodes_keep_every_histogram(noise, monkeypatch):
+    check_skipped_decodes(noise, monkeypatch)
 
 
 # ---------------------------------------------------------------------------
