@@ -37,6 +37,7 @@ from .model import NoiseModel, generate_codebook
 from .montecarlo import (
     _estimates,
     _TrialStream,
+    estimate_sweep,
     estimate_worstcase_error,
     find_minimal_t,
 )
@@ -55,6 +56,13 @@ def _channel_grid() -> list[NoiseModel]:
 
 def _p_values(k: int) -> tuple[float, ...]:
     return (0.1, 1.0 / k, 0.5)
+
+
+def _overlap_grid(ks) -> list[tuple]:
+    """Every (K, i, p, channel) with K in ``ks``, 1 <= i <= K, p in
+    ``_p_values(K)`` and a channel of ``_channel_grid``."""
+    return [(k, i, p, channel) for k in ks for i in range(1, k + 1)
+            for p in _p_values(k) for channel in _channel_grid()]
 
 
 @dataclass(frozen=True)
@@ -92,33 +100,21 @@ def _minimal_t(n_items: int, k: int, noise: NoiseModel, target: float,
 
 def criterion_1() -> tuple[bool, str]:
     """The law-driven mutual information matches the brute-force oracle to 1e-9."""
-    worst = 0.0
-    count = 0
-    for k in _MI_KS:
-        for i in range(1, k + 1):
-            for p in _p_values(k):
-                for channel in _channel_grid():
-                    gap = abs(mutual_information(k, i, p, channel)
-                              - mi_bruteforce(k, i, p, channel))
-                    worst = max(worst, gap)
-                    count += 1
-    return worst <= 1e-9, f"worst |law - oracle| = {worst:.2e} over {count} configs (tol 1e-9)"
+    grid = _overlap_grid(_MI_KS)
+    worst = max(abs(mutual_information(*config) - mi_bruteforce(*config)) for config in grid)
+    return worst <= 1e-9, f"worst |law - oracle| = {worst:.2e} over {len(grid)} configs (tol 1e-9)"
 
 
 def criterion_2() -> tuple[bool, str]:
     """Finite-difference slope of E0 at rho=0 matches the mutual information."""
     delta = 1e-5
+    grid = _overlap_grid(range(2, 9))
     worst = 0.0
-    count = 0
-    for k in range(2, 9):
-        for i in range(1, k + 1):
-            for p in _p_values(k):
-                for channel in _channel_grid():
-                    mi = mutual_information(k, i, p, channel)
-                    slope = gallager_e0(k, i, p, channel, delta) / delta
-                    worst = max(worst, abs(slope - mi) / mi)
-                    count += 1
-    return worst <= 1e-3, f"worst relative error = {worst:.2e} over {count} configs (tol 1e-3)"
+    for config in grid:
+        mi = mutual_information(*config)
+        slope = gallager_e0(*config, delta) / delta
+        worst = max(worst, abs(slope - mi) / mi)
+    return worst <= 1e-3, f"worst relative error = {worst:.2e} over {len(grid)} configs (tol 1e-3)"
 
 
 def criterion_3() -> tuple[bool, str]:
@@ -127,18 +123,15 @@ def criterion_3() -> tuple[bool, str]:
     violations = []
     worst_margin = -math.inf
     for channel in (NoiseModel.noise_free(), NoiseModel.additive(0.1)):
-        # every T reads the same trials off one stream, each drawn once
-        stream = _TrialStream(n_items, k, p, channel, seed, trials)
-        for n_tests in (50, 100, 150):
-            misses = _estimates(stream, n_tests, (None,))[0].miss_counts
+        for est in estimate_sweep(n_items, k, p, channel, (50, 100, 150), trials, seed):
             for i in range(1, k + 1):
-                p_hat = misses[i] / trials
-                bound = pei_upper_bound(n_items, k, i, n_tests, p, channel)
+                p_hat = est.miss_counts[i] / trials
+                bound = pei_upper_bound(n_items, k, i, est.n_tests, p, channel)
                 sigma = math.sqrt(p_hat * (1.0 - p_hat) / trials)
                 margin = p_hat - (bound + 3.0 * sigma)
                 worst_margin = max(worst_margin, margin)
                 if margin > 0:
-                    violations.append((channel.describe(), n_tests, i, p_hat, bound))
+                    violations.append((channel.describe(), est.n_tests, i, p_hat, bound))
     detail = f"worst p_hat - (bound + 3 sigma) = {worst_margin:.2e}; violations: {len(violations)}"
     return not violations, detail
 
@@ -350,27 +343,32 @@ CRITERIA = [
 ]
 
 
+def _lookup(numbers) -> list[tuple]:
+    """The ``CRITERIA`` entries numbered ``numbers``, in order; a
+    ParameterError names every number that has none."""
+    entries = {entry[0]: entry for entry in CRITERIA}
+    unknown = [str(num) for num in numbers if num not in entries]
+    if unknown:
+        raise ParameterError(f"no acceptance criterion numbered {', '.join(unknown)}")
+    return [entries[num] for num in numbers]
+
+
 def run_criterion(number: int) -> CriterionResult:
     """Run one criterion.  A check that raises ``AssertionError`` (such as
     an unattained minimal-T target) fails with the message as its detail."""
-    for num, name, check in CRITERIA:
-        if num == number:
-            start = time.time()
-            try:
-                passed, detail = check()
-            except AssertionError as exc:
-                passed, detail = False, str(exc)
-            return CriterionResult(num, name, passed, detail, time.time() - start)
-    raise ValueError(f"no acceptance criterion numbered {number}")
+    [(num, name, check)] = _lookup([number])
+    start = time.time()
+    try:
+        passed, detail = check()
+    except AssertionError as exc:
+        passed, detail = False, str(exc)
+    return CriterionResult(num, name, passed, detail, time.time() - start)
 
 
 def run_criteria(numbers=None, log=None) -> list[CriterionResult]:
     """Run the numbered criteria (default: all), after checking that each exists."""
-    known = [num for num, _, _ in CRITERIA]
-    selected = known if numbers is None else list(numbers)
-    unknown = [num for num in selected if num not in known]
-    if unknown:
-        raise ParameterError(f"no acceptance criterion numbered {', '.join(map(str, unknown))}")
+    selected = [num for num, _, _ in CRITERIA] if numbers is None else list(numbers)
+    _lookup(selected)
     results = []
     for number in selected:
         result = run_criterion(number)

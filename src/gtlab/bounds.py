@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .model import NoiseModel, _check_defectives, _check_design, _check_p
+from .model import NoiseModel, _check_defectives, _check_design, _check_integers, _check_p
 
 LN2 = math.log(2.0)
 
@@ -73,6 +73,7 @@ def log2_binom(n: int, k: int) -> float:
     Subtracting log-gamma values loses ~1e-5 absolute precision at n ~ 1e9,
     which swamps small results, so thin binomials are summed term by term;
     the gamma route only serves the regime where the result is huge."""
+    _check_integers(n=n, k=k)
     if k < 0 or n < 0 or k > n:
         raise ParameterError(f"log2_binom requires 0 <= k <= n, got n={n}, k={k}")
     smaller = min(k, n - k)
@@ -86,6 +87,7 @@ def log2_binom(n: int, k: int) -> float:
 
 
 def _check_partition(k: int, i: int, p: float) -> None:
+    _check_integers(K=k, i=i)
     if not 1 <= i <= k:
         raise ParameterError(f"partition size i must satisfy 1 <= i <= K, got i={i}, K={k}")
     _check_p(p)

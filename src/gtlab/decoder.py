@@ -63,6 +63,7 @@ from .model import (
     NoiseModel,
     OutcomeVector,
     _atomic_text,
+    _check_integers,
     _check_members,
 )
 
@@ -101,6 +102,7 @@ def _check_decode(codebook: Codebook, outcome: OutcomeVector, k: int) -> int:
     anything: matching test counts and 1 <= K <= N.  Returns C(N, K), the
     sets it visits, within ``BUDGET``."""
     _check_tests(codebook, outcome)
+    _check_integers(K=k)
     if not 1 <= k <= codebook.n_items:
         raise ParameterError(f"need 1 <= K <= N, got K={k}, N={codebook.n_items}")
     return _enumeration_size(codebook.n_items, k)

@@ -44,8 +44,20 @@ _DILUTION_STREAM = 0x44
 _MAX_SEED = 1 << 64
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer: counts, indices and seeds are never floats."""
+    return isinstance(value, (int, np.integer))
+
+
+def _check_integers(**values) -> None:
+    """ParameterError naming the first of ``values`` that is not an integer."""
+    for name, value in values.items():
+        if not _is_integer(value):
+            raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_seed(seed, name="seed"):
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < _MAX_SEED:
+    if not _is_integer(seed) or not 0 <= seed < _MAX_SEED:
         raise ParameterError(f"{name} must be an unsigned 64-bit integer, got {seed!r}")
     return int(seed)
 
@@ -123,6 +135,8 @@ class DefectiveSet:
     indices: tuple[int, ...]
 
     def __post_init__(self):
+        if not all(map(_is_integer, self.indices)):
+            raise ParameterError(f"indices must be integers, got {self.indices!r}")
         idx = tuple(int(i) for i in self.indices)
         if any(b <= a for a, b in zip(idx, idx[1:])):
             raise ParameterError(f"indices must be strictly increasing, got {idx}")
@@ -133,8 +147,7 @@ class DefectiveSet:
     @classmethod
     def of(cls, items) -> "DefectiveSet":
         """Build from any iterable of indices (sorted, duplicates rejected)."""
-        idx = sorted(int(i) for i in items)
-        return cls(tuple(idx))
+        return cls(tuple(sorted(items)))
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -205,6 +218,7 @@ class OutcomeVector:
 
 
 def _check_design(n_items: int, n_tests: int, p: float) -> None:
+    _check_integers(N=n_items, T=n_tests)
     if n_items < 1 or n_tests < 0:
         raise ParameterError(
             f"need at least one item and a nonnegative test count, got {n_items}x{n_tests}"
@@ -220,6 +234,7 @@ def _check_p(p: float) -> None:
 
 def _check_defectives(n_items: int, k: int) -> None:
     """The estimators' and bounds' domain: at least one defective and one clean item."""
+    _check_integers(N=n_items, K=k)
     if not 1 <= k < n_items:
         raise ParameterError(f"need 1 <= K < N, got N={n_items}, K={k}")
 

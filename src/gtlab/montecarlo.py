@@ -14,12 +14,14 @@ their comparisons paired.
 Codebook and noise cells are addressed by (seed, item, test) and truth
 sets by trial alone, so a trial at T is the first T tests of the same
 trial at any larger T.  Every estimate draws its trials into one
-``_TrialStream`` and reads each T it needs off it: a single estimate
-reads one T, a sweep and the minimal-T search read every T they probe.
-The stream holds trials x (N+1) x ceil(T/64) 64-bit words at the largest
-T drawn, so a single estimate holds all its trials' words at once, as a
-one-point sweep does.  Extending it also holds at most one block of
-``_BLOCK_CELLS`` cells of sampler scratch.
+``_TrialStream`` and reads each T it needs off it: a sweep and the
+minimal-T search read every T they probe, and a single estimate is the
+one-point sweep.  The stream holds trials x (N+1) x ceil(T/64) 64-bit
+words at the largest T drawn, so a single estimate holds all its trials'
+words at once.  Extending it also holds at most one block of
+``_BLOCK_CELLS`` cells of sampler scratch.  N, K, T, the trial count and
+every T of a grid must be integers (Python or numpy); any other value
+raises ``ParameterError``, which the command line reports with exit 2.
 
 Two rules skip decodes whose result is known, so every histogram equals
 the one from decoding every trial.  On a channel with u = 0 (noise-free
@@ -60,7 +62,9 @@ from .model import (
     _channel_words,
     _check_defectives,
     _check_design,
+    _check_integers,
     _check_seed,
+    _is_integer,
     noiseless_outcome,
 )
 # generate_codebook and apply_channel are not called here; bench/probes.py
@@ -141,6 +145,7 @@ def ci_half_width(errors: int, trials: int) -> float:
     computed at x = min(errors, trials - errors) and is the same at both.
     The exact upper limit solves P(Bin(n, p) <= x) = 0.025 and the lower
     one, 0 at x = 0, solves P(Bin(n, p) <= x - 1) = 0.975."""
+    _check_integers(errors=errors, trials=trials)
     if trials < 1 or not 0 <= errors <= trials:
         raise ParameterError(f"need 0 <= errors <= trials, got {errors}/{trials}")
     x = min(errors, trials - errors)
@@ -232,7 +237,6 @@ class _TrialStream:
         # (trials, 2): each trial's codebook and noise seeds
         self.seeds = mix64_array(keys[:, None], np.array([0, 2]))
         self.truth_idx = _sample_truth(n_items, k, mix64_array(keys, 1))
-        self.truths = [DefectiveSet(row) for row in self.truth_idx.tolist()]
         self.n_tests = 0
         self.words = np.zeros((trials, n_items, 0), dtype=np.uint64)
         self.outcomes = np.zeros((trials, 0), dtype=np.uint64)
@@ -249,9 +253,8 @@ class _TrialStream:
         self._reach(n_tests)
         width, tail = n_words(n_tests), n_tests % WORD_BITS
         mask = np.uint64((1 << tail) - 1)
-        for trial, truth in enumerate(self.truths):
-            if self.solved_at[trial] <= n_tests:
-                continue
+        for trial in np.flatnonzero(self.solved_at > n_tests).tolist():
+            truth = DefectiveSet(self.truth_idx[trial].tolist())
             words = self.words[trial, :, :width].copy()
             outcome = self.outcomes[trial, :width].copy()
             if tail:
@@ -340,6 +343,7 @@ def _collect_histogram(n_items, k, n_tests, p, noise_model, trials, master_seed,
 
 
 def _check_trials(trials: int) -> None:
+    _check_integers(trials=trials)
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
 
@@ -392,19 +396,18 @@ def estimate_average_error(
     n_items: int, k: int, n_tests: int, p: float, noise_model: NoiseModel,
     trials: int, master_seed: int,
 ) -> ErrorEstimate:
-    """Average error over fresh codebooks and uniform truth sets per trial."""
-    stream = _TrialStream(n_items, k, p, noise_model, master_seed, trials)
-    return _estimates(stream, n_tests, (None,))[0]
+    """Average error over fresh codebooks and uniform truth sets per trial:
+    the one-point ``estimate_sweep`` at n_tests."""
+    return estimate_sweep(n_items, k, p, noise_model, (n_tests,), trials, master_seed)[0]
 
 
 def estimate_partial_error(
     n_items: int, k: int, n_tests: int, p: float, noise_model: NoiseModel,
     alpha: float, trials: int, master_seed: int,
 ) -> ErrorEstimate:
-    """Error only when the decoded set misses more than alpha*K true items."""
-    _check_alpha(alpha)
-    stream = _TrialStream(n_items, k, p, noise_model, master_seed, trials)
-    return _estimates(stream, n_tests, (alpha,))[0]
+    """Error only when the decoded set misses more than alpha*K true items:
+    the one-point ``estimate_sweep`` at n_tests."""
+    return estimate_sweep(n_items, k, p, noise_model, (n_tests,), trials, master_seed, alpha)[0]
 
 
 def estimate_sweep(
@@ -414,8 +417,8 @@ def estimate_sweep(
     """The average error, or with ``alpha`` the partial error, at each T of ``t_grid``.
 
     Every T reads the same trials off one trial stream, so each trial is
-    drawn once and the estimates are paired across T.  Each equals
-    ``estimate_average_error`` (``estimate_partial_error``) at its T.
+    drawn once and the estimates are paired across T.  A single estimate
+    is the sweep of one T.
     """
     if alpha is not None:
         _check_alpha(alpha)
@@ -430,9 +433,8 @@ def empirical_pei_profile(
     """Per-overlap error rates: entry i is the fraction of trials that erred
     with exactly i missed items.  The rates over all i sum to the average
     error rate of the same trial stream (i = 0 collects ties at the truth)."""
-    stream = _TrialStream(n_items, k, p, noise_model, master_seed, trials)
-    misses = _estimates(stream, n_tests, (None,))[0].miss_counts
-    return [(i, misses[i] / trials) for i in range(k + 1)]
+    est = estimate_average_error(n_items, k, n_tests, p, noise_model, trials, master_seed)
+    return [(i, errors / trials) for i, errors in enumerate(est.miss_counts)]
 
 
 def estimate_worstcase_error(
@@ -497,9 +499,11 @@ def find_minimal_t(
     stream, so the error estimates are paired across T and each trial is
     drawn once.  Each estimate equals ``estimate_average_error`` at its T.
     """
-    grid = [int(t) for t in t_grid]
-    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+    grid = list(t_grid)
+    if (not grid or not all(map(_is_integer, grid))
+            or any(b <= a for a, b in zip(grid, grid[1:]))):
         raise ParameterError("t_grid must be a nonempty strictly increasing integer sequence")
+    grid = [int(t) for t in grid]
     if not 0.0 <= target_error <= 1.0:
         raise ParameterError(f"target_error must lie in [0, 1], got {target_error}")
     if refine_to < 1:

@@ -15,7 +15,7 @@ dilution below additive noise.  See gtlab/acceptance.py.
 
 import pytest
 
-from gtlab import acceptance
+from gtlab import ParameterError, acceptance
 
 # criteria 5, 6 and 7 take 3.5-7.5 s each; the other seven take about 4.5 s
 # together (criterion 3, the per-overlap bound, 2.5 s) and run on every push
@@ -30,3 +30,8 @@ def test_criterion(number):
     result = acceptance.run_criterion(number)
     print(result.line())
     assert result.passed, result.line()
+
+
+def test_an_unknown_number_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="^no acceptance criterion numbered 99$"):
+        acceptance.run_criterion(99)

@@ -163,6 +163,13 @@ def test_log2_binom_large_n():
     assert abs(log2_binom(n, k) - exact) <= 1e-9 * exact
 
 
+@pytest.mark.parametrize("n,k", [(4001, 2001), (10**6, 2500), (10**9, 3000)])
+def test_log2_binom_gamma_regime(n, k):
+    """Past min(k, n-k) = 2000 the log-gamma route still meets 1e-9 relative."""
+    exact = math.log2(math.comb(n, k))
+    assert abs(log2_binom(n, k) - exact) <= 1e-9 * exact
+
+
 def test_log2_binom_domain():
     with pytest.raises(ParameterError):
         log2_binom(4, 5)

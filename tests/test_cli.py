@@ -147,6 +147,19 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     assert read_rows(out)[1][12] == "777"
 
 
+def test_non_integer_seed_env_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("GT_LAB_SEED", "1.5")
+    assert main(["estimate", "-N", "8", "-K", "2", "-T", "6", "--trials", "2"]) == 2
+    assert capsys.readouterr().err == "error: GT_LAB_SEED must be an integer, got '1.5'\n"
+
+
+def test_minimal_t_reports_an_unattained_target():
+    code, text = run_cli(["minimal-t", "-N", "8", "-K", "2", "--target", "0", "--t-grid", "1:2:1",
+                          "--trials", "50"])
+    assert code == 0
+    assert text.endswith("target 0.0 not attained on the grid (2 probes)\n")
+
+
 VALIDATION_ERRORS = [
     (["estimate", "--model", "additive", "-N", "10", "-K", "2", "-T", "5", "--trials", "5"],
      "additive channel carries exactly the parameter q"),
@@ -186,6 +199,13 @@ VALIDATION_ERRORS = [
      "inclusion probability p must lie strictly inside (0, 1), got 1.0"),
     # an empty list is not the absent flag
     (["accept", "--criteria", ""], "--criteria must be a comma list of integers, got ''"),
+    (["sweep", "-N", "8", "-K", "2", "--t-grid", "1:2", "--trials", "2"],
+     "--t-grid must be start:stop:step, got '1:2'"),
+    (["sweep", "-N", "8", "-K", "2", "--t-grid", "a:b:c", "--trials", "2"],
+     "--t-grid fields must be integers, got 'a:b:c'"),
+    (["estimate", "-N", "8", "-K", "2", "-T", "6", "--trials", "2", "--criterion", "partial",
+      "--alpha", "0.5", "--profile"],
+     "--profile applies only to --criterion avg"),
 ]
 
 

@@ -359,6 +359,8 @@ def test_noise_model_carries_exactly_one_parameter():
         NoiseModel.additive(1.5)
     with pytest.raises(ParameterError):
         NoiseModel.dilution(-0.1)
+    with pytest.raises(ParameterError, match="unknown channel kind 'bogus'"):
+        NoiseModel("bogus")
     assert NoiseModel.additive(0.2).param == 0.2
     assert NoiseModel.dilution(0.2).param == 0.2
     assert NoiseModel.noise_free().param is None
@@ -447,7 +449,8 @@ def test_written_files_follow_the_umask(tmp_path):
 
 def test_read_codebook_rejects_malformed(tmp_path):
     path = tmp_path / "bad.txt"
-    for text in ("2 3 0.5 1\n010\n01\n",          # short row
+    for text in ("",                              # empty file
+                 "2 3 0.5 1\n010\n01\n",          # short row
                  "x 2 0.5 1\n01\n",                # non-numeric header
                  "2 3 0.5\n010\n011\n",            # short header
                  "2 3 1.5 1\n010\n011\n",          # p outside (0, 1)

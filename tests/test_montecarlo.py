@@ -22,8 +22,10 @@ from gtlab import (
     find_minimal_t,
     gallager_e0,
     generate_codebook,
+    log2_binom,
     miss_distance,
     ml_decode,
+    noiseless_outcome,
     pei_upper_bound,
 )
 from gtlab.bitops import pack_bits
@@ -163,6 +165,46 @@ def test_every_entry_point_needs_one_to_n_minus_one_defectives():
             with pytest.raises(ParameterError, match=f"need 1 <= K < N, got N={n}, K={k}"):
                 call()
         assert cli_main(["bounds", "-N", str(n), "-K", str(k), "--p", "0.5"]) == 2
+
+
+def test_every_entry_point_needs_integer_counts():
+    """N, K, T, i, trial counts, grid values and set indices are integers at
+    every entry point: a float, whole or not, raises ParameterError, not a
+    TypeError from numpy or math, nor is it truncated.  Numpy integers pass."""
+    codebook = generate_codebook(8, 10, 0.5, 1)
+    outcome = noiseless_outcome(codebook, DefectiveSet((0, 1)))
+    for name, value, call in (
+        ("N", 8, lambda v: estimate_average_error(v, 2, 10, 0.5, NF, 10, 1)),
+        ("K", 2, lambda v: estimate_average_error(8, v, 10, 0.5, NF, 10, 1)),
+        ("T", 10, lambda v: estimate_average_error(8, 2, v, 0.5, NF, 10, 1)),
+        ("trials", 10, lambda v: estimate_average_error(8, 2, 10, 0.5, NF, v, 1)),
+        ("T", 10, lambda v: estimate_partial_error(8, 2, v, 0.5, NF, 0.5, 10, 1)),
+        ("trials", 10, lambda v: empirical_pei_profile(8, 2, 10, 0.5, NF, v, 1)),
+        ("T", 10, lambda v: estimate_sweep(8, 2, 0.5, NF, [4, v], 10, 1)),
+        ("t_grid", 10, lambda v: find_minimal_t(8, 2, 0.5, NF, 0.1, 10, [4, v], 1)),
+        ("trials", 10, lambda v: find_minimal_t(8, 2, 0.5, NF, 0.1, v, [4, 10], 1)),
+        ("K", 2, lambda v: estimate_worstcase_error(codebook, v, NF, 1)),
+        ("trials", 2, lambda v: estimate_worstcase_error(codebook, 2, NF, v)),
+        ("N", 100, lambda v: achievable_tests(v, 2, 0.5, NF)),
+        ("K", 2, lambda v: achievable_tests(100, v, 0.5, NF)),
+        ("K", 2, lambda v: fano_lower_bound(100, v, 0.5, NF)),
+        ("N", 100, lambda v: additive_converse(v, 2, 0.2)),
+        ("i", 1, lambda v: pei_upper_bound(8, 2, v, 10, 0.5, NF)),
+        ("T", 10, lambda v: pei_upper_bound(8, 2, 1, v, 0.5, NF)),
+        ("N", 8, lambda v: generate_codebook(v, 10, 0.5, 1)),
+        ("T", 10, lambda v: generate_codebook(8, v, 0.5, 1)),
+        ("K", 2, lambda v: ml_decode(codebook, outcome, v, NF)),
+        ("n", 10, lambda v: log2_binom(v, 2)),
+        ("k", 2, lambda v: log2_binom(10, v)),
+        ("indices", 1, lambda v: DefectiveSet((0, v))),
+        ("errors", 2, lambda v: ci_half_width(v, 10)),
+        ("trials", 10, lambda v: ci_half_width(2, v)),
+    ):
+        for bad in (float(value), value + 0.5):
+            with pytest.raises(ParameterError, match=f"^{name} must be"):
+                call(bad)
+        call(np.int64(value))
+        call(np.int32(value))
 
 
 @pytest.mark.parametrize("k", [25, 2000])
@@ -364,6 +406,8 @@ def test_minimal_t_grid_validation():
         find_minimal_t(10, 2, 0.5, NF, 0.1, 10, [5, 5, 6], 1)
     with pytest.raises(ParameterError):
         find_minimal_t(10, 2, 0.5, NF, 1.5, 10, [1, 2], 1)
+    with pytest.raises(ParameterError, match="refine_to must be >= 1, got 0"):
+        find_minimal_t(10, 2, 0.5, NF, 0.1, 10, [1, 2], 1, refine_to=0)
 
 
 def test_additive_noise_needs_more_tests_than_noise_free():
