@@ -2,7 +2,8 @@
 
 Bit t of a row lives in word t // 64 at position t % 64, so OR and popcount
 over whole rows are word-parallel.  Unused tail bits in the last word are
-kept at zero by construction and must stay zero.
+kept at zero by construction and must stay zero; ``Codebook`` and
+``OutcomeVector`` reject words that set them.
 """
 
 from __future__ import annotations

@@ -48,7 +48,6 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -145,21 +144,6 @@ def _coefficients(noise_model: NoiseModel, k: int) -> _Coefficients:
     return _Coefficients(_log2(1.0 - q), _log2(u), positive, any(positive[1:]))
 
 
-# Per-thread block for the member rows _scores gathers, kept across chunks
-# and decodes.  Fresh arrays of ~1 MB per chunk make malloc trim the heap top
-# and grow it again, and the page faults that follow cost K-level scans
-# about a third of their speed.
-_scratch = threading.local()
-
-
-def _gather_block(w: int, m: int, b: int) -> np.ndarray:
-    """This thread's (w, m, b) uint64 block."""
-    block = getattr(_scratch, "block", None)
-    if block is None or block.size < w * m * b:
-        block = _scratch.block = np.empty(w * m * b, dtype=np.uint64)
-    return block[: w * m * b].reshape(w, m, b)
-
-
 class _Pool(NamedTuple):
     """What scoring needs of one outcome, over the items a scan enumerates.
 
@@ -199,29 +183,24 @@ def _positive_counts(rows: np.ndarray, n_pos: int) -> np.ndarray:
     pooling exactly c members.
 
     ``rows`` holds the candidates' member rows masked to the positive tests,
-    (W, M, B), and is overwritten.  Per word, adding a member row r sets
-    ge[c] |= ge[c-1] & r for c from high to low (``ge`` below is 0-based,
-    ge[c] at index c-1), and |ge[c]| is summed from popcounts;
-    n+[c] = |ge[c]| - |ge[c+1]|.  ge[1], the OR, is every positive test, so
-    |ge[1]| = n_pos.
+    (W, M, B).  Per word, the levels ge[c] (the tests pooling at least c
+    members, at index c-1 of ``ge`` below) start from the first member row,
+    and each further row r updates every level at once: ge[c] |= ge[c-1] & r
+    for c >= 2 reads the levels as they were before r, then ge[1] |= r.
+    |ge[c]| is summed from popcounts, and n+[c] = |ge[c]| - |ge[c+1]|.
+    ge[1], the OR, is every positive test, so |ge[1]| = n_pos.
     """
     _, m, b = rows.shape
     sizes = np.zeros((m + 1, b), dtype=np.int64)  # sizes[c-1] = |ge[c]|, and 0 past ge[M]
     sizes[0] = n_pos
-    if m > 1:
-        levels = np.empty((m, b), dtype=np.uint64)
-        ge = [None, *levels[1:]]
-        tmp = levels[0]
-        for word in rows:
-            ge[0] = word[0]
-            for j in range(1, m):
-                r = word[j]
-                np.bitwise_and(ge[j - 1], r, out=ge[j])
-                for c in range(j - 1, 0, -1):
-                    ge[c] |= np.bitwise_and(ge[c - 1], r, out=tmp)
-                if j < m - 1:
-                    ge[0] |= r
-            sizes[1:m] += np.bitwise_count(levels[1:])
+    ge = np.empty((m, b), dtype=np.uint64)
+    for word in rows:
+        ge[0] = word[0]
+        ge[1:] = 0
+        for r in word[1:]:
+            ge[1:] |= ge[:-1] & r
+            ge[0] |= r
+        sizes[1:m] += np.bitwise_count(ge[1:])
     return sizes[:m] - sizes[1:]
 
 
@@ -242,8 +221,7 @@ def _scores(co: _Coefficients, pool: _Pool, local: np.ndarray) -> tuple[np.ndarr
     candidate -inf.
     """
     b, m = local.shape
-    rows = _gather_block(pool.pos.shape[0], m, b)
-    pool.pos.take(local.T, axis=1, out=rows, mode="clip")  # mode="raise" copies through a fresh array
+    rows = pool.pos.take(local.T, axis=1)
     union = np.bitwise_or.reduce(rows, axis=1)
     if co.positive[0] == -math.inf:
         keep = np.logical_and.reduce(union == pool.y, axis=0).nonzero()[0]

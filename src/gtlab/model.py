@@ -28,7 +28,7 @@ import os
 
 import numpy as np
 
-from .bitops import pack_bits, unpack_bits
+from .bitops import WORD_BITS, n_words, pack_bits, unpack_bits
 from .errors import ParameterError
 # bernoulli_grid is not called here; bench/probes.py traces it by name in this module
 from .rng import bernoulli_grid, bernoulli_words, mix64_array  # noqa: F401
@@ -156,6 +156,21 @@ class DefectiveSet:
         return iter(self.indices)
 
 
+def _check_words(words: np.ndarray, shape: tuple[int, ...], n_tests: int) -> None:
+    """Packed rows of n_tests bits: a test count that is an integer >= 0, and
+    uint64 words of ``shape`` with every bit at or past n_tests % 64 of the
+    last word clear."""
+    if not _is_integer(n_tests) or n_tests < 0:
+        raise ParameterError(f"T must be an integer >= 0, got {n_tests!r}")
+    if words.dtype != np.uint64 or words.shape != shape:
+        raise ParameterError(
+            f"{n_tests} tests need uint64 words of shape {shape}, got {words.dtype} {words.shape}"
+        )
+    tail = n_tests % WORD_BITS
+    if tail and int(np.bitwise_or.reduce(words[..., -1], axis=None)) >> tail:
+        raise ParameterError(f"words set bits past the {n_tests} tests")
+
+
 @dataclass(frozen=True, eq=False)
 class Codebook:
     """N x T binary measurement matrix, rows bit-packed in 64-bit words.
@@ -171,6 +186,7 @@ class Codebook:
     words: np.ndarray = field(repr=False)  # (n_items, n_words) uint64
 
     def __post_init__(self):
+        _check_words(self.words, (self.n_items, n_words(self.n_tests)), self.n_tests)
         self.words.flags.writeable = False
 
     def __eq__(self, other) -> bool:
@@ -196,9 +212,10 @@ class OutcomeVector:
     """Outcomes of the T tests, bit-packed."""
 
     n_tests: int
-    words: np.ndarray = field(repr=False)
+    words: np.ndarray = field(repr=False)  # (n_words,) uint64
 
     def __post_init__(self):
+        _check_words(self.words, (n_words(self.n_tests),), self.n_tests)
         self.words.flags.writeable = False
 
     def __eq__(self, other) -> bool:

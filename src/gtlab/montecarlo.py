@@ -418,12 +418,15 @@ def estimate_sweep(
 
     Every T reads the same trials off one trial stream, so each trial is
     drawn once and the estimates are paired across T.  A single estimate
-    is the sweep of one T.
+    is the sweep of one T.  Every T is checked before any trial is drawn.
     """
     if alpha is not None:
         _check_alpha(alpha)
+    grid = list(t_grid)
+    for t in grid:
+        _check_design(n_items, t, p)
     stream = _TrialStream(n_items, k, p, noise_model, master_seed, trials)
-    return [_estimates(stream, t, (alpha,))[0] for t in t_grid]
+    return [_estimates(stream, t, (alpha,))[0] for t in grid]
 
 
 def empirical_pei_profile(

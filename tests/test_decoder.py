@@ -301,7 +301,7 @@ def test_endpoint_channels_match_reference(noise):
 @pytest.mark.parametrize("noise", [NoiseModel.dilution(0.3), NF, NoiseModel.additive(0.1)],
                          ids=lambda noise: noise.describe())
 def test_concurrent_decodes_match_serial(noise):
-    """Each thread scores in its own work arrays, so decodes running in two
+    """Each chunk scores in arrays of its own, so decodes running in two
     threads at once return the serial results."""
     cases = []
     for seed in range(8):
@@ -532,6 +532,30 @@ def test_cover_stage_at_full_dilution(monkeypatch):
                 OutcomeVector.from_bits(np.arange(65) % 3 == 0)):
         want = reference_decode(cb, out, 4, noise) + (10626,)
         assert decode_both_scans(cb, out, 4, noise, monkeypatch) == [want, want]
+
+
+@pytest.mark.parametrize("u", [0.3, 1.0])
+@pytest.mark.parametrize("t", [30, 64, 65, 130])
+@pytest.mark.parametrize("k", [5, 6, 7])
+def test_dilution_levels_past_four_members_match_reference(k, t, u):
+    """K = 5..7 threshold levels on one to three words: (set, score, tie)
+    and single-set scores of five members or more equal the brute-force
+    reference on channel, noiseless and all-one outcomes."""
+    noise = NoiseModel.dilution(u)
+    n = k + 4
+    rng = random.Random(f"{k} {t} {u}")
+    cb = generate_codebook(n, t, 0.5, rng.getrandbits(32))
+    truth = DefectiveSet.of(rng.sample(range(n), k))
+    for out in (apply_channel(cb, truth, noise, rng.getrandbits(32)),
+                noiseless_outcome(cb, truth),
+                OutcomeVector.from_bits(np.ones(t, dtype=np.uint8))):
+        got = ml_decode(cb, out, k, noise)
+        assert (got.best_set.indices, got.log_likelihood, got.tie) == reference_decode(
+            cb, out, k, noise)
+        others = DefectiveSet.of(rng.sample(range(n), rng.randint(5, n)))
+        for members in (truth, got.best_set, others):
+            assert log_likelihood(cb, members, out, noise) == reference_log_likelihood(
+                cb, members, out, noise)
 
 
 # ---------------------------------------------------------------------------

@@ -400,6 +400,36 @@ def test_no_storage_beyond_n_tests_is_set():
     assert int(out.words[0]) & int(tail) == 0
 
 
+def test_words_must_match_their_test_count():
+    """Codebook and OutcomeVector take only an integer T >= 0 and uint64
+    words of their shape at T with no bit at or past test T set; T = 0
+    takes zero-width words."""
+    cb = generate_codebook(8, 10, 0.5, 1)
+    out = noiseless_outcome(cb, DefectiveSet((1, 4)))
+    wide = generate_codebook(3, 65, 0.5, 1).words
+    for make in (
+        lambda: OutcomeVector(10, out.words | np.uint64(1 << 40)),
+        lambda: OutcomeVector(10, out.words | np.uint64(1 << 10)),
+        lambda: OutcomeVector(10, out.words.astype(np.int64)),
+        lambda: OutcomeVector(10, np.zeros(2, dtype=np.uint64)),
+        lambda: Codebook(8, 10, 0.5, 1, cb.words | np.uint64(1 << 10)),
+        lambda: Codebook(8, 10, 0.5, 1, np.zeros((8, 3), dtype=np.uint64)),
+        lambda: Codebook(8, 10, 0.5, 1, cb.words[:7]),
+        lambda: Codebook(8, 10, 0.5, 1, cb.words.astype(np.int64)),
+        lambda: Codebook(3, 65, 0.5, 1, wide | np.array([0, 2], dtype=np.uint64)),
+        lambda: OutcomeVector(10.5, out.words),
+        lambda: OutcomeVector(64.0, np.zeros(1, dtype=np.uint64)),
+        lambda: Codebook(8, -3, 0.5, 1, np.zeros((8, 0), dtype=np.uint64)),
+    ):
+        with pytest.raises(ParameterError):
+            make()
+    assert OutcomeVector(10, out.words | np.uint64(1 << 9)).n_tests == 10
+    assert OutcomeVector(64, np.array([2**64 - 1], dtype=np.uint64)).n_tests == 64
+    assert Codebook(3, 65, 0.5, 1, wide | np.array([0, 1], dtype=np.uint64)).n_tests == 65
+    assert OutcomeVector(0, np.zeros(0, dtype=np.uint64)).n_tests == 0
+    assert Codebook(6, 0, 0.5, 1, np.zeros((6, 0), dtype=np.uint64)).words.shape == (6, 0)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -228,6 +228,24 @@ def test_stream_estimators_reject_invalid_trial_counts(trials):
         find_minimal_t(10, 2, 0.5, NF, 0.1, trials, [5, 10], 1)
 
 
+@pytest.mark.parametrize("grid", [[30, 40, 10.5], [30, -1]], ids=["float", "negative"])
+def test_sweep_checks_its_whole_grid_before_drawing(grid, monkeypatch):
+    """A bad T anywhere in the grid raises before any truth set is drawn or
+    any trial decoded, as in ``find_minimal_t``; an empty grid still gives []."""
+    calls = []
+    for name in ("ml_decode", "_sample_truth"):
+        real = getattr(gtlab.montecarlo, name)
+        monkeypatch.setattr(gtlab.montecarlo, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    noise = NoiseModel.dilution(0.3)
+    with pytest.raises(ParameterError):
+        estimate_sweep(24, 4, 0.25, noise, grid, 300, 1)
+    assert calls == []
+    assert estimate_sweep(24, 4, 0.25, noise, [], 300, 1) == []
+    estimate_sweep(24, 4, 0.25, noise, grid[:1], 3, 1)
+    assert set(calls) == {"ml_decode", "_sample_truth"}
+
+
 # ---------------------------------------------------------------------------
 # partial error
 
