@@ -23,19 +23,18 @@ words at once.  Extending it also holds at most one block of
 every T of a grid must be integers (Python or numpy); any other value
 raises ``ParameterError``, which the command line reports with exit 2.
 
-Two rules skip decodes whose result is known, so every histogram equals
-the one from decoding every trial.  On a channel with u = 0 (noise-free
-or additive) a defective never sits in a negative test, so the truth
-lies in the pool, the items in no negative test.  Before decoding at T,
-``_TrialStream.settle`` counts each unsolved trial's pool at T in one
-vectorized pass over blocks of at most ``_BLOCK_CELLS`` words; a trial
-whose pool has exactly K items has one finite-likelihood candidate, the
-truth, so it is correct at T without a decode.  The pool of a T-prefix
-only shrinks as T grows and always holds the truth, so such a trial is
-correct at every larger T too.  On the noise-free channel a trial that
-decoded uniquely and correctly at some probed T' <= T is also not
-decoded again at T: a larger T only removes consistent candidate sets.
-Under additive noise a correct decode carries no such guarantee.
+One rule, run before any decode, skips the trials whose ML decode is
+known to be the truth, so every histogram equals the one from decoding
+every trial.  On a channel with u = 0 (noise-free or additive) a
+defective never sits in a negative test, so the truth lies in the pool,
+the items in no negative test.  Before decoding at T,
+``_TrialStream.settle`` settles each unsolved trial whose pool has
+exactly K items (the one finite-likelihood set) and, on the noise-free
+channel, each with K definite defectives: pool items alone in the pool
+of some positive test, which every finite-likelihood set contains.  A
+longer prefix only shrinks the pool and keeps every definite defective,
+so a trial settled at T is settled at every larger T, and the trials a
+read at T decodes depend on T alone, not on the order of earlier reads.
 
 Error conventions: a trial errs when the decoder returns a set other than
 the truth or reports a tie (ties count against the decoder).  The partial
@@ -51,7 +50,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .bitops import WORD_BITS, n_words
+from .bitops import WORD_BITS, n_words, pack_bits, unpack_bits
 from .decoder import _enumeration_size, ml_decode, miss_distance
 from .errors import ParameterError
 from .model import (
@@ -217,11 +216,9 @@ class _TrialStream:
     so a trial at T is bit-identical to the same trial drawn afresh at T,
     whatever the block or the order of extensions.
 
-    ``solved_at`` holds, per trial, the smallest T at which the trial is
-    known to be decoded uniquely and correctly at every T' >= T (inf when
-    none is known).  ``settle`` records it for the trials whose pool is
-    exactly K on a u = 0 channel, and ``solved`` for the trials a
-    noise-free decode got right; ``draw`` skips the trials it names.
+    ``solved_at`` holds, per trial, the smallest T at which ``settle``
+    found the decode to be the truth at every T' >= T (inf when none);
+    ``draw`` skips the trials it names.
     """
 
     def __init__(self, n_items: int, k: int, p: float, noise_model: NoiseModel,
@@ -244,8 +241,7 @@ class _TrialStream:
 
     def draw(self, n_tests: int):
         """Yield (trial, truth, codebook, outcome) at n_tests for every trial
-        not recorded as solved at some T <= n_tests (by ``settle`` or
-        ``solved``); a trial never recorded is yielded at every n_tests.
+        that ``settle`` has not recorded as solved at some T <= n_tests.
 
         Each codebook and outcome owns a copy of its trial's words, so one
         that is kept holds no other trial's words in memory.
@@ -266,15 +262,19 @@ class _TrialStream:
 
     def settle(self, n_tests: int) -> None:
         """On a u = 0 channel, record as solved at n_tests every unsolved
-        trial whose pool at n_tests, the items in no negative test among the
-        first n_tests, has exactly K items.
+        trial whose pool at n_tests (the items in no negative test among the
+        first n_tests) has exactly K items or, on the noise-free channel,
+        holds K definite defectives (items alone in the pool of some test).
 
-        The truth lies in the pool, so such a pool is the truth: the one set
-        of finite likelihood, which ML returns without a tie.  A longer
-        prefix only shrinks the pool, so the trial stays solved at every
-        larger T.  The unsolved trials are read in blocks of at most
-        ``_BLOCK_CELLS`` words; a dilution channel (u > 0), where a
-        defective can sit in a negative test, and n_tests = 0 record nothing.
+        The truth lies in the pool, and on the noise-free channel each
+        positive test holds a defective, so every finite-likelihood set
+        contains the definite defectives.  K of them, like a pool of K, are
+        the truth, which ML returns without a tie.  A longer prefix only
+        shrinks the pool and keeps each definite defective alone in its
+        test, so the trial stays solved at every larger T.  The unsolved
+        trials are read in blocks of at most ``_BLOCK_CELLS`` words, and
+        a block's pool rows are unpacked to a byte a test, which can exceed
+        the block's words; u > 0 and n_tests = 0 record nothing.
         """
         self._reach(n_tests)
         if self.noise_model.law[1] != 0.0 or n_tests == 0:
@@ -286,15 +286,16 @@ class _TrialStream:
             negative = ~self.outcomes[trials, :width]
             if tail:
                 negative[:, -1] &= np.uint64((1 << tail) - 1)
-            hits = self.words[trials, :, :width]  # a copy: ``trials`` is an index array
-            hits &= negative[:, None, :]
-            pool = self.n_items - np.count_nonzero(hits.any(axis=2), axis=1)
+            in_pool = ~(self.words[trials, :, :width] & negative[:, None, :]).any(axis=2)
+            pool = np.count_nonzero(in_pool, axis=1)
+            if self.noise_model.deterministic:
+                owner, items = np.nonzero(in_pool)
+                rows = self.words[trials[owner], items, :width]
+                bits = unpack_bits(rows, n_tests).view(bool)
+                alone = pack_bits(np.add.reduceat(bits, np.cumsum(pool) - pool, dtype=np.intp) == 1)
+                definite = (rows & alone[owner]).any(axis=1)
+                pool[np.bincount(owner[definite], minlength=trials.size) == self.k] = self.k
             self.solved_at[trials[pool == self.k]] = n_tests
-
-    def solved(self, trial: int, n_tests: int) -> None:
-        """Record that ``trial`` decoded uniquely and correctly at n_tests."""
-        if self.noise_model.deterministic:
-            self.solved_at[trial] = min(self.solved_at[trial], n_tests)
 
     def _reach(self, n_tests: int) -> None:
         """Validate n_tests and draw the stream up to it."""
@@ -322,12 +323,10 @@ def _miss_histogram(stream: _TrialStream, n_tests: int) -> np.ndarray:
     """Histogram over miss distance of ``stream``'s erring trials at n_tests."""
     hist = np.zeros(stream.k + 1, dtype=np.int64)
     stream.settle(n_tests)
-    for trial, truth, codebook, outcome in stream.draw(n_tests):
+    for _, truth, codebook, outcome in stream.draw(n_tests):
         result = ml_decode(codebook, outcome, stream.k, stream.noise_model)
         if result.tie or result.best_set != truth:
             hist[miss_distance(truth, result.best_set)] += 1
-        else:
-            stream.solved(trial, n_tests)
     return hist
 
 
@@ -346,6 +345,15 @@ def _check_trials(trials: int) -> None:
     _check_integers(trials=trials)
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
+
+
+def _check_grid(n_items: int, p: float, t_grid) -> list:
+    """``t_grid`` as a list of ints, every T checked as ``_reach`` checks it,
+    so a bad T anywhere in a grid raises before any trial is drawn."""
+    grid = list(t_grid)
+    for t in grid:
+        _check_design(n_items, t, p)
+    return [int(t) for t in grid]
 
 
 def _check_alpha(alpha: float) -> None:
@@ -422,9 +430,7 @@ def estimate_sweep(
     """
     if alpha is not None:
         _check_alpha(alpha)
-    grid = list(t_grid)
-    for t in grid:
-        _check_design(n_items, t, p)
+    grid = _check_grid(n_items, p, t_grid)
     stream = _TrialStream(n_items, k, p, noise_model, master_seed, trials)
     return [_estimates(stream, t, (alpha,))[0] for t in grid]
 
@@ -506,9 +512,10 @@ def find_minimal_t(
     if (not grid or not all(map(_is_integer, grid))
             or any(b <= a for a, b in zip(grid, grid[1:]))):
         raise ParameterError("t_grid must be a nonempty strictly increasing integer sequence")
-    grid = [int(t) for t in grid]
+    grid = _check_grid(n_items, p, grid)
     if not 0.0 <= target_error <= 1.0:
         raise ParameterError(f"target_error must lie in [0, 1], got {target_error}")
+    _check_integers(refine_to=refine_to)
     if refine_to < 1:
         raise ParameterError(f"refine_to must be >= 1, got {refine_to}")
 

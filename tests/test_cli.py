@@ -91,7 +91,8 @@ def test_profile_decodes_each_trial_once(monkeypatch):
     """The profile is read off the estimate's one pass: no trial is decoded
     twice, and --profile decodes exactly the trials the plain estimate
     decodes.  That is every trial under dilution; on the noise-free channel
-    the trials whose pool is exactly K are settled without a decode."""
+    the trials whose pool is exactly K, or that hold K definite defectives,
+    are settled without a decode."""
     decoded = []
     decode = gtlab.montecarlo.ml_decode
 

@@ -246,6 +246,19 @@ def test_sweep_checks_its_whole_grid_before_drawing(grid, monkeypatch):
     assert set(calls) == {"ml_decode", "_sample_truth"}
 
 
+def test_minimal_t_checks_its_whole_grid_before_drawing(monkeypatch):
+    """A bad T anywhere in the grid raises before any truth set is drawn or
+    any trial decoded, through the grid check ``estimate_sweep`` uses."""
+    calls = []
+    for name in ("ml_decode", "_sample_truth"):
+        real = getattr(gtlab.montecarlo, name)
+        monkeypatch.setattr(gtlab.montecarlo, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    with pytest.raises(ParameterError):
+        find_minimal_t(64, 2, 0.5, NF, 0.1, 200, [-5, 10], 1)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # partial error
 
@@ -426,6 +439,8 @@ def test_minimal_t_grid_validation():
         find_minimal_t(10, 2, 0.5, NF, 1.5, 10, [1, 2], 1)
     with pytest.raises(ParameterError, match="refine_to must be >= 1, got 0"):
         find_minimal_t(10, 2, 0.5, NF, 0.1, 10, [1, 2], 1, refine_to=0)
+    with pytest.raises(ParameterError, match="refine_to must be an integer, got 2.5"):
+        find_minimal_t(10, 2, 0.5, NF, 0.1, 10, [1, 2], 1, refine_to=2.5)
 
 
 def test_additive_noise_needs_more_tests_than_noise_free():
@@ -549,59 +564,92 @@ def reference_pool_size(codebook, outcome):
     return sum(not (row.astype(bool) & negative).any() for row in codebook.dense_bits())
 
 
-def check_skipped_decodes(noise, monkeypatch):
+def reference_definite_count(codebook, outcome):
+    """The number of definite defectives, over unpacked bits: pool items
+    that are the only pool item in some test."""
+    bits = codebook.dense_bits().astype(bool)
+    pool = bits[~(bits & (outcome.bits() == 0)).any(axis=1)]
+    return int((pool & (pool.sum(axis=0) == 1)).any(axis=1).sum())
+
+
+def check_skipped_decodes(noise, monkeypatch, p=0.5, grid=(12, 30, 8, 64, 20, 65, 129, 25)):
     """One stream read out of order, across word boundaries: every histogram
     equals decoding every trial afresh, and each read decodes exactly the
-    trials whose result is not yet known.  On a u = 0 channel those are the
-    trials whose pool at T is not exactly K, less, on the noise-free channel,
-    the trials decoded correctly at an earlier read of a T' <= T; under
-    dilution they are every trial."""
-    n, k, p, trials, seed = 40, 2, 0.5, 200, 8
-    grid = (12, 30, 8, 64, 20, 65, 129, 25)
+    trials whose result is not known before decoding.  On a u = 0 channel
+    those are the trials whose pool at T is not exactly K and, on the
+    noise-free channel, whose definite defectives at T are not K either;
+    under dilution they are every trial.  Returns the pool sizes and the
+    (pool == K, definite count == K) pairs met over every trial and T."""
+    n, k, trials, seed = 40, 2, 200, 8
     trial_of = {mix64(mix64(seed, trial), 0): trial for trial in range(trials)}
     decoded = []
     decode = gtlab.montecarlo.ml_decode
 
     def counting_decode(codebook, outcome, k, noise_model):
-        result = decode(codebook, outcome, k, noise_model)
-        decoded.append((trial_of[codebook.seed], result))
-        return result
+        decoded.append(trial_of[codebook.seed])
+        return decode(codebook, outcome, k, noise_model)
 
     monkeypatch.setattr(gtlab.montecarlo, "ml_decode", counting_decode)
     stream = _TrialStream(n, k, p, noise, seed, trials)
-    decoded_right_at = {}  # noise-free: the smallest T read at which a trial decoded right
-    pool_sizes = set()
+    pool_sizes, cases = set(), set()
     for t in grid:
         decoded.clear()
         hist = tuple(_collect_histogram(n, k, t, p, noise, trials, seed, stream))
         assert hist == reference_histogram(n, k, t, p, noise, trials, seed)
         fresh = list(fresh_trials(n, k, t, p, noise, trials, seed))
         pools = [reference_pool_size(codebook, outcome) for _, _, codebook, outcome in fresh]
+        definite = [reference_definite_count(codebook, outcome)
+                    for _, _, codebook, outcome in fresh]
         pool_sizes.update(pools)
-        if noise.law[1] == 0.0:
-            expected = [trial for trial in range(trials)
-                        if pools[trial] != k and decoded_right_at.get(trial, math.inf) > t]
-        else:
+        cases.update((pool == k, count == k) for pool, count in zip(pools, definite))
+        if noise.law[1] != 0.0:
             expected = list(range(trials))
-        assert [trial for trial, _ in decoded] == expected
-        for trial, result in decoded:
-            if noise.deterministic and not result.tie and result.best_set == fresh[trial][1]:
-                decoded_right_at[trial] = min(decoded_right_at.get(trial, math.inf), t)
-    # both sides of the rule occur: pools of exactly K items, and of K + 1
-    assert {k, k + 1} <= pool_sizes
+        else:
+            expected = [trial for trial in range(trials) if pools[trial] != k
+                        and not (noise.deterministic and definite[trial] == k)]
+        assert decoded == expected
+    return pool_sizes, cases
 
 
 def test_noise_free_shortcut_keeps_every_histogram(monkeypatch):
-    """Both noise-free skips, the pool rule and trials decoded right at a
-    smaller T, keep every histogram and skip exactly their trials."""
-    check_skipped_decodes(NF, monkeypatch)
+    """Both noise-free settle rules, a pool of K and K definite defectives,
+    keep every histogram and skip exactly their trials; all four
+    combinations of the two rules occur.  Sparse tests leave trials unsettled
+    past the first word, so definite defectives are also read across words."""
+    pool_sizes, cases = check_skipped_decodes(NF, monkeypatch)
+    assert {2, 3} <= pool_sizes  # pools of exactly K items, and of K + 1
+    assert cases == {(False, False), (False, True), (True, False), (True, True)}
+    _, cases = check_skipped_decodes(NF, monkeypatch, p=0.05, grid=(65, 129, 100, 70))
+    assert (False, True) in cases
+
+
+@pytest.mark.parametrize("noise", CHANNELS, ids=lambda m: m.describe())
+def test_decoded_trials_depend_on_t_alone(noise, monkeypatch):
+    """Two streams that read the same T's in different orders decode the
+    same trials at each T: what is settled at T depends on T alone."""
+    n, k, p, trials, seed = 40, 2, 0.5, 200, 8
+    decoded = []
+    decode = gtlab.montecarlo.ml_decode
+
+    def counting_decode(codebook, *args):
+        decoded.append((codebook.n_tests, codebook.seed))
+        return decode(codebook, *args)
+
+    monkeypatch.setattr(gtlab.montecarlo, "ml_decode", counting_decode)
+    reads = []
+    for grid in ((8, 12, 20, 25, 30, 64, 65, 129), (129, 65, 64, 30, 25, 20, 12, 8)):
+        decoded.clear()
+        estimate_sweep(n, k, p, noise, grid, trials, seed)
+        reads.append({t: [s for u, s in decoded if u == t] for t in grid})
+    assert reads[0] == reads[1]
 
 
 @pytest.mark.parametrize(
     "noise", [NoiseModel.additive(0.25), NoiseModel.additive(0.9), NoiseModel.dilution(0.3)],
     ids=lambda m: m.describe())
 def test_skipped_decodes_keep_every_histogram(noise, monkeypatch):
-    check_skipped_decodes(noise, monkeypatch)
+    pool_sizes, _ = check_skipped_decodes(noise, monkeypatch)
+    assert {2, 3} <= pool_sizes  # pools of exactly K items, and of K + 1
 
 
 # ---------------------------------------------------------------------------
