@@ -24,7 +24,7 @@ from .bounds import (
     mutual_information_by_overlap,
     pei_upper_bound,
 )
-from .decoder import DecodeResult, dump_decode_trace, log_likelihood, miss_distance, ml_decode
+from .decoder import DecodeResult, log_likelihood, miss_distance, ml_decode
 from .errors import CapacityError, ParameterError
 from .model import (
     ADDITIVE,
@@ -37,8 +37,6 @@ from .model import (
     apply_channel,
     generate_codebook,
     noiseless_outcome,
-    read_codebook,
-    write_codebook,
 )
 from .montecarlo import (
     ESTIMATE_CSV_HEADER,

@@ -8,8 +8,9 @@ line adds.
 
 Every emitted CSV row carries the full configuration that produced it
 (including the seed and the package version), so any row can be
-reproduced in isolation.  Files are written atomically (temp file then
-rename), text is UTF-8 with LF line endings and '.' decimals.
+reproduced in isolation.  ``--out`` is the package's only file writer:
+``_atomic_text`` writes each file atomically (temp file then rename), and
+text is UTF-8 with LF line endings and '.' decimals.
 
 Exit codes: 0 success, 1 acceptance criterion failed, 2 invalid
 parameters or an unwritable --out, 3 enumeration budget exceeded.
@@ -22,6 +23,7 @@ import csv
 import functools
 import os
 import sys
+from contextlib import contextmanager
 
 from . import __version__
 from .bounds import (
@@ -34,8 +36,7 @@ from .bounds import (
     fano_lower_bound,
 )
 from .errors import CapacityError, ParameterError
-from .model import (ADDITIVE, DILUTION, NOISE_FREE, NoiseModel, _atomic_text, _check_defectives,
-                    generate_codebook)
+from .model import ADDITIVE, DILUTION, NOISE_FREE, NoiseModel, _check_defectives, generate_codebook
 from .montecarlo import (  # noqa: F401 (bench/probes.py wraps every estimator by name here)
     ESTIMATE_CSV_HEADER,
     empirical_pei_profile,
@@ -110,6 +111,33 @@ def _write_csv(handle, header: list, rows: list) -> None:
     writer.writerow(header + ["version"])
     for row in rows:
         writer.writerow(list(row) + [__version__])
+
+
+@contextmanager
+def _atomic_text(path):
+    """A UTF-8 text handle, written as is (no newline translation), whose
+    content replaces ``path`` only when the block completes.
+
+    It writes a temporary ``.gtlab-*`` file in the target directory, so the
+    rename stays on one file system, and unlinks it if the block raises.
+    The file is created with mode 0o666 less the umask, as ``open`` would
+    create it.  An ``OSError`` creating or renaming the temporary file is
+    raised for ``path``, the name the caller knows."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".gtlab-{os.urandom(8).hex()}")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _save_csv(path: str, header: list, rows: list) -> None:

@@ -45,7 +45,6 @@ runs.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -61,7 +60,6 @@ from .model import (
     DefectiveSet,
     NoiseModel,
     OutcomeVector,
-    _atomic_text,
     _check_integers,
     _check_members,
 )
@@ -327,24 +325,3 @@ def ml_decode(
         return DecodeResult(DefectiveSet(tuple(range(k))), -math.inf, False, total)
     best_set = DefectiveSet(tuple(int(v) for v in pool.items[first]))
     return DecodeResult(best_set, best, at_max >= 2, total)
-
-
-def dump_decode_trace(
-    codebook: Codebook,
-    outcome: OutcomeVector,
-    k: int,
-    noise_model: NoiseModel,
-    path,
-) -> None:
-    """Debug dump: one CSV row (candidate, log2 likelihood) per candidate set.
-
-    Scores every set through the public single-set scorer, so this is slow
-    and meant for small instances only.  Checks its inputs as ``ml_decode``
-    does before it writes, and replaces ``path`` atomically."""
-    _check_decode(codebook, outcome, k)
-    with _atomic_text(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["candidate", "log2_likelihood"])
-        for members in itertools.combinations(range(codebook.n_items), k):
-            score = log_likelihood(codebook, DefectiveSet(members), outcome, noise_model)
-            writer.writerow([" ".join(map(str, members)), score])

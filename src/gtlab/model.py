@@ -21,10 +21,7 @@ and the bounds all read it from there.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
-import os
 
 import numpy as np
 
@@ -198,10 +195,6 @@ class Codebook:
             and np.array_equal(self.words, other.words)
         )
 
-    def row_bits(self, i: int) -> np.ndarray:
-        """Row i as a (n_tests,) uint8 array (recomputed, never cached)."""
-        return unpack_bits(self.words[i], self.n_tests)
-
     def dense_bits(self) -> np.ndarray:
         """The whole matrix as (n_items, n_tests) uint8 (recomputed, never cached)."""
         return unpack_bits(self.words, self.n_tests)
@@ -327,64 +320,3 @@ def _channel_words(rows: np.ndarray, idx: np.ndarray, noise_model: NoiseModel,
         alarms = bernoulli_words(mix64_array(seeds, _ADDITIVE_STREAM), [0], tests, q)[..., 0, :]
         words = words | alarms
     return words
-
-
-@contextmanager
-def _atomic_text(path):
-    """A UTF-8 text handle, written as is (no newline translation), whose
-    content replaces ``path`` only when the block completes.
-
-    It writes a temporary ``.gtlab-*`` file in the target directory, so the
-    rename stays on one file system, and unlinks it if the block raises.
-    The file is created with mode 0o666 less the umask, as ``open`` would
-    create it.  An ``OSError`` creating or renaming the temporary file is
-    raised for ``path``, the name the caller knows."""
-    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".gtlab-{os.urandom(8).hex()}")
-    try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            yield handle
-        try:
-            os.replace(tmp, path)
-        except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def write_codebook(codebook: Codebook, path) -> None:
-    """Debug dump: header line "N T p seed", then N rows of T characters in {0,1}."""
-    lines = [f"{codebook.n_items} {codebook.n_tests} {codebook.p!r} {codebook.seed}"]
-    dense = codebook.dense_bits()
-    lines.extend("".join("1" if b else "0" for b in row) for row in dense)
-    with _atomic_text(path) as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
-def read_codebook(path) -> Codebook:
-    """Inverse of write_codebook; the stored bits win over regeneration."""
-    text = Path(path).read_text()
-    lines = text.splitlines()
-    if not lines:
-        raise ParameterError(f"{path}: empty codebook file")
-    head = lines[0].split()
-    try:
-        n_items, n_tests, p, seed = (cast(v) for cast, v in
-                                     zip((int, int, float, int), head, strict=True))
-    except ValueError:
-        raise ParameterError(f"{path}: malformed header {lines[0]!r}") from None
-    _check_design(n_items, n_tests, p)
-    seed = _check_seed(seed)
-    if len(lines) != 1 + n_items:
-        raise ParameterError(f"{path}: expected {n_items} rows, found {len(lines) - 1}")
-    rows = []
-    for line in lines[1:]:
-        if len(line) != n_tests or set(line) - {"0", "1"}:
-            raise ParameterError(f"{path}: bad row {line!r}")
-        rows.append([int(c) for c in line])
-    bits = np.array(rows, dtype=np.uint8)
-    return Codebook(n_items=n_items, n_tests=n_tests, p=p, seed=seed, words=pack_bits(bits))

@@ -454,7 +454,10 @@ def estimate_worstcase_error(
     Deterministic channels evaluate each truth set exactly (a single
     outcome, error 0 or 1); noisy channels estimate each with
     trials_per_set independent noise draws keyed by the codebook seed.
-    Returns the estimate for the worst set.
+    Returns the estimate for the worst set.  On a noisy channel that is the
+    largest of C(N, K) binomial estimates, so it is biased upward as an
+    estimate of the worst conditional error, and its ``ci`` is the worst
+    set's own interval, not an interval for that maximum.
     """
     _check_trials(trials_per_set)
     n_items = codebook.n_items

@@ -1,9 +1,11 @@
 import csv
 import io
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -213,9 +215,15 @@ VALIDATION_ERRORS = [
 # numbered ids, which stay put as cases are appended
 @pytest.mark.parametrize("argv, message", VALIDATION_ERRORS,
                          ids=[f"argv{i}" for i in range(len(VALIDATION_ERRORS))])
-def test_validation_errors_exit_2(argv, message, capsys):
-    assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+def test_validation_errors_exit_2(argv, message, capsys, tmp_path):
+    # an --out file that already exists is left byte-identical, with no temporary file
+    out = tmp_path / "kept.csv"
+    out.write_bytes(b"old,contents\n")
+    for args in (argv, argv + ["--out", str(out)]):
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert out.read_bytes() == b"old,contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
 
 
 @pytest.mark.parametrize("criterion", ["avg", "worst"])
@@ -247,6 +255,16 @@ def test_help_lists_every_flag():
     # defaults are spelled out
     assert "default: noise-free" in text
     assert "default: 1/K" in text
+
+
+def test_readme_library_example_runs():
+    # the README's python block, run as it stands, so it names no missing function
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert len(blocks) == 1
+    with redirect_stdout(io.StringIO()) as printed:
+        exec(blocks[0], {})
+    assert len(printed.getvalue().splitlines()) == 2
 
 
 SESSION = [

@@ -408,16 +408,15 @@ def test_budget_error_names_required_size():
         ml_decode(cb, noiseless_outcome(cb, DefectiveSet((0, 1, 2, 3, 4, 5, 6, 7, 8))), 9, NF)
 
 
-@pytest.mark.parametrize("scan", ["ml_decode", "dump_decode_trace", "estimate_worstcase_error"])
-def test_every_enumeration_reads_the_budget_at_call_time(scan, monkeypatch, tmp_path):
+@pytest.mark.parametrize("scan", ["ml_decode", "estimate_worstcase_error"])
+def test_every_enumeration_reads_the_budget_at_call_time(scan, monkeypatch):
     """C(8, 2) = 28 sets: a budget of 27 refuses the scan, 28 runs it."""
-    from gtlab import dump_decode_trace, estimate_worstcase_error
+    from gtlab import estimate_worstcase_error
 
     cb = generate_codebook(8, 10, 0.3, 1)
     out = noiseless_outcome(cb, DefectiveSet((2, 5)))
     run = {
         "ml_decode": lambda: ml_decode(cb, out, 2, NF),
-        "dump_decode_trace": lambda: dump_decode_trace(cb, out, 2, NF, tmp_path / "trace.csv"),
         "estimate_worstcase_error": lambda: estimate_worstcase_error(cb, 2, NF, 1),
     }[scan]
     monkeypatch.setattr(gtlab.decoder, "BUDGET", 27)
@@ -431,24 +430,6 @@ def test_decode_rejects_mismatched_outcome():
     cb = generate_codebook(6, 10, 0.3, 1)
     with pytest.raises(ParameterError):
         ml_decode(cb, OutcomeVector.from_bits([1, 0]), 2, NF)
-
-
-@pytest.mark.parametrize("k, n_tests", [(9, 10), (0, 10), (-1, 10), (2, 2)],
-                         ids=["K>N", "K=0", "K=-1", "2-test outcome"])
-def test_decode_trace_checks_its_inputs_before_writing(k, n_tests, tmp_path):
-    """A 6-item, 10-test codebook: each input raises ParameterError, creates
-    no file, and leaves a file already at the path byte-identical."""
-    from gtlab import dump_decode_trace
-
-    cb = generate_codebook(6, 10, 0.3, 1)
-    out = OutcomeVector.from_bits([1, 0] * (n_tests // 2))
-    fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
-    kept.write_bytes(b"candidate,log2_likelihood\n0 1,-1.0\n")
-    for path in (fresh, kept):
-        with pytest.raises(ParameterError):
-            dump_decode_trace(cb, out, k, NF, path)
-    assert kept.read_bytes() == b"candidate,log2_likelihood\n0 1,-1.0\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
 
 
 # ---------------------------------------------------------------------------
@@ -571,25 +552,3 @@ def test_miss_distance_values():
 def test_miss_distance_requires_equal_sizes():
     with pytest.raises(ParameterError):
         miss_distance(DefectiveSet((1, 2)), DefectiveSet((1, 2, 3)))
-
-
-# ---------------------------------------------------------------------------
-# debug trace
-
-
-def test_decode_trace_lists_every_candidate(tmp_path):
-    from gtlab import dump_decode_trace
-
-    noise = NoiseModel.additive(0.2)
-    cb = generate_codebook(6, 12, 0.3, 2)
-    out = apply_channel(cb, DefectiveSet((1, 4)), noise, 7)
-    path = tmp_path / "trace.csv"
-    dump_decode_trace(cb, out, 2, noise, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "candidate,log2_likelihood"
-    assert len(lines) == 1 + math.comb(6, 2)
-    best = ml_decode(cb, out, 2, noise)
-    scores = {tuple(map(int, c.split())): float(s)
-              for c, s in (line.split(",") for line in lines[1:])}
-    assert max(scores.values()) == best.log_likelihood
-    assert scores[best.best_set.indices] == best.log_likelihood

@@ -13,15 +13,12 @@ from gtlab import (
     OutcomeVector,
     ParameterError,
     apply_channel,
-    dump_decode_trace,
     generate_codebook,
     noiseless_outcome,
-    read_codebook,
-    write_codebook,
 )
 from gtlab.bitops import pack_bits, unpack_bits
-from gtlab.cli import main as cli_main
-from gtlab.model import _ADDITIVE_STREAM, _DILUTION_STREAM, _atomic_text, _channel_words
+from gtlab.cli import _atomic_text, main as cli_main
+from gtlab.model import _ADDITIVE_STREAM, _DILUTION_STREAM, _channel_words
 from gtlab.montecarlo import _TrialStream
 from gtlab.rng import bernoulli_grid, bernoulli_words, mix64, uniform_grid
 
@@ -164,7 +161,7 @@ def test_single_defective_reproduces_its_row():
     cb = generate_codebook(6, 32, 0.4, 11)
     for j in range(6):
         out = noiseless_outcome(cb, DefectiveSet((j,)))
-        assert np.array_equal(out.bits(), cb.row_bits(j))
+        assert np.array_equal(out.bits(), cb.dense_bits()[j])
 
 
 def test_or_of_two_rows():
@@ -431,25 +428,11 @@ def test_words_must_match_their_test_count():
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-
-def test_codebook_file_round_trip(tmp_path):
-    cb = generate_codebook(5, 70, 0.3, 123)
-    path = tmp_path / "codebook.txt"
-    write_codebook(cb, path)
-    text = path.read_bytes()
-    assert b"\r" not in text
-    head = text.decode().splitlines()[0].split()
-    assert head == ["5", "70", "0.3", "123"]
-    back = read_codebook(path)
-    assert back == cb
-    # stored bits agree with regeneration from the recorded parameters
-    assert back == generate_codebook(back.n_items, back.n_tests, back.p, back.seed)
+# atomic writes
 
 
 def test_a_write_that_raises_partway_keeps_the_old_file(tmp_path):
-    path = tmp_path / "codebook.txt"
+    path = tmp_path / "out.csv"
     path.write_bytes(b"old contents\n")
     with pytest.raises(RuntimeError, match="partway"):
         with _atomic_text(path) as handle:
@@ -457,35 +440,17 @@ def test_a_write_that_raises_partway_keeps_the_old_file(tmp_path):
             handle.flush()
             raise RuntimeError("partway")
     assert path.read_bytes() == b"old contents\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["codebook.txt"]
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 def test_written_files_follow_the_umask(tmp_path):
-    # each writer creates its file as open() would: 0o666 less the umask
-    codebook = generate_codebook(4, 6, 0.5, 1)
+    # --out creates its file as open() would: 0o666 less the umask
     old_umask = os.umask(0o022)
     try:
-        write_codebook(codebook, tmp_path / "codebook.txt")
-        dump_decode_trace(codebook, noiseless_outcome(codebook, DefectiveSet((0, 2))), 2,
-                          NoiseModel.noise_free(), tmp_path / "trace.csv")
         with redirect_stdout(io.StringIO()):
             assert cli_main(["bounds", "-N", "8", "-K", "2",
                              "--out", str(tmp_path / "bounds.csv")]) == 0
     finally:
         os.umask(old_umask)
     assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()} == \
-        {"codebook.txt": 0o644, "trace.csv": 0o644, "bounds.csv": 0o644}
-
-
-def test_read_codebook_rejects_malformed(tmp_path):
-    path = tmp_path / "bad.txt"
-    for text in ("",                              # empty file
-                 "2 3 0.5 1\n010\n01\n",          # short row
-                 "x 2 0.5 1\n01\n",                # non-numeric header
-                 "2 3 0.5\n010\n011\n",            # short header
-                 "2 3 1.5 1\n010\n011\n",          # p outside (0, 1)
-                 "2 3 0.5 -3\n010\n011\n",         # negative seed
-                 "2 3 0.5 1\n010\n011\n110\n"):    # a row beyond N
-        path.write_text(text)
-        with pytest.raises(ParameterError):
-            read_codebook(path)
+        {"bounds.csv": 0o644}
