@@ -29,15 +29,22 @@ masked to the positive tests, and ORs them once.  The law decides how much
 more is computed, without changing any score:
 
 * when log2 u = -inf a member pooled in a negative test makes the score
-  -inf, so only the items whose rows the outcome covers are enumerated;
+  -inf, so only the pool, the items whose rows the outcome covers (the
+  COMP set), is enumerated.  A pool of K items is the truth, decoded untied;
 * when log2 q = -inf (q = 0: noise-free and dilution) a candidate leaving
   a positive test unpooled scores -inf, so only the candidates whose OR is
   every positive test are kept and scored.  Their n+[0] is 0.  When q > 0,
-  n+[0] is n+ minus the popcount of the OR;
+  n+[0] is n+ minus the popcount of the OR.  If u = 0 too, every
+  finite-likelihood set holds the definite defectives (pool items alone in
+  the pool of a test, DD's first step), so K of them are the truth, untied;
 * n+[1..K] come from a bit-sliced recurrence over K threshold levels,
   built only when some coefficient of n+[1..K] is nonzero, which happens
   only under dilution.  The OR level holds every positive test of a kept
   candidate, so it is not counted again.
+
+``_decided`` applies those two rules to trials without a scan.  A longer
+prefix of tests only shrinks the pool and keeps each definite defective,
+so a trial decided at T stays decided at every larger T.
 
 Scoring is deterministic, so results are identical across platforms and
 runs.
@@ -53,7 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bitops import popcount
+from .bitops import WORD_BITS, n_words, pack_bits, popcount, unpack_bits
 from .errors import CapacityError, ParameterError
 from .model import (
     Codebook,
@@ -142,37 +149,68 @@ def _coefficients(noise_model: NoiseModel, k: int) -> _Coefficients:
     return _Coefficients(_log2(1.0 - q), _log2(u), positive, any(positive[1:]))
 
 
+def _in_pool(words: np.ndarray, negative: np.ndarray) -> np.ndarray:
+    """Whether each row of ``words`` (..., N, W) is in no test of ``negative``
+    (..., W), the negative tests masked to T bits: the u = 0 pool."""
+    return ~(words & negative[..., None, :]).any(axis=-1)
+
+
+def _decided(words: np.ndarray, outcomes: np.ndarray, trials: np.ndarray, n_tests: int,
+             k: int, noise_model: NoiseModel) -> np.ndarray:
+    """Whether each trial of ``trials`` is decided at n_tests: its decode,
+    by the module docstring's rules, is its truth.  ``words`` (trials, N,
+    W) and ``outcomes`` (trials, W) may set bits past n_tests.  Only the
+    rows of ``trials`` are read, none when log2 u is finite; definite
+    defectives unpack the pool rows to a byte a test."""
+    co = _coefficients(noise_model, k)
+    if co.participation != -math.inf:
+        return np.zeros(len(trials), dtype=bool)
+    width, tail = n_words(n_tests), n_tests % WORD_BITS
+    negative = ~outcomes[trials, :width]
+    if tail:
+        negative[:, -1] &= np.uint64((1 << tail) - 1)
+    in_pool = _in_pool(words[trials, :, :width], negative)
+    pool = np.count_nonzero(in_pool, axis=1)
+    if co.positive[0] == -math.inf:
+        owner, items = np.nonzero(in_pool)
+        rows = words[trials[owner], items, :width]
+        bits = unpack_bits(rows, n_tests).view(bool)
+        alone = pack_bits(np.add.reduceat(bits, np.cumsum(pool) - pool, dtype=np.intp) == 1)
+        definite = (rows & alone[owner]).any(axis=1)
+        pool[np.bincount(owner[definite], minlength=len(trials)) == k] = k
+    return pool == k
+
+
 class _Pool(NamedTuple):
     """What scoring needs of one outcome, over the items a scan enumerates.
 
     ``items`` maps pool positions to item indices.  ``pos`` holds the pool's
     rows masked to the positive tests, word-major (W, P).  ``neg`` is each
-    item's count of negative tests, read only when log2 u is finite and
-    every item is in the pool.  ``y`` is the outcome's words as a (W, 1)
-    column, and ``start`` the n- term, the same for every candidate.
+    item's count of negative tests, None when log2 u = -inf prunes to the
+    pool.  ``y`` is the outcome's words as a (W, 1) column, and ``start``
+    the n- term, the same for every candidate.
     """
 
     items: np.ndarray
     pos: np.ndarray
-    neg: np.ndarray
+    neg: np.ndarray | None
     y: np.ndarray
     n_pos: int
     start: float
 
 
 def _pool(co: _Coefficients, words: np.ndarray, n_tests: int, y_words: np.ndarray) -> _Pool:
-    neg = popcount(words & ~y_words)
     n_pos = int(popcount(y_words))
     n_neg = n_tests - n_pos
     start = 0.0 + n_neg * co.negative if n_neg and co.negative else 0.0
     if co.participation == -math.inf:
-        # a member pooled in a negative test scores -inf, so the pool is the
-        # items whose rows the outcome covers (their rows are already masked)
-        items = np.flatnonzero(neg == 0)
-        rows = words[items]
+        # a member pooled in a negative test scores -inf; the pool rows are
+        # already masked to the positive tests
+        items = np.flatnonzero(_in_pool(words, ~y_words))
+        rows, neg = words[items], None
     else:
         items = np.arange(words.shape[0])
-        rows = words & y_words
+        rows, neg = words & y_words, popcount(words & ~y_words)
     return _Pool(items, np.ascontiguousarray(rows.T), neg, y_words[:, None], n_pos, start)
 
 

@@ -308,8 +308,8 @@ def _channel_words(rows: np.ndarray, idx: np.ndarray, noise_model: NoiseModel,
     packed from ``tests[0]``; test t reads the same as in ``apply_channel``.
     An int ``noise_seed`` takes rows (K, W) and idx (K,) and gives (W,)
     words.  A block of trials takes one noise seed per trial, a (B,) uint64
-    array, with rows (B, K, W) and idx (B, K), and gives (B, W) words.  On
-    a noisy channel the block may also share one trial's rows and idx.
+    array, with rows (B, K, W) and idx (B, K) or one idx (K,) for the
+    block, and gives (B, W) words.
     """
     q, u = noise_model.law
     seeds = np.asarray(noise_seed, dtype=np.uint64)[..., None]

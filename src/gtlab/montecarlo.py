@@ -23,18 +23,12 @@ words at once.  Extending it also holds at most one block of
 every T of a grid must be integers (Python or numpy); any other value
 raises ``ParameterError``, which the command line reports with exit 2.
 
-One rule, run before any decode, skips the trials whose ML decode is
-known to be the truth, so every histogram equals the one from decoding
-every trial.  On a channel with u = 0 (noise-free or additive) a
-defective never sits in a negative test, so the truth lies in the pool,
-the items in no negative test.  Before decoding at T,
-``_TrialStream.settle`` settles each unsolved trial whose pool has
-exactly K items (the one finite-likelihood set) and, on the noise-free
-channel, each with K definite defectives: pool items alone in the pool
-of some positive test, which every finite-likelihood set contains.  A
-longer prefix only shrinks the pool and keeps every definite defective,
-so a trial settled at T is settled at every larger T, and the trials a
-read at T decodes depend on T alone, not on the order of earlier reads.
+Before decoding at T, ``_TrialStream.settle`` records the trials whose ML
+decode the decoder's ``_decided`` knows without a scan to be the truth
+(see the ``decoder`` module docstring), and ``draw`` skips them, so every
+histogram equals the one from decoding every trial.  A trial decided at T stays decided at every
+larger T, so the trials a read at T decodes depend on T alone, not on
+the order of earlier reads.
 
 Error conventions: a trial errs when the decoder returns a set other than
 the truth or reports a tie (ties count against the decoder).  The partial
@@ -50,8 +44,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .bitops import WORD_BITS, n_words, pack_bits, unpack_bits
-from .decoder import _enumeration_size, ml_decode, miss_distance
+from .bitops import WORD_BITS, n_words
+from .decoder import _decided, _enumeration_size, ml_decode, miss_distance
 from .errors import ParameterError
 from .model import (
     Codebook,
@@ -64,11 +58,10 @@ from .model import (
     _check_integers,
     _check_seed,
     _is_integer,
-    noiseless_outcome,
 )
-# generate_codebook and apply_channel are not called here; bench/probes.py
-# traces them by name in this module
-from .model import apply_channel, generate_codebook  # noqa: F401
+# generate_codebook, apply_channel and noiseless_outcome are not called here;
+# bench/probes.py traces them by name in this module
+from .model import apply_channel, generate_codebook, noiseless_outcome  # noqa: F401
 from .rng import bernoulli_words, mix64, mix64_array
 
 AVERAGE = "average"
@@ -261,41 +254,15 @@ class _TrialStream:
             yield trial, truth, codebook, OutcomeVector(n_tests, outcome)
 
     def settle(self, n_tests: int) -> None:
-        """On a u = 0 channel, record as solved at n_tests every unsolved
-        trial whose pool at n_tests (the items in no negative test among the
-        first n_tests) has exactly K items or, on the noise-free channel,
-        holds K definite defectives (items alone in the pool of some test).
-
-        The truth lies in the pool, and on the noise-free channel each
-        positive test holds a defective, so every finite-likelihood set
-        contains the definite defectives.  K of them, like a pool of K, are
-        the truth, which ML returns without a tie.  A longer prefix only
-        shrinks the pool and keeps each definite defective alone in its
-        test, so the trial stays solved at every larger T.  The unsolved
-        trials are read in blocks of at most ``_BLOCK_CELLS`` words, and
-        a block's pool rows are unpacked to a byte a test, which can exceed
-        the block's words; u > 0 and n_tests = 0 record nothing.
-        """
+        """Record as solved at n_tests the unsolved trials that the decoder's
+        ``_decided`` finds decided, a block of at most ``_BLOCK_CELLS`` words
+        at a time."""
         self._reach(n_tests)
-        if self.noise_model.law[1] != 0.0 or n_tests == 0:
-            return
-        width, tail = n_words(n_tests), n_tests % WORD_BITS
         unsolved = np.flatnonzero(self.solved_at > n_tests)
-        for block in _blocks(unsolved.size, self.n_items * width):
+        for block in _blocks(unsolved.size, self.n_items * n_words(n_tests)):
             trials = unsolved[block]
-            negative = ~self.outcomes[trials, :width]
-            if tail:
-                negative[:, -1] &= np.uint64((1 << tail) - 1)
-            in_pool = ~(self.words[trials, :, :width] & negative[:, None, :]).any(axis=2)
-            pool = np.count_nonzero(in_pool, axis=1)
-            if self.noise_model.deterministic:
-                owner, items = np.nonzero(in_pool)
-                rows = self.words[trials[owner], items, :width]
-                bits = unpack_bits(rows, n_tests).view(bool)
-                alone = pack_bits(np.add.reduceat(bits, np.cumsum(pool) - pool, dtype=np.intp) == 1)
-                definite = (rows & alone[owner]).any(axis=1)
-                pool[np.bincount(owner[definite], minlength=trials.size) == self.k] = self.k
-            self.solved_at[trials[pool == self.k]] = n_tests
+            decided = _decided(self.words, self.outcomes, trials, n_tests, self.k, self.noise_model)
+            self.solved_at[trials[decided]] = n_tests
 
     def _reach(self, n_tests: int) -> None:
         """Validate n_tests and draw the stream up to it."""
@@ -483,17 +450,15 @@ def estimate_worstcase_error(
 
 def _worst_outcomes(codebook: Codebook, truth: DefectiveSet, noise_model: NoiseModel,
                     set_key: int, draws: int):
-    """Yield the ``draws`` outcomes of ``truth``: on a noisy channel draw j is
-    ``apply_channel`` under noise seed mix64(set_key, j), drawn a block of
-    draws per sampler call; a deterministic channel gives its one outcome."""
-    if noise_model.deterministic:
-        yield noiseless_outcome(codebook, truth)
-        return
+    """Yield the ``draws`` outcomes of ``truth``: draw j is ``apply_channel``
+    under noise seed mix64(set_key, j), drawn a block of draws per sampler
+    call, every draw sharing the truth's rows."""
     idx = np.asarray(truth.indices)
     rows, tests = codebook.words[idx], np.arange(codebook.n_tests)
     for block in _blocks(draws, len(idx) * codebook.n_tests):
         seeds = mix64_array(set_key, np.arange(block.start, block.stop))
-        for words in _channel_words(rows, idx, noise_model, seeds, tests):
+        shared = np.broadcast_to(rows, (len(seeds),) + rows.shape)
+        for words in _channel_words(shared, idx, noise_model, seeds, tests):
             yield OutcomeVector(codebook.n_tests, words)
 
 

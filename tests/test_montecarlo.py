@@ -32,6 +32,7 @@ from gtlab.bitops import pack_bits
 from gtlab.cli import main as cli_main
 import gtlab.decoder
 import gtlab.montecarlo
+from gtlab.decoder import _decided
 from gtlab.montecarlo import _collect_histogram, _sample_truth, _TrialStream, _worst_outcomes
 from gtlab.rng import mix64, mix64_array
 
@@ -380,15 +381,19 @@ def test_noisy_worst_case_is_deterministic():
     assert 0.0 <= a.p_hat <= 1.0
 
 
-@pytest.mark.parametrize("noise", [NoiseModel.additive(0.3), NoiseModel.dilution(0.25)],
-                         ids=lambda m: m.describe())
+@pytest.mark.parametrize(
+    "noise", [NF, NoiseModel.additive(0.0), NoiseModel.additive(0.3), NoiseModel.dilution(0.25)],
+    ids=lambda m: m.describe())
 def test_worst_case_block_outcomes_equal_per_draw_channels(noise, monkeypatch):
-    """Each truth set's noisy outcomes, drawn a block per sampler call, are
-    the ones apply_channel gives draw by draw under mix64(set key, draw)."""
+    """Each truth set's outcomes, drawn a block per sampler call, are the
+    ones apply_channel gives draw by draw under mix64(set key, draw); on a
+    deterministic channel every draw is the noiseless outcome."""
     truth = DefectiveSet((1, 4))
     for n_tests in (1, 64, 65, 129):
         codebook = generate_codebook(7, n_tests, 0.4, 13)
         expected = [apply_channel(codebook, truth, noise, mix64(99, draw)) for draw in range(10)]
+        if noise.deterministic:
+            assert expected == [noiseless_outcome(codebook, truth)] * 10
         for cells in (2 * n_tests * 3, 1 << 16):  # blocks of 3, 3, 3 and 1 draws; one block
             monkeypatch.setattr(gtlab.montecarlo, "_BLOCK_CELLS", cells)
             assert list(_worst_outcomes(codebook, truth, noise, 99, 10)) == expected
@@ -650,6 +655,41 @@ def test_decoded_trials_depend_on_t_alone(noise, monkeypatch):
 def test_skipped_decodes_keep_every_histogram(noise, monkeypatch):
     pool_sizes, _ = check_skipped_decodes(noise, monkeypatch)
     assert {2, 3} <= pool_sizes  # pools of exactly K items, and of K + 1
+
+
+@pytest.mark.parametrize("noise", CHANNELS, ids=lambda m: m.describe())
+def test_decided_matches_dense_references(noise):
+    """``_decided`` on stream arrays drawn to T = 192, read at smaller T for a
+    strided, descending choice of trials, against the dense references on
+    the same trials drawn afresh at T.  On a u = 0 channel a trial is
+    decided when its pool is exactly K and, on the noise-free channel only,
+    also when it has K definite defectives; under dilution never.  At the
+    T's that end inside a word, the stream's words and outcomes both set
+    bits past T in that word."""
+    n, k, trials, seed = 40, 2, 200, 8
+    picked = np.arange(trials)[::-3]
+    cases = set()
+    for p in (0.5, 0.05):
+        stream = _TrialStream(n, k, p, noise, seed, trials)
+        stream._reach(192)
+        for t in (0, 8, 12, 20, 30, 63, 64, 65, 129):
+            if t % 64:
+                last, tail = t // 64, np.uint64(t % 64)
+                assert (stream.outcomes[picked, last] >> tail).any()
+                assert (stream.words[picked, :, last] >> tail).any()
+            decided = _decided(stream.words, stream.outcomes, picked, t, k, noise)
+            fresh = list(fresh_trials(n, k, t, p, noise, trials, seed))
+            pool = [reference_pool_size(fresh[i][2], fresh[i][3]) == k for i in picked]
+            definite = [reference_definite_count(fresh[i][2], fresh[i][3]) == k for i in picked]
+            cases.update(zip(pool, definite))
+            if noise.kind == "dilution":
+                expected = [False] * len(picked)
+            elif noise.kind == "additive":
+                expected = pool
+            else:
+                expected = [a or b for a, b in zip(pool, definite)]
+            assert decided.tolist() == expected, (p, t)
+    assert cases == {(False, False), (False, True), (True, False), (True, True)}
 
 
 # ---------------------------------------------------------------------------
