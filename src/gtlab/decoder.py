@@ -42,9 +42,7 @@ more is computed, without changing any score:
   only under dilution.  The OR level holds every positive test of a kept
   candidate, so it is not counted again.
 
-``_decided`` applies those two rules to trials without a scan.  A longer
-prefix of tests only shrinks the pool and keeps each definite defective,
-so a trial decided at T stays decided at every larger T.
+``_decided`` applies those two rules to trials without a scan.
 
 Scoring is deterministic, so results are identical across platforms and
 runs.
@@ -60,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bitops import WORD_BITS, n_words, pack_bits, popcount, unpack_bits
+from .bitops import pack_bits, popcount, unpack_bits
 from .errors import CapacityError, ParameterError
 from .model import (
     Codebook,
@@ -151,33 +149,32 @@ def _coefficients(noise_model: NoiseModel, k: int) -> _Coefficients:
 
 def _in_pool(words: np.ndarray, negative: np.ndarray) -> np.ndarray:
     """Whether each row of ``words`` (..., N, W) is in no test of ``negative``
-    (..., W), the negative tests masked to T bits: the u = 0 pool."""
+    (..., W): the u = 0 pool.  The words' bits past T must be clear."""
     return ~(words & negative[..., None, :]).any(axis=-1)
 
 
-def _decided(words: np.ndarray, outcomes: np.ndarray, trials: np.ndarray, n_tests: int,
-             k: int, noise_model: NoiseModel) -> np.ndarray:
-    """Whether each trial of ``trials`` is decided at n_tests: its decode,
-    by the module docstring's rules, is its truth.  ``words`` (trials, N,
-    W) and ``outcomes`` (trials, W) may set bits past n_tests.  Only the
-    rows of ``trials`` are read, none when log2 u is finite; definite
-    defectives unpack the pool rows to a byte a test."""
+def _decided(words: np.ndarray, outcomes: np.ndarray, n_tests: int, k: int,
+             noise_model: NoiseModel) -> np.ndarray:
+    """Whether each trial is decided at n_tests: its decode, by the module
+    docstring's rules, is its truth.  ``words`` (trials, N, W) and
+    ``outcomes`` (trials, W) are packed as a ``Codebook``'s and an
+    ``OutcomeVector``'s are, with no bit set past n_tests.  No word is read
+    when log2 u is finite; definite defectives unpack n_tests bits of each
+    pool row, for the trials whose pool exceeds K."""
     co = _coefficients(noise_model, k)
     if co.participation != -math.inf:
-        return np.zeros(len(trials), dtype=bool)
-    width, tail = n_words(n_tests), n_tests % WORD_BITS
-    negative = ~outcomes[trials, :width]
-    if tail:
-        negative[:, -1] &= np.uint64((1 << tail) - 1)
-    in_pool = _in_pool(words[trials, :, :width], negative)
+        return np.zeros(len(outcomes), dtype=bool)
+    in_pool = _in_pool(words, ~outcomes)
     pool = np.count_nonzero(in_pool, axis=1)
     if co.positive[0] == -math.inf:
-        owner, items = np.nonzero(in_pool)
-        rows = words[trials[owner], items, :width]
+        rest = np.flatnonzero(pool > k)  # every segment below is non-empty
+        owner, items = np.nonzero(in_pool[rest])
+        rows = words[rest[owner], items]
         bits = unpack_bits(rows, n_tests).view(bool)
-        alone = pack_bits(np.add.reduceat(bits, np.cumsum(pool) - pool, dtype=np.intp) == 1)
+        sizes = pool[rest]
+        alone = pack_bits(np.add.reduceat(bits, np.cumsum(sizes) - sizes, dtype=np.intp) == 1)
         definite = (rows & alone[owner]).any(axis=1)
-        pool[np.bincount(owner[definite], minlength=len(trials)) == k] = k
+        pool[rest[np.bincount(owner[definite], minlength=rest.size) == k]] = k
     return pool == k
 
 

@@ -22,13 +22,9 @@ words at once.  Extending it also holds at most one block of
 ``_BLOCK_CELLS`` cells of sampler scratch.  N, K, T, the trial count and
 every T of a grid must be integers (Python or numpy); any other value
 raises ``ParameterError``, which the command line reports with exit 2.
-
-Before decoding at T, ``_TrialStream.settle`` records the trials whose ML
-decode the decoder's ``_decided`` knows without a scan to be the truth
-(see the ``decoder`` module docstring), and ``draw`` skips them, so every
-histogram equals the one from decoding every trial.  A trial decided at T stays decided at every
-larger T, so the trials a read at T decodes depend on T alone, not on
-the order of earlier reads.
+A read at T skips the trials whose ML decode the decoder's ``_decided``
+knows without a scan to be the truth (see the ``decoder`` module
+docstring), so every histogram equals the one from decoding every trial.
 
 Error conventions: a trial errs when the decoder returns a set other than
 the truth or reports a tie (ties count against the decoder).  The partial
@@ -57,7 +53,6 @@ from .model import (
     _check_design,
     _check_integers,
     _check_seed,
-    _is_integer,
 )
 # generate_codebook, apply_channel and noiseless_outcome are not called here;
 # bench/probes.py traces them by name in this module
@@ -207,11 +202,9 @@ class _TrialStream:
     draws a block of trials per sampler call, at most ``_BLOCK_CELLS``
     codebook cells.  Every random cell is addressed by (seed, item, test),
     so a trial at T is bit-identical to the same trial drawn afresh at T,
-    whatever the block or the order of extensions.
-
-    ``solved_at`` holds, per trial, the smallest T at which ``settle``
-    found the decode to be the truth at every T' >= T (inf when none);
-    ``draw`` skips the trials it names.
+    whatever the block or the order of extensions.  A read holds one masked
+    copy of a block of trials, at most ``_BLOCK_CELLS`` words, while it
+    yields that block's trials.
     """
 
     def __init__(self, n_items: int, k: int, p: float, noise_model: NoiseModel,
@@ -230,39 +223,33 @@ class _TrialStream:
         self.n_tests = 0
         self.words = np.zeros((trials, n_items, 0), dtype=np.uint64)
         self.outcomes = np.zeros((trials, 0), dtype=np.uint64)
-        self.solved_at = np.full(trials, math.inf)
 
     def draw(self, n_tests: int):
-        """Yield (trial, truth, codebook, outcome) at n_tests for every trial
-        that ``settle`` has not recorded as solved at some T <= n_tests.
+        """Yield (trial, truth, codebook, outcome) at n_tests, in trial order,
+        for every trial that the decoder's ``_decided`` leaves undecided.
 
-        Each codebook and outcome owns a copy of its trial's words, so one
-        that is kept holds no other trial's words in memory.
+        Each block of at most ``_BLOCK_CELLS`` words is copied to its first
+        n_tests tests, bits past n_tests cleared, and held while its trials
+        are yielded.  Each codebook and outcome owns a copy of its trial's
+        words from that block, so one that is kept holds no other trial's
+        words in memory.
         """
         self._reach(n_tests)
         width, tail = n_words(n_tests), n_tests % WORD_BITS
         mask = np.uint64((1 << tail) - 1)
-        for trial in np.flatnonzero(self.solved_at > n_tests).tolist():
-            truth = DefectiveSet(self.truth_idx[trial].tolist())
-            words = self.words[trial, :, :width].copy()
-            outcome = self.outcomes[trial, :width].copy()
+        for block in _blocks(self.trials, self.n_items * width):
+            words = self.words[block, :, :width].copy()
+            outcomes = self.outcomes[block, :width].copy()
             if tail:
-                words[:, -1] &= mask
-                outcome[-1] &= mask
-            codebook = Codebook(self.n_items, n_tests, float(self.p), int(self.seeds[trial, 0]),
-                                words)
-            yield trial, truth, codebook, OutcomeVector(n_tests, outcome)
-
-    def settle(self, n_tests: int) -> None:
-        """Record as solved at n_tests the unsolved trials that the decoder's
-        ``_decided`` finds decided, a block of at most ``_BLOCK_CELLS`` words
-        at a time."""
-        self._reach(n_tests)
-        unsolved = np.flatnonzero(self.solved_at > n_tests)
-        for block in _blocks(unsolved.size, self.n_items * n_words(n_tests)):
-            trials = unsolved[block]
-            decided = _decided(self.words, self.outcomes, trials, n_tests, self.k, self.noise_model)
-            self.solved_at[trials[decided]] = n_tests
+                words[..., -1] &= mask
+                outcomes[:, -1] &= mask
+            decided = _decided(words, outcomes, n_tests, self.k, self.noise_model)
+            for i in np.flatnonzero(~decided).tolist():
+                trial = block.start + i
+                truth = DefectiveSet(self.truth_idx[trial].tolist())
+                codebook = Codebook(self.n_items, n_tests, float(self.p),
+                                    int(self.seeds[trial, 0]), words[i].copy())
+                yield trial, truth, codebook, OutcomeVector(n_tests, outcomes[i].copy())
 
     def _reach(self, n_tests: int) -> None:
         """Validate n_tests and draw the stream up to it."""
@@ -289,7 +276,6 @@ class _TrialStream:
 def _miss_histogram(stream: _TrialStream, n_tests: int) -> np.ndarray:
     """Histogram over miss distance of ``stream``'s erring trials at n_tests."""
     hist = np.zeros(stream.k + 1, dtype=np.int64)
-    stream.settle(n_tests)
     for _, truth, codebook, outcome in stream.draw(n_tests):
         result = ml_decode(codebook, outcome, stream.k, stream.noise_model)
         if result.tie or result.best_set != truth:
@@ -476,11 +462,9 @@ def find_minimal_t(
     stream, so the error estimates are paired across T and each trial is
     drawn once.  Each estimate equals ``estimate_average_error`` at its T.
     """
-    grid = list(t_grid)
-    if (not grid or not all(map(_is_integer, grid))
-            or any(b <= a for a, b in zip(grid, grid[1:]))):
+    grid = _check_grid(n_items, p, t_grid)
+    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ParameterError("t_grid must be a nonempty strictly increasing integer sequence")
-    grid = _check_grid(n_items, p, grid)
     if not 0.0 <= target_error <= 1.0:
         raise ParameterError(f"target_error must lie in [0, 1], got {target_error}")
     _check_integers(refine_to=refine_to)

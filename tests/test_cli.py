@@ -94,7 +94,7 @@ def test_profile_decodes_each_trial_once(monkeypatch):
     twice, and --profile decodes exactly the trials the plain estimate
     decodes.  That is every trial under dilution; on the noise-free channel
     the trials whose pool is exactly K, or that hold K definite defectives,
-    are settled without a decode."""
+    are decided without a decode."""
     decoded = []
     decode = gtlab.montecarlo.ml_decode
 

@@ -19,6 +19,7 @@ from gtlab import (
 from gtlab.bitops import pack_bits, unpack_bits
 from gtlab.cli import _atomic_text, main as cli_main
 from gtlab.model import _ADDITIVE_STREAM, _DILUTION_STREAM, _channel_words
+from gtlab import montecarlo
 from gtlab.montecarlo import _TrialStream
 from gtlab.rng import bernoulli_grid, bernoulli_words, mix64, uniform_grid
 
@@ -300,13 +301,18 @@ def test_channel_block_equals_the_per_trial_calls(noise):
 
 
 @pytest.mark.parametrize("noise", REFERENCE_CHANNELS, ids=lambda m: m.describe())
-def test_stream_extension_equals_the_float_grid_reference(noise):
+def test_stream_extension_equals_the_float_grid_reference(noise, monkeypatch):
     """A trial stream extended from inside a word, read back at every edge T,
-    gives each trial's outcome as the float-grid channel would."""
+    gives each trial's outcome as the float-grid channel would.  No trial is
+    decided here, so every read yields all of them."""
+    monkeypatch.setattr(montecarlo, "_decided",
+                        lambda words, outcomes, *_: np.zeros(len(outcomes), dtype=bool))
     n, k, p, trials, seed = 20, 3, 1.0 / 3.0, 4, 77
     stream = _TrialStream(n, k, p, noise, seed, trials)
     for n_tests in (1, 63, 65, 129, 200, *EDGE_TESTS):
-        for trial, truth, codebook, outcome in stream.draw(n_tests):
+        read = list(stream.draw(n_tests))
+        assert [trial for trial, *_ in read] == list(range(trials)), n_tests
+        for trial, truth, codebook, outcome in read:
             idx = np.asarray(truth.indices)
             noise_seed = mix64(mix64(seed, trial), 2)
             expected = reference_channel_bits(codebook.dense_bits()[idx], idx, noise, noise_seed,

@@ -182,7 +182,7 @@ def test_every_entry_point_needs_integer_counts():
         ("T", 10, lambda v: estimate_partial_error(8, 2, v, 0.5, NF, 0.5, 10, 1)),
         ("trials", 10, lambda v: empirical_pei_profile(8, 2, 10, 0.5, NF, v, 1)),
         ("T", 10, lambda v: estimate_sweep(8, 2, 0.5, NF, [4, v], 10, 1)),
-        ("t_grid", 10, lambda v: find_minimal_t(8, 2, 0.5, NF, 0.1, 10, [4, v], 1)),
+        ("T", 10, lambda v: find_minimal_t(8, 2, 0.5, NF, 0.1, 10, [4, v], 1)),
         ("trials", 10, lambda v: find_minimal_t(8, 2, 0.5, NF, 0.1, v, [4, 10], 1)),
         ("K", 2, lambda v: estimate_worstcase_error(codebook, v, NF, 1)),
         ("trials", 2, lambda v: estimate_worstcase_error(codebook, 2, NF, v)),
@@ -471,25 +471,30 @@ CHANNELS = [NF, NoiseModel.additive(0.25), NoiseModel.dilution(0.3)]
 
 @pytest.mark.parametrize("noise", CHANNELS, ids=lambda m: m.describe())
 def test_stream_reads_every_t_as_a_fresh_draw(noise, monkeypatch):
-    """Extending, then reading shorter prefixes, gives each trial exactly as
-    an independent draw at that T would, whatever block the trial was drawn in."""
+    """Extending, then reading shorter prefixes, yields in trial order exactly
+    the trials that the dense references leave undecided, each one exactly
+    as an independent draw at that T would give it, whatever blocks the
+    trial was drawn and read in."""
     n, k, p, trials, seed = 30, 2, 0.5, 12, 41
     # 2,000 cells a block: extending by 5 tests draws one block of all 12 trials,
-    # by 6 tests blocks of 11 and 1, and by 64 tests or more one trial a block
-    monkeypatch.setattr(gtlab.montecarlo, "_BLOCK_CELLS", 2000)
-    assert [len(range(12)[b]) for b in gtlab.montecarlo._blocks(trials, n * 6)] == [11, 1]
-    stream = _TrialStream(n, k, p, noise, seed, trials)
-    for t in (5, 64, 70, 129, 0, 63, 65, 128, 200, 1):
-        draws = list(stream.draw(t))
-        assert [d[0] for d in draws] == list(range(trials))
-        for trial, truth, codebook, outcome in draws:
-            # each yielded trial owns its words: keeping one pins no other
-            assert codebook.words.base is None and outcome.words.base is None
-            trial_key = mix64(seed, trial)
-            fresh = generate_codebook(n, t, p, mix64(trial_key, 0))
-            assert codebook == fresh
-            assert truth == reference_truth(n, k, mix64(trial_key, 1))
-            assert outcome == apply_channel(fresh, truth, noise, mix64(trial_key, 2))
+    # by 6 tests blocks of 11 and 1, and by 64 tests or more one trial a block;
+    # 150 cells a block: a read of one word takes blocks of 5, 5 and 2 trials.
+    # reads at 12 and 20 tests decide some trials of a block and not others
+    for cells, cells_each, sizes in ((2000, n * 6, [11, 1]), (150, n, [5, 5, 2])):
+        monkeypatch.setattr(gtlab.montecarlo, "_BLOCK_CELLS", cells)
+        blocks = gtlab.montecarlo._blocks(trials, cells_each)
+        assert [len(range(trials)[b]) for b in blocks] == sizes
+        stream = _TrialStream(n, k, p, noise, seed, trials)
+        for t in (5, 64, 70, 129, 0, 63, 12, 65, 128, 200, 20, 1):
+            fresh = list(fresh_trials(n, k, t, p, noise, trials, seed))
+            draws = list(stream.draw(t))
+            assert [d[0] for d in draws] == [
+                trial for trial, _, codebook, outcome in fresh
+                if not reference_decided(noise, k, codebook, outcome)]
+            for trial, truth, codebook, outcome in draws:
+                # each yielded trial owns its words: keeping one pins no other
+                assert codebook.words.base is None and outcome.words.base is None
+                assert (trial, truth, codebook, outcome) == fresh[trial]
 
 
 def test_stream_validates_its_configuration_before_drawing(monkeypatch):
@@ -577,6 +582,16 @@ def reference_definite_count(codebook, outcome):
     return int((pool & (pool.sum(axis=0) == 1)).any(axis=1).sum())
 
 
+def reference_decided(noise, k, codebook, outcome):
+    """Whether a trial's ML decode is known without a scan to be its truth:
+    on a u = 0 channel when its pool is exactly K and, on the noise-free
+    channel only, also when it has K definite defectives; under dilution never."""
+    if noise.law[1] != 0.0:
+        return False
+    return reference_pool_size(codebook, outcome) == k or (
+        noise.deterministic and reference_definite_count(codebook, outcome) == k)
+
+
 def check_skipped_decodes(noise, monkeypatch, p=0.5, grid=(12, 30, 8, 64, 20, 65, 129, 25)):
     """One stream read out of order, across word boundaries: every histogram
     equals decoding every trial afresh, and each read decodes exactly the
@@ -607,20 +622,16 @@ def check_skipped_decodes(noise, monkeypatch, p=0.5, grid=(12, 30, 8, 64, 20, 65
                     for _, _, codebook, outcome in fresh]
         pool_sizes.update(pools)
         cases.update((pool == k, count == k) for pool, count in zip(pools, definite))
-        if noise.law[1] != 0.0:
-            expected = list(range(trials))
-        else:
-            expected = [trial for trial in range(trials) if pools[trial] != k
-                        and not (noise.deterministic and definite[trial] == k)]
-        assert decoded == expected
+        assert decoded == [trial for trial, _, codebook, outcome in fresh
+                           if not reference_decided(noise, k, codebook, outcome)]
     return pool_sizes, cases
 
 
 def test_noise_free_shortcut_keeps_every_histogram(monkeypatch):
-    """Both noise-free settle rules, a pool of K and K definite defectives,
-    keep every histogram and skip exactly their trials; all four
-    combinations of the two rules occur.  Sparse tests leave trials unsettled
-    past the first word, so definite defectives are also read across words."""
+    """Both noise-free rules, a pool of K and K definite defectives, keep
+    every histogram and skip exactly their trials; all four combinations of
+    the two rules occur.  Sparse tests leave trials undecided past the first
+    word, so definite defectives are also read across words."""
     pool_sizes, cases = check_skipped_decodes(NF, monkeypatch)
     assert {2, 3} <= pool_sizes  # pools of exactly K items, and of K + 1
     assert cases == {(False, False), (False, True), (True, False), (True, True)}
@@ -631,7 +642,7 @@ def test_noise_free_shortcut_keeps_every_histogram(monkeypatch):
 @pytest.mark.parametrize("noise", CHANNELS, ids=lambda m: m.describe())
 def test_decoded_trials_depend_on_t_alone(noise, monkeypatch):
     """Two streams that read the same T's in different orders decode the
-    same trials at each T: what is settled at T depends on T alone."""
+    same trials at each T: what is decided at T depends on T alone."""
     n, k, p, trials, seed = 40, 2, 0.5, 200, 8
     decoded = []
     decode = gtlab.montecarlo.ml_decode
@@ -659,13 +670,9 @@ def test_skipped_decodes_keep_every_histogram(noise, monkeypatch):
 
 @pytest.mark.parametrize("noise", CHANNELS, ids=lambda m: m.describe())
 def test_decided_matches_dense_references(noise):
-    """``_decided`` on stream arrays drawn to T = 192, read at smaller T for a
-    strided, descending choice of trials, against the dense references on
-    the same trials drawn afresh at T.  On a u = 0 channel a trial is
-    decided when its pool is exactly K and, on the noise-free channel only,
-    also when it has K definite defectives; under dilution never.  At the
-    T's that end inside a word, the stream's words and outcomes both set
-    bits past T in that word."""
+    """``_decided`` on a strided, descending choice of trials copied from
+    stream arrays drawn to T = 192 and masked to smaller T, against the
+    dense references on the same trials drawn afresh at T."""
     n, k, trials, seed = 40, 2, 200, 8
     picked = np.arange(trials)[::-3]
     cases = set()
@@ -673,21 +680,15 @@ def test_decided_matches_dense_references(noise):
         stream = _TrialStream(n, k, p, noise, seed, trials)
         stream._reach(192)
         for t in (0, 8, 12, 20, 30, 63, 64, 65, 129):
-            if t % 64:
-                last, tail = t // 64, np.uint64(t % 64)
-                assert (stream.outcomes[picked, last] >> tail).any()
-                assert (stream.words[picked, :, last] >> tail).any()
-            decided = _decided(stream.words, stream.outcomes, picked, t, k, noise)
+            keep = pack_bits(np.ones(t, dtype=np.uint8))  # the first t bits
+            words = stream.words[picked, :, :keep.size] & keep
+            outcomes = stream.outcomes[picked, :keep.size] & keep
+            decided = _decided(words, outcomes, t, k, noise)
             fresh = list(fresh_trials(n, k, t, p, noise, trials, seed))
             pool = [reference_pool_size(fresh[i][2], fresh[i][3]) == k for i in picked]
             definite = [reference_definite_count(fresh[i][2], fresh[i][3]) == k for i in picked]
             cases.update(zip(pool, definite))
-            if noise.kind == "dilution":
-                expected = [False] * len(picked)
-            elif noise.kind == "additive":
-                expected = pool
-            else:
-                expected = [a or b for a, b in zip(pool, definite)]
+            expected = [reference_decided(noise, k, fresh[i][2], fresh[i][3]) for i in picked]
             assert decided.tolist() == expected, (p, t)
     assert cases == {(False, False), (False, True), (True, False), (True, True)}
 
