@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bitops import pack_bits, popcount, unpack_bits
+from .bitops import popcount
 from .errors import CapacityError, ParameterError
 from .model import (
     Codebook,
@@ -153,28 +153,26 @@ def _in_pool(words: np.ndarray, negative: np.ndarray) -> np.ndarray:
     return ~(words & negative[..., None, :]).any(axis=-1)
 
 
-def _decided(words: np.ndarray, outcomes: np.ndarray, n_tests: int, k: int,
+def _decided(words: np.ndarray, outcomes: np.ndarray, k: int,
              noise_model: NoiseModel) -> np.ndarray:
-    """Whether each trial is decided at n_tests: its decode, by the module
-    docstring's rules, is its truth.  ``words`` (trials, N, W) and
-    ``outcomes`` (trials, W) are packed as a ``Codebook``'s and an
-    ``OutcomeVector``'s are, with no bit set past n_tests.  No word is read
-    when log2 u is finite; definite defectives unpack n_tests bits of each
-    pool row, for the trials whose pool exceeds K."""
+    """Whether each trial is decided: its decode, by the module docstring's
+    rules, is its truth.  ``words`` (trials, N, W) and ``outcomes``
+    (trials, W) are packed as a ``Codebook``'s and an ``OutcomeVector``'s
+    are, with no bit set past T.  No word is read when log2 u is finite;
+    definite defectives are read off the packed pool rows, unpacking none."""
     co = _coefficients(noise_model, k)
     if co.participation != -math.inf:
         return np.zeros(len(outcomes), dtype=bool)
     in_pool = _in_pool(words, ~outcomes)
     pool = np.count_nonzero(in_pool, axis=1)
     if co.positive[0] == -math.inf:
-        rest = np.flatnonzero(pool > k)  # every segment below is non-empty
-        owner, items = np.nonzero(in_pool[rest])
-        rows = words[rest[owner], items]
-        bits = unpack_bits(rows, n_tests).view(bool)
-        sizes = pool[rest]
-        alone = pack_bits(np.add.reduceat(bits, np.cumsum(sizes) - sizes, dtype=np.intp) == 1)
-        definite = (rows & alone[owner]).any(axis=1)
-        pool[rest[np.bincount(owner[definite], minlength=rest.size) == k]] = k
+        rest = np.flatnonzero(pool > k)  # a pool of K is decided already
+        rows = np.where(in_pool[rest, :, None], words[rest], np.uint64(0))
+        seen = np.bitwise_or.accumulate(rows, axis=1)
+        # a row meeting the OR of the rows before it marks tests of 2+ pool items
+        alone = seen[:, -1] & ~np.bitwise_or.reduce(rows[:, 1:] & seen[:, :-1], axis=1)
+        definite = np.count_nonzero((rows & alone[:, None, :]).any(axis=2), axis=1)
+        pool[rest[definite == k]] = k
     return pool == k
 
 

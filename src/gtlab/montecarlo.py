@@ -18,10 +18,11 @@ trial at any larger T.  Every estimate draws its trials into one
 minimal-T search read every T they probe, and a single estimate is the
 one-point sweep.  The stream holds trials x (N+1) x ceil(T/64) 64-bit
 words at the largest T drawn, so a single estimate holds all its trials'
-words at once.  Extending it also holds at most one block of
-``_BLOCK_CELLS`` cells of sampler scratch.  N, K, T, the trial count and
-every T of a grid must be integers (Python or numpy); any other value
-raises ``ParameterError``, which the command line reports with exit 2.
+words at once.  Extending it holds at most one block of ``_BLOCK_CELLS``
+cells of sampler scratch, and a read one block of as many words, masked
+to T by one AND.  N, K, T, the trial count and every T of a grid must be
+integers (Python or numpy); any other value raises ``ParameterError``,
+which the command line reports with exit 2.
 A read at T skips the trials whose ML decode the decoder's ``_decided``
 knows without a scan to be the truth (see the ``decoder`` module
 docstring), so every histogram equals the one from decoding every trial.
@@ -40,7 +41,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .bitops import WORD_BITS, n_words
+from .bitops import WORD_BITS, n_words, pack_bits
 from .decoder import _decided, _enumeration_size, ml_decode, miss_distance
 from .errors import ParameterError
 from .model import (
@@ -202,8 +203,8 @@ class _TrialStream:
     draws a block of trials per sampler call, at most ``_BLOCK_CELLS``
     codebook cells.  Every random cell is addressed by (seed, item, test),
     so a trial at T is bit-identical to the same trial drawn afresh at T,
-    whatever the block or the order of extensions.  A read holds one masked
-    copy of a block of trials, at most ``_BLOCK_CELLS`` words, while it
+    whatever the block or the order of extensions.  A read holds one block
+    of trials, at most ``_BLOCK_CELLS`` words masked by one AND, while it
     yields that block's trials.
     """
 
@@ -228,34 +229,26 @@ class _TrialStream:
         """Yield (trial, truth, codebook, outcome) at n_tests, in trial order,
         for every trial that the decoder's ``_decided`` leaves undecided.
 
-        Each block of at most ``_BLOCK_CELLS`` words is copied to its first
-        n_tests tests, bits past n_tests cleared, and held while its trials
-        are yielded.  Each codebook and outcome owns a copy of its trial's
-        words from that block, so one that is kept holds no other trial's
-        words in memory.
+        The stream is first drawn up to n_tests.  Each block of at most
+        ``_BLOCK_CELLS`` words is read masked to its first n_tests tests by
+        one AND and held while its trials are yielded.  Each codebook and
+        outcome owns a copy of its trial's words from that block, so one
+        that is kept holds no other trial's words in memory.
         """
-        self._reach(n_tests)
-        width, tail = n_words(n_tests), n_tests % WORD_BITS
-        mask = np.uint64((1 << tail) - 1)
-        for block in _blocks(self.trials, self.n_items * width):
-            words = self.words[block, :, :width].copy()
-            outcomes = self.outcomes[block, :width].copy()
-            if tail:
-                words[..., -1] &= mask
-                outcomes[:, -1] &= mask
-            decided = _decided(words, outcomes, n_tests, self.k, self.noise_model)
+        _check_design(self.n_items, n_tests, self.p)
+        if n_tests > self.n_tests:
+            self._extend(n_tests)
+        keep = pack_bits(np.ones(n_tests, dtype=bool))
+        for block in _blocks(self.trials, self.n_items * keep.size):
+            words = self.words[block, :, :keep.size] & keep
+            outcomes = self.outcomes[block, :keep.size] & keep
+            decided = _decided(words, outcomes, self.k, self.noise_model)
             for i in np.flatnonzero(~decided).tolist():
                 trial = block.start + i
                 truth = DefectiveSet(self.truth_idx[trial].tolist())
                 codebook = Codebook(self.n_items, n_tests, float(self.p),
                                     int(self.seeds[trial, 0]), words[i].copy())
                 yield trial, truth, codebook, OutcomeVector(n_tests, outcomes[i].copy())
-
-    def _reach(self, n_tests: int) -> None:
-        """Validate n_tests and draw the stream up to it."""
-        _check_design(self.n_items, n_tests, self.p)
-        if n_tests > self.n_tests:
-            self._extend(n_tests)
 
     def _extend(self, n_tests: int) -> None:
         start, width = self.n_tests // WORD_BITS, n_words(n_tests)
@@ -301,7 +294,7 @@ def _check_trials(trials: int) -> None:
 
 
 def _check_grid(n_items: int, p: float, t_grid) -> list:
-    """``t_grid`` as a list of ints, every T checked as ``_reach`` checks it,
+    """``t_grid`` as a list of ints, every T checked as ``draw`` checks it,
     so a bad T anywhere in a grid raises before any trial is drawn."""
     grid = list(t_grid)
     for t in grid:
@@ -412,10 +405,8 @@ def estimate_worstcase_error(
     estimate of the worst conditional error, and its ``ci`` is the worst
     set's own interval, not an interval for that maximum.
     """
-    _check_trials(trials_per_set)
     n_items = codebook.n_items
-    _check_defectives(n_items, k)
-    _enumeration_size(n_items, k)
+    _check_worst_case(n_items, k, trials_per_set)
     draws = 1 if noise_model.deterministic else trials_per_set
     worst_errors = -1
     worst_key = mix64(codebook.seed, _WORST_STREAM)
@@ -432,6 +423,13 @@ def estimate_worstcase_error(
                 break  # no later set can err more often
     return _make_estimate(WORST_CASE, n_items, k, codebook.n_tests, codebook.p,
                           noise_model, None, draws, worst_errors, codebook.seed)
+
+
+def _check_worst_case(n_items: int, k: int, trials_per_set: int) -> None:
+    """The worst case's checks that need no codebook, so none is drawn first."""
+    _check_trials(trials_per_set)
+    _check_defectives(n_items, k)
+    _enumeration_size(n_items, k)
 
 
 def _worst_outcomes(codebook: Codebook, truth: DefectiveSet, noise_model: NoiseModel,

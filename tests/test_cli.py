@@ -226,6 +226,20 @@ def test_validation_errors_exit_2(argv, message, capsys, tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
 
 
+def test_worst_case_checks_trials_and_budget_before_drawing(monkeypatch, capsys):
+    """A bad trial count or an enumeration above the budget exits before
+    the codebook is drawn: at N = 20000 and T = 640 that is 12.8 M cells."""
+    drawn = []
+    monkeypatch.setattr(gtlab.cli, "generate_codebook", lambda *args: drawn.append(args))
+    worst = ["estimate", "-N", "20000", "-K", "2", "-T", "640", "--criterion", "worst"]
+    assert main(worst + ["--trials", "1"]) == 3
+    assert capsys.readouterr().err == ("error: enumerating the 199990000 2-sets of 20000 "
+                                       "items exceeds the budget of 100000000\n")
+    assert main(worst + ["--trials", "0"]) == 2
+    assert capsys.readouterr().err == "error: trials must be >= 1, got 0\n"
+    assert drawn == []
+
+
 @pytest.mark.parametrize("criterion", ["avg", "worst"])
 def test_zero_tests_estimate_under_both_criteria(criterion):
     # no tests carry no information: every decode ties, so every trial errs

@@ -672,25 +672,30 @@ def test_skipped_decodes_keep_every_histogram(noise, monkeypatch):
 def test_decided_matches_dense_references(noise):
     """``_decided`` on a strided, descending choice of trials copied from
     stream arrays drawn to T = 192 and masked to smaller T, against the
-    dense references on the same trials drawn afresh at T."""
-    n, k, trials, seed = 40, 2, 200, 8
+    dense references on the same trials drawn afresh at T.  Each case, K = 2
+    at two densities and K = 4 at p = 0.25, meets all four combinations of
+    a pool of K and K definite defectives over the T grid."""
+    n, trials, seed = 40, 200, 8
     picked = np.arange(trials)[::-3]
-    cases = set()
-    for p in (0.5, 0.05):
-        stream = _TrialStream(n, k, p, noise, seed, trials)
-        stream._reach(192)
-        for t in (0, 8, 12, 20, 30, 63, 64, 65, 129):
-            keep = pack_bits(np.ones(t, dtype=np.uint8))  # the first t bits
-            words = stream.words[picked, :, :keep.size] & keep
-            outcomes = stream.outcomes[picked, :keep.size] & keep
-            decided = _decided(words, outcomes, t, k, noise)
-            fresh = list(fresh_trials(n, k, t, p, noise, trials, seed))
-            pool = [reference_pool_size(fresh[i][2], fresh[i][3]) == k for i in picked]
-            definite = [reference_definite_count(fresh[i][2], fresh[i][3]) == k for i in picked]
-            cases.update(zip(pool, definite))
-            expected = [reference_decided(noise, k, fresh[i][2], fresh[i][3]) for i in picked]
-            assert decided.tolist() == expected, (p, t)
-    assert cases == {(False, False), (False, True), (True, False), (True, True)}
+    for k, densities in ((2, (0.5, 0.05)), (4, (0.25,))):
+        cases = set()
+        for p in densities:
+            stream = _TrialStream(n, k, p, noise, seed, trials)
+            stream._extend(192)
+            for t in (0, 8, 12, 20, 30, 63, 64, 65, 129):
+                keep = pack_bits(np.ones(t, dtype=np.uint8))  # the first t bits
+                words = stream.words[picked, :, :keep.size] & keep
+                outcomes = stream.outcomes[picked, :keep.size] & keep
+                decided = _decided(words, outcomes, k, noise)
+                fresh = list(fresh_trials(n, k, t, p, noise, trials, seed))
+                pool = [reference_pool_size(fresh[i][2], fresh[i][3]) == k for i in picked]
+                definite = [reference_definite_count(fresh[i][2], fresh[i][3]) == k
+                            for i in picked]
+                cases.update(zip(pool, definite))
+                expected = [reference_decided(noise, k, fresh[i][2], fresh[i][3])
+                            for i in picked]
+                assert decided.tolist() == expected, (k, p, t)
+        assert cases == {(False, False), (False, True), (True, False), (True, True)}, k
 
 
 # ---------------------------------------------------------------------------
