@@ -268,18 +268,28 @@ def pei_upper_bound(
 
 @dataclass(frozen=True)
 class BoundEntry:
-    """One overlap size i: combinatorial numerator, per-test information, their ratio."""
+    """One overlap size i: combinatorial numerator and per-test information,
+    clamped at 0.  The flag and the ratio are derived from them."""
 
     i: int
     numerator_bits: float
     mutual_info_bits: float
-    ratio_tests: float
-    flagged: bool  # True when the channel carries no information at this i (ratio is inf)
+
+    @property
+    def flagged(self) -> bool:
+        """True when the channel carries no information at this i (the ratio is inf)."""
+        return self.mutual_info_bits <= 0.0
+
+    @property
+    def ratio_tests(self) -> float:
+        return math.inf if self.flagged else self.numerator_bits / self.mutual_info_bits
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Per-i terms and the max-over-i test count for one bound family."""
+    """Per-i terms for one bound family.  The test count ``bound_tests`` is
+    their largest ratio, at ``argmax_i``: the first maximizer, so ties
+    resolve to the smallest i."""
 
     kind: str  # "achievable" or "fano"
     n_items: int
@@ -287,8 +297,14 @@ class BoundReport:
     p: float
     noise: NoiseModel
     per_i: tuple[BoundEntry, ...]
-    bound_tests: float
-    argmax_i: int
+
+    @property
+    def bound_tests(self) -> float:
+        return max(e.ratio_tests for e in self.per_i)
+
+    @property
+    def argmax_i(self) -> int:
+        return max(self.per_i, key=lambda e: e.ratio_tests).i
 
 
 _CSV_HEADER = [
@@ -324,25 +340,9 @@ def _build_report(kind: str, n_items: int, k: int, p: float, noise: NoiseModel,
                   numerator_bits_fn, overlaps: int) -> BoundReport:
     """The report over i = 1..overlaps."""
     _check_defectives(n_items, k)
-    entries = []
-    for i, mi in enumerate(mutual_information_by_overlap(k, p, noise)[:overlaps], start=1):
-        num = numerator_bits_fn(i)
-        if mi <= 0.0:
-            entries.append(BoundEntry(i, num, max(mi, 0.0), math.inf, True))
-        else:
-            entries.append(BoundEntry(i, num, mi, num / mi, False))
-    # max returns the first maximizer, so ties resolve to the smallest i
-    best = max(range(len(entries)), key=lambda j: entries[j].ratio_tests)
-    return BoundReport(
-        kind=kind,
-        n_items=n_items,
-        n_defectives=k,
-        p=p,
-        noise=noise,
-        per_i=tuple(entries),
-        bound_tests=entries[best].ratio_tests,
-        argmax_i=entries[best].i,
-    )
+    mi = mutual_information_by_overlap(k, p, noise)[:overlaps]
+    return BoundReport(kind, n_items, k, p, noise, tuple(
+        BoundEntry(i, numerator_bits_fn(i), max(m, 0.0)) for i, m in enumerate(mi, start=1)))
 
 
 def achievable_tests(n_items: int, k: int, p: float, noise_model: NoiseModel) -> BoundReport:

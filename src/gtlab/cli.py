@@ -39,7 +39,7 @@ from .errors import CapacityError, ParameterError
 from .model import ADDITIVE, DILUTION, NOISE_FREE, NoiseModel, _check_defectives, generate_codebook
 from .montecarlo import (  # noqa: F401 (bench/probes.py wraps every estimator by name here)
     ESTIMATE_CSV_HEADER,
-    _check_worst_case,
+    _check_trials,
     empirical_pei_profile,
     estimate_average_error,
     estimate_partial_error,
@@ -192,7 +192,7 @@ def _run_estimate(args) -> int:
     elif args.criterion == "partial":
         est = estimate_partial_error(args.N, args.K, args.T, p, noise, alpha, args.trials, seed)
     else:
-        _check_worst_case(args.N, args.K, args.trials)  # before drawing N x T cells
+        _check_trials(args.N, args.K, args.trials)  # before drawing N x T cells
         codebook = generate_codebook(args.N, args.T, p, seed)
         est = estimate_worstcase_error(codebook, args.K, noise, args.trials)
     if not args.profile:

@@ -149,8 +149,14 @@ def _coefficients(noise_model: NoiseModel, k: int) -> _Coefficients:
 
 def _in_pool(words: np.ndarray, negative: np.ndarray) -> np.ndarray:
     """Whether each row of ``words`` (..., N, W) is in no test of ``negative``
-    (..., W): the u = 0 pool.  The words' bits past T must be clear."""
-    return ~(words & negative[..., None, :]).any(axis=-1)
+    (..., W): the u = 0 pool.  The words' bits past T must be clear.  Hits
+    are ORed a word at a time (numpy reduces slowly over a short axis)."""
+    if not negative.shape[-1]:
+        return np.ones(words.shape[:-1], dtype=bool)  # T = 0: no negative test
+    hits = words[..., 0] & negative[..., None, 0]
+    for w in range(1, negative.shape[-1]):
+        hits |= words[..., w] & negative[..., None, w]
+    return hits == 0
 
 
 def _decided(words: np.ndarray, outcomes: np.ndarray, k: int,
@@ -171,7 +177,7 @@ def _decided(words: np.ndarray, outcomes: np.ndarray, k: int,
         seen = np.bitwise_or.accumulate(rows, axis=1)
         # a row meeting the OR of the rows before it marks tests of 2+ pool items
         alone = seen[:, -1] & ~np.bitwise_or.reduce(rows[:, 1:] & seen[:, :-1], axis=1)
-        definite = np.count_nonzero((rows & alone[:, None, :]).any(axis=2), axis=1)
+        definite = np.count_nonzero(~_in_pool(rows, alone), axis=1)
         pool[rest[definite == k]] = k
     return pool == k
 

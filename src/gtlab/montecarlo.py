@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -82,24 +83,42 @@ ESTIMATE_CSV_HEADER = [
 
 @dataclass(frozen=True)
 class ErrorEstimate:
-    """A binomial point estimate of one error criterion, with its configuration."""
+    """A binomial point estimate of one error criterion: its configuration
+    and what was counted.  ``channel`` and ``param`` are read from ``noise``;
+    ``p_hat`` (a ``float`` for every criterion, given an ``int`` trial count)
+    and ``ci_half_width`` from the counts."""
 
     criterion: str
     n_items: int
     n_defectives: int
     n_tests: int
     p: float
-    channel: str
-    param: float | None
+    noise: NoiseModel
     alpha: float | None
     trials: int
     errors: int
-    p_hat: float
-    ci_half_width: float
     seed: int
     # erring trials by miss distance (entry i: i true items missed), for
     # estimates drawn from the trial stream; None for the worst case
     miss_counts: tuple[int, ...] | None = None
+
+    @property
+    def channel(self) -> str:
+        return self.noise.kind
+
+    @property
+    def param(self) -> float | None:
+        return self.noise.param
+
+    @property
+    def p_hat(self) -> float:
+        return self.errors / self.trials
+
+    @cached_property
+    def ci_half_width(self) -> float:
+        # the exact interval takes up to 0.2 ms, and find_minimal_t reads it
+        # before csv_row does
+        return ci_half_width(self.errors, self.trials)
 
     def csv_row(self) -> list:
         return [
@@ -210,9 +229,7 @@ class _TrialStream:
 
     def __init__(self, n_items: int, k: int, p: float, noise_model: NoiseModel,
                  master_seed: int, trials: int):
-        _check_trials(trials)
-        _check_defectives(n_items, k)
-        _enumeration_size(n_items, k)
+        _check_trials(n_items, k, trials)
         _check_design(n_items, 0, p)
         master_seed = _check_seed(master_seed, "master_seed")
         self.n_items, self.k, self.p, self.noise_model = n_items, k, p, noise_model
@@ -287,10 +304,15 @@ def _collect_histogram(n_items, k, n_tests, p, noise_model, trials, master_seed,
     return _miss_histogram(stream, n_tests)
 
 
-def _check_trials(trials: int) -> None:
+def _check_trials(n_items: int, k: int, trials: int) -> None:
+    """The Monte Carlo domain, checked before any codebook or trial is
+    drawn, in this order: trials >= 1, 1 <= K < N, and C(N, K) within the
+    enumeration budget."""
     _check_integers(trials=trials)
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
+    _check_defectives(n_items, k)
+    _enumeration_size(n_items, k)
 
 
 def _check_grid(n_items: int, p: float, t_grid) -> list:
@@ -307,26 +329,6 @@ def _check_alpha(alpha: float) -> None:
         raise ParameterError(f"alpha must lie strictly inside (0, 1), got {alpha}")
 
 
-def _make_estimate(criterion, n_items, k, n_tests, p, noise_model, alpha,
-                   trials, errors, seed, hist=None) -> ErrorEstimate:
-    return ErrorEstimate(
-        criterion=criterion,
-        n_items=n_items,
-        n_defectives=k,
-        n_tests=n_tests,
-        p=p,
-        channel=noise_model.kind,
-        param=noise_model.param,
-        alpha=alpha,
-        trials=trials,
-        errors=int(errors),
-        p_hat=errors / trials,
-        ci_half_width=ci_half_width(int(errors), trials),
-        seed=seed,
-        miss_counts=None if hist is None else tuple(int(v) for v in hist),
-    )
-
-
 def _estimates(stream: _TrialStream, n_tests: int, alphas) -> list[ErrorEstimate]:
     """Estimates at n_tests from one miss histogram of ``stream``, one per
     entry of ``alphas``: the average error for None, else the partial error
@@ -340,9 +342,9 @@ def _estimates(stream: _TrialStream, n_tests: int, alphas) -> list[ErrorEstimate
         if alpha is None:
             criterion, errors = AVERAGE, hist.sum()
         else:
-            criterion, errors = PARTIAL, int(hist[misses > alpha * k].sum())
-        estimates.append(_make_estimate(criterion, n_items, k, n_tests, p, noise_model, alpha,
-                                        trials, errors, seed, hist))
+            criterion, errors = PARTIAL, hist[misses > alpha * k].sum()
+        estimates.append(ErrorEstimate(criterion, n_items, k, n_tests, p, noise_model, alpha,
+                                       trials, int(errors), seed, tuple(hist.tolist())))
     return estimates
 
 
@@ -406,7 +408,7 @@ def estimate_worstcase_error(
     set's own interval, not an interval for that maximum.
     """
     n_items = codebook.n_items
-    _check_worst_case(n_items, k, trials_per_set)
+    _check_trials(n_items, k, trials_per_set)
     draws = 1 if noise_model.deterministic else trials_per_set
     worst_errors = -1
     worst_key = mix64(codebook.seed, _WORST_STREAM)
@@ -421,15 +423,8 @@ def estimate_worstcase_error(
             worst_errors = errors
             if worst_errors == draws:
                 break  # no later set can err more often
-    return _make_estimate(WORST_CASE, n_items, k, codebook.n_tests, codebook.p,
-                          noise_model, None, draws, worst_errors, codebook.seed)
-
-
-def _check_worst_case(n_items: int, k: int, trials_per_set: int) -> None:
-    """The worst case's checks that need no codebook, so none is drawn first."""
-    _check_trials(trials_per_set)
-    _check_defectives(n_items, k)
-    _enumeration_size(n_items, k)
+    return ErrorEstimate(WORST_CASE, n_items, k, codebook.n_tests, codebook.p, noise_model,
+                         None, draws, worst_errors, codebook.seed)
 
 
 def _worst_outcomes(codebook: Codebook, truth: DefectiveSet, noise_model: NoiseModel,

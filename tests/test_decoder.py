@@ -23,16 +23,11 @@ from gtlab import (
     noiseless_outcome,
 )
 import gtlab.decoder
-from gtlab.bitops import pack_bits
 from gtlab.model import OutcomeVector
 
+from helpers import make_codebook
+
 NF = NoiseModel.noise_free()
-
-
-def make_codebook(bits, p=0.5, seed=0):
-    bits = np.asarray(bits, dtype=np.uint8)
-    return Codebook(n_items=bits.shape[0], n_tests=bits.shape[1], p=p, seed=seed,
-                    words=pack_bits(bits))
 
 
 def _ref_log2(x):

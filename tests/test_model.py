@@ -23,12 +23,7 @@ from gtlab import montecarlo
 from gtlab.montecarlo import _TrialStream
 from gtlab.rng import bernoulli_grid, bernoulli_words, mix64, uniform_grid
 
-
-def make_codebook(bits, p=0.5, seed=0):
-    """Codebook with explicitly chosen bits, for hand-crafted cases."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    return Codebook(n_items=bits.shape[0], n_tests=bits.shape[1], p=p, seed=seed,
-                    words=pack_bits(bits))
+from helpers import make_codebook
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 
 from gtlab import (
     CapacityError,
-    Codebook,
     DefectiveSet,
     NoiseModel,
     ParameterError,
@@ -36,13 +35,9 @@ from gtlab.decoder import _decided
 from gtlab.montecarlo import _collect_histogram, _sample_truth, _TrialStream, _worst_outcomes
 from gtlab.rng import mix64, mix64_array
 
+from helpers import make_codebook
+
 NF = NoiseModel.noise_free()
-
-
-def make_codebook(bits, p=0.5, seed=0):
-    bits = np.asarray(bits, dtype=np.uint8)
-    return Codebook(n_items=bits.shape[0], n_tests=bits.shape[1], p=p, seed=seed,
-                    words=pack_bits(bits))
 
 
 def reference_truth(n, k, key):
@@ -758,3 +753,10 @@ def test_estimate_echoes_configuration():
     assert est.p_hat == est.errors / est.trials
     row = est.csv_row()
     assert len(row) == 13
+    # every criterion's p_hat and CSV cells are plain Python values; an
+    # isinstance check would pass np.float64, which subclasses float
+    partial = estimate_partial_error(10, 2, 8, 0.5, noise, 0.5, 50, 99)
+    worst = estimate_worstcase_error(generate_codebook(10, 8, 0.5, 99), 2, noise, 5)
+    for e in (est, partial, worst):
+        assert type(e.p_hat) is float
+        assert all(type(cell) in (str, int, float) for cell in e.csv_row())
