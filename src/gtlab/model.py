@@ -34,6 +34,9 @@ NOISE_FREE = "noise-free"
 ADDITIVE = "additive"
 DILUTION = "dilution"
 
+# the one parameter each channel kind carries (None: no parameter)
+_PARAMETER = {NOISE_FREE: None, ADDITIVE: "q", DILUTION: "u"}
+
 # domain tags separating the additive and dilution noise streams
 _ADDITIVE_STREAM = 0x41
 _DILUTION_STREAM = 0x44
@@ -61,28 +64,25 @@ def _check_seed(seed, name="seed"):
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Tagged channel descriptor: noise-free, additive(q), or dilution(u)."""
+    """Tagged channel descriptor: noise-free, additive(q), or dilution(u).
+
+    ``_PARAMETER`` names the one parameter each kind carries; a model gives
+    exactly that parameter, and it lies in [0, 1]."""
 
     kind: str
     q: float | None = None
     u: float | None = None
 
     def __post_init__(self):
-        if self.kind == NOISE_FREE:
-            if self.q is not None or self.u is not None:
-                raise ParameterError("noise-free channel carries no parameter")
-        elif self.kind == ADDITIVE:
-            if self.u is not None or self.q is None:
-                raise ParameterError("additive channel carries exactly the parameter q")
-            if not 0.0 <= self.q <= 1.0:
-                raise ParameterError(f"additive q must lie in [0, 1], got {self.q}")
-        elif self.kind == DILUTION:
-            if self.q is not None or self.u is None:
-                raise ParameterError("dilution channel carries exactly the parameter u")
-            if not 0.0 <= self.u <= 1.0:
-                raise ParameterError(f"dilution u must lie in [0, 1], got {self.u}")
-        else:
+        if self.kind not in _PARAMETER:
             raise ParameterError(f"unknown channel kind {self.kind!r}")
+        name = _PARAMETER[self.kind]
+        given = {f for f in _PARAMETER.values() if f and getattr(self, f) is not None}
+        if given != {name} - {None}:
+            carries = f"exactly the parameter {name}" if name else "no parameter"
+            raise ParameterError(f"{self.kind} channel carries {carries}")
+        if name and not 0.0 <= self.param <= 1.0:
+            raise ParameterError(f"{self.kind} {name} must lie in [0, 1], got {self.param}")
 
     @classmethod
     def noise_free(cls) -> "NoiseModel":
@@ -120,9 +120,7 @@ class NoiseModel:
         return self.law == (0.0, 0.0)
 
     def describe(self) -> str:
-        if self.kind == NOISE_FREE:
-            return NOISE_FREE
-        return f"{self.kind}({self.param})"
+        return self.kind if self.param is None else f"{self.kind}({self.param})"
 
 
 @dataclass(frozen=True)
@@ -260,7 +258,7 @@ def generate_codebook(n_items: int, n_tests: int, p: float, seed: int) -> Codebo
     _check_design(n_items, n_tests, p)
     seed = _check_seed(seed)
     words = bernoulli_words(seed, np.arange(n_items), np.arange(n_tests), p)
-    return Codebook(n_items=n_items, n_tests=n_tests, p=float(p), seed=seed, words=words)
+    return Codebook(int(n_items), int(n_tests), float(p), seed, words)
 
 
 def _check_members(codebook: Codebook, defectives: DefectiveSet) -> np.ndarray:
@@ -273,10 +271,8 @@ def _check_members(codebook: Codebook, defectives: DefectiveSet) -> np.ndarray:
 
 
 def noiseless_outcome(codebook: Codebook, defectives: DefectiveSet) -> OutcomeVector:
-    """Boolean OR of the defective rows: bit t is 1 iff some defective is pooled in test t."""
-    idx = _check_members(codebook, defectives)
-    return OutcomeVector(n_tests=codebook.n_tests,
-                         words=np.bitwise_or.reduce(codebook.words[idx], axis=0))
+    """The noise-free channel: bit t is 1 iff some defective is pooled in test t."""
+    return apply_channel(codebook, defectives, NoiseModel.noise_free(), 0)
 
 
 def apply_channel(

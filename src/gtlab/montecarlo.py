@@ -21,8 +21,9 @@ words at the largest T drawn, so a single estimate holds all its trials'
 words at once.  Extending it holds at most one block of ``_BLOCK_CELLS``
 cells of sampler scratch, and a read one block of as many words, masked
 to T by one AND.  N, K, T, the trial count and every T of a grid must be
-integers (Python or numpy); any other value raises ``ParameterError``,
-which the command line reports with exit 2.
+integers (Python or numpy), and are stored as Python ints (p and alpha as
+floats); any other value raises ``ParameterError``, which the command line
+reports with exit 2.
 A read at T skips the trials whose ML decode the decoder's ``_decided``
 knows without a scan to be the truth (see the ``decoder`` module
 docstring), so every histogram equals the one from decoding every trial.
@@ -232,8 +233,8 @@ class _TrialStream:
         _check_trials(n_items, k, trials)
         _check_design(n_items, 0, p)
         master_seed = _check_seed(master_seed, "master_seed")
-        self.n_items, self.k, self.p, self.noise_model = n_items, k, p, noise_model
-        self.master_seed, self.trials = master_seed, trials
+        self.n_items, self.k, self.p = int(n_items), int(k), float(p)
+        self.noise_model, self.master_seed, self.trials = noise_model, master_seed, int(trials)
         keys = mix64_array(master_seed, np.arange(trials))
         # (trials, 2): each trial's codebook and noise seeds
         self.seeds = mix64_array(keys[:, None], np.array([0, 2]))
@@ -263,8 +264,8 @@ class _TrialStream:
             for i in np.flatnonzero(~decided).tolist():
                 trial = block.start + i
                 truth = DefectiveSet(self.truth_idx[trial].tolist())
-                codebook = Codebook(self.n_items, n_tests, float(self.p),
-                                    int(self.seeds[trial, 0]), words[i].copy())
+                codebook = Codebook(self.n_items, n_tests, self.p, int(self.seeds[trial, 0]),
+                                    words[i].copy())
                 yield trial, truth, codebook, OutcomeVector(n_tests, outcomes[i].copy())
 
     def _extend(self, n_tests: int) -> None:
@@ -324,9 +325,10 @@ def _check_grid(n_items: int, p: float, t_grid) -> list:
     return [int(t) for t in grid]
 
 
-def _check_alpha(alpha: float) -> None:
+def _check_alpha(alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must lie strictly inside (0, 1), got {alpha}")
+    return float(alpha)
 
 
 def _estimates(stream: _TrialStream, n_tests: int, alphas) -> list[ErrorEstimate]:
@@ -377,7 +379,7 @@ def estimate_sweep(
     is the sweep of one T.  Every T is checked before any trial is drawn.
     """
     if alpha is not None:
-        _check_alpha(alpha)
+        alpha = _check_alpha(alpha)
     grid = _check_grid(n_items, p, t_grid)
     stream = _TrialStream(n_items, k, p, noise_model, master_seed, trials)
     return [_estimates(stream, t, (alpha,))[0] for t in grid]
@@ -409,7 +411,7 @@ def estimate_worstcase_error(
     """
     n_items = codebook.n_items
     _check_trials(n_items, k, trials_per_set)
-    draws = 1 if noise_model.deterministic else trials_per_set
+    draws = 1 if noise_model.deterministic else int(trials_per_set)
     worst_errors = -1
     worst_key = mix64(codebook.seed, _WORST_STREAM)
     for index, members in enumerate(combinations(range(n_items), k)):
@@ -423,7 +425,7 @@ def estimate_worstcase_error(
             worst_errors = errors
             if worst_errors == draws:
                 break  # no later set can err more often
-    return ErrorEstimate(WORST_CASE, n_items, k, codebook.n_tests, codebook.p, noise_model,
+    return ErrorEstimate(WORST_CASE, n_items, int(k), codebook.n_tests, codebook.p, noise_model,
                          None, draws, worst_errors, codebook.seed)
 
 

@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import stat
 from contextlib import redirect_stdout
 
@@ -345,23 +346,28 @@ def test_additive_law_on_empty_pool():
 
 
 def test_noise_model_carries_exactly_one_parameter():
-    with pytest.raises(ParameterError):
-        NoiseModel("noise-free", q=0.1)
-    with pytest.raises(ParameterError):
-        NoiseModel("additive", q=0.1, u=0.1)
-    with pytest.raises(ParameterError):
-        NoiseModel("additive")
-    with pytest.raises(ParameterError):
-        NoiseModel("dilution", q=0.1)
-    with pytest.raises(ParameterError):
-        NoiseModel.additive(1.5)
-    with pytest.raises(ParameterError):
-        NoiseModel.dilution(-0.1)
-    with pytest.raises(ParameterError, match="unknown channel kind 'bogus'"):
-        NoiseModel("bogus")
+    cases = [
+        (lambda: NoiseModel("noise-free", q=0.1), "noise-free channel carries no parameter"),
+        (lambda: NoiseModel("noise-free", u=0.1), "noise-free channel carries no parameter"),
+        (lambda: NoiseModel("additive", q=0.1, u=0.1),
+         "additive channel carries exactly the parameter q"),
+        (lambda: NoiseModel("additive"), "additive channel carries exactly the parameter q"),
+        (lambda: NoiseModel("dilution", q=0.1),
+         "dilution channel carries exactly the parameter u"),
+        (lambda: NoiseModel("dilution"), "dilution channel carries exactly the parameter u"),
+        (lambda: NoiseModel.additive(1.5), "additive q must lie in [0, 1], got 1.5"),
+        (lambda: NoiseModel.dilution(-0.1), "dilution u must lie in [0, 1], got -0.1"),
+        (lambda: NoiseModel("bogus"), "unknown channel kind 'bogus'"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            build()
     assert NoiseModel.additive(0.2).param == 0.2
     assert NoiseModel.dilution(0.2).param == 0.2
     assert NoiseModel.noise_free().param is None
+    assert NoiseModel.noise_free().describe() == "noise-free"
+    assert NoiseModel.additive(0.25).describe() == "additive(0.25)"
+    assert NoiseModel.dilution(0).describe() == "dilution(0)"
 
 
 def test_defective_set_validation():

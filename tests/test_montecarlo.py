@@ -760,3 +760,13 @@ def test_estimate_echoes_configuration():
     for e in (est, partial, worst):
         assert type(e.p_hat) is float
         assert all(type(cell) in (str, int, float) for cell in e.csv_row())
+    # numpy inputs are stored as Python numbers, so even the reprs agree
+    n, k, t, trials = np.int64(10), np.int64(2), np.int64(8), np.int64(50)
+    p, alpha = np.float64(0.5), np.float64(0.5)
+    from_numpy = (
+        estimate_average_error(n, k, t, p, noise, trials, 99),
+        estimate_partial_error(n, k, t, p, noise, alpha, trials, 99),
+        estimate_worstcase_error(generate_codebook(n, t, p, 99), k, noise, np.int64(5)),
+    )
+    for e, numpy_e in zip((est, partial, worst), from_numpy):
+        assert repr(numpy_e.csv_row()) == repr(e.csv_row())
