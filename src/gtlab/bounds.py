@@ -341,7 +341,7 @@ def _build_report(kind: str, n_items: int, k: int, p: float, noise: NoiseModel,
     """The report over i = 1..overlaps."""
     _check_defectives(n_items, k)
     mi = mutual_information_by_overlap(k, p, noise)[:overlaps]
-    return BoundReport(kind, n_items, k, p, noise, tuple(
+    return BoundReport(kind, int(n_items), int(k), float(p), noise, tuple(
         BoundEntry(i, numerator_bits_fn(i), max(m, 0.0)) for i, m in enumerate(mi, start=1)))
 
 

@@ -31,7 +31,8 @@ docstring), so every histogram equals the one from decoding every trial.
 Error conventions: a trial errs when the decoder returns a set other than
 the truth or reports a tie (ties count against the decoder).  The partial
 criterion instead errs only when the decoded set misses more than
-alpha*K of the true items; a tie alone is not a partial error.
+alpha*K of the true items; a tie alone is not a partial error.  Each
+estimate reads its error count by these rules off its miss histogram.
 """
 
 from __future__ import annotations
@@ -85,9 +86,9 @@ ESTIMATE_CSV_HEADER = [
 @dataclass(frozen=True)
 class ErrorEstimate:
     """A binomial point estimate of one error criterion: its configuration
-    and what was counted.  ``channel`` and ``param`` are read from ``noise``;
-    ``p_hat`` (a ``float`` for every criterion, given an ``int`` trial count)
-    and ``ci_half_width`` from the counts."""
+    and ``miss_counts`` (entry i: erring trials missing i true items), off
+    which ``errors`` is read by the criterion's rule (the entries i > alpha*K
+    for partial, else all) and then ``p_hat`` and ``ci_half_width``."""
 
     criterion: str
     n_items: int
@@ -97,11 +98,8 @@ class ErrorEstimate:
     noise: NoiseModel
     alpha: float | None
     trials: int
-    errors: int
+    miss_counts: tuple[int, ...]
     seed: int
-    # erring trials by miss distance (entry i: i true items missed), for
-    # estimates drawn from the trial stream; None for the worst case
-    miss_counts: tuple[int, ...] | None = None
 
     @property
     def channel(self) -> str:
@@ -110,6 +108,11 @@ class ErrorEstimate:
     @property
     def param(self) -> float | None:
         return self.noise.param
+
+    @property
+    def errors(self) -> int:
+        cut = self.alpha * self.n_defectives if self.criterion == PARTIAL else -1
+        return sum(c for i, c in enumerate(self.miss_counts) if i > cut)
 
     @property
     def p_hat(self) -> float:
@@ -337,17 +340,10 @@ def _estimates(stream: _TrialStream, n_tests: int, alphas) -> list[ErrorEstimate
     at that alpha."""
     n_items, k, p, noise_model = stream.n_items, stream.k, stream.p, stream.noise_model
     trials, seed = stream.trials, stream.master_seed
-    hist = _collect_histogram(n_items, k, n_tests, p, noise_model, trials, seed, stream)
-    misses = np.arange(k + 1)
-    estimates = []
-    for alpha in alphas:
-        if alpha is None:
-            criterion, errors = AVERAGE, hist.sum()
-        else:
-            criterion, errors = PARTIAL, hist[misses > alpha * k].sum()
-        estimates.append(ErrorEstimate(criterion, n_items, k, n_tests, p, noise_model, alpha,
-                                       trials, int(errors), seed, tuple(hist.tolist())))
-    return estimates
+    hist = tuple(_collect_histogram(n_items, k, n_tests, p, noise_model, trials, seed,
+                                    stream).tolist())
+    return [ErrorEstimate(AVERAGE if alpha is None else PARTIAL, n_items, k, n_tests, p,
+                          noise_model, alpha, trials, hist, seed) for alpha in alphas]
 
 
 def estimate_average_error(
@@ -404,7 +400,8 @@ def estimate_worstcase_error(
     Deterministic channels evaluate each truth set exactly (a single
     outcome, error 0 or 1); noisy channels estimate each with
     trials_per_set independent noise draws keyed by the codebook seed.
-    Returns the estimate for the worst set.  On a noisy channel that is the
+    Returns the estimate for the worst set, the first with the most erring
+    draws, and that set's ``miss_counts``.  On a noisy channel it is the
     largest of C(N, K) binomial estimates, so it is biased upward as an
     estimate of the worst conditional error, and its ``ci`` is the worst
     set's own interval, not an interval for that maximum.
@@ -412,21 +409,22 @@ def estimate_worstcase_error(
     n_items = codebook.n_items
     _check_trials(n_items, k, trials_per_set)
     draws = 1 if noise_model.deterministic else int(trials_per_set)
-    worst_errors = -1
+    worst = None
     worst_key = mix64(codebook.seed, _WORST_STREAM)
     for index, members in enumerate(combinations(range(n_items), k)):
         truth = DefectiveSet(members)
-        errors = 0
+        hist = [0] * (k + 1)
         set_key = mix64(worst_key, index)
         for outcome in _worst_outcomes(codebook, truth, noise_model, set_key, draws):
             result = ml_decode(codebook, outcome, k, noise_model)
-            errors += result.tie or result.best_set != truth
-        if errors > worst_errors:
-            worst_errors = errors
-            if worst_errors == draws:
+            if result.tie or result.best_set != truth:
+                hist[miss_distance(truth, result.best_set)] += 1
+        if worst is None or sum(hist) > sum(worst):
+            worst = hist
+            if sum(worst) == draws:
                 break  # no later set can err more often
     return ErrorEstimate(WORST_CASE, n_items, int(k), codebook.n_tests, codebook.p, noise_model,
-                         None, draws, worst_errors, codebook.seed)
+                         None, draws, tuple(worst), codebook.seed)
 
 
 def _worst_outcomes(codebook: Codebook, truth: DefectiveSet, noise_model: NoiseModel,
@@ -462,6 +460,7 @@ def find_minimal_t(
         raise ParameterError("t_grid must be a nonempty strictly increasing integer sequence")
     if not 0.0 <= target_error <= 1.0:
         raise ParameterError(f"target_error must lie in [0, 1], got {target_error}")
+    target_error = float(target_error)
     _check_integers(refine_to=refine_to)
     if refine_to < 1:
         raise ParameterError(f"refine_to must be >= 1, got {refine_to}")

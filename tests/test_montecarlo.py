@@ -11,6 +11,7 @@ from gtlab import (
     achievable_tests,
     additive_converse,
     apply_channel,
+    bound_report_rows,
     ci_half_width,
     empirical_pei_profile,
     estimate_average_error,
@@ -196,7 +197,7 @@ def test_every_entry_point_needs_integer_counts():
         ("errors", 2, lambda v: ci_half_width(v, 10)),
         ("trials", 10, lambda v: ci_half_width(2, v)),
     ):
-        for bad in (float(value), value + 0.5):
+        for bad in (float(value), value + 0.5, True):
             with pytest.raises(ParameterError, match=f"^{name} must be"):
                 call(bad)
         call(np.int64(value))
@@ -327,7 +328,8 @@ def test_estimates_carry_the_miss_histogram_of_their_trial_stream():
     assert partial.errors == sum(average.miss_counts[2:])  # more than 0.5*3 missed
     assert profile == [(i, errors / trials) for i, errors in enumerate(average.miss_counts)]
     codebook = generate_codebook(8, 10, 0.5, 3)
-    assert estimate_worstcase_error(codebook, 2, NF, 1).miss_counts is None
+    worst = estimate_worstcase_error(codebook, 2, NF, 1)
+    assert worst.miss_counts == (1, 0, 0) and worst.errors == 1  # a tie at the truth
 
 
 # ---------------------------------------------------------------------------
@@ -344,18 +346,31 @@ def test_duplicate_rows_make_worst_case_certain():
 
 
 def test_worst_case_exhaustive_matches_direct_enumeration():
+    """The worst case is the first set, in lexicographic order, with the
+    most erring draws, and its histogram tallies that set's draws by miss
+    distance: draw j of set ``index`` is apply_channel under
+    mix64(mix64(mix64(seed, 0x57), index), j)."""
     import itertools
 
-    from gtlab import noiseless_outcome
-
-    codebook = generate_codebook(8, 64, 0.5, 12)
-    est = estimate_worstcase_error(codebook, 2, NF, 1)
-    worst = 0
-    for members in itertools.combinations(range(8), 2):
-        truth = DefectiveSet(members)
-        result = ml_decode(codebook, noiseless_outcome(codebook, truth), 2, NF)
-        worst = max(worst, int(result.tie or result.best_set != truth))
-    assert est.p_hat == float(worst)
+    for noise, n, t, draws in ((NF, 8, 64, 1), (NoiseModel.additive(0.3), 6, 30, 8),
+                               (NoiseModel.dilution(0.25), 6, 12, 8)):
+        codebook = generate_codebook(n, t, 0.5, 12)
+        est = estimate_worstcase_error(codebook, 2, noise, draws)
+        worst = None
+        for index, members in enumerate(itertools.combinations(range(n), 2)):
+            truth = DefectiveSet(members)
+            hist = [0, 0, 0]
+            for j in range(draws):
+                seed = mix64(mix64(mix64(codebook.seed, 0x57), index), j)
+                outcome = apply_channel(codebook, truth, noise, seed)
+                result = ml_decode(codebook, outcome, 2, noise)
+                if result.tie or result.best_set != truth:
+                    hist[miss_distance(truth, result.best_set)] += 1
+            if worst is None or sum(hist) > sum(worst):
+                worst = hist
+        assert est.miss_counts == tuple(worst)
+        assert est.errors == sum(worst)
+        assert est.p_hat == sum(worst) / draws
 
 
 def test_degenerate_dilution_equals_exact_noise_free():
@@ -407,6 +422,11 @@ def test_vacuous_target_stops_at_first_grid_point():
     assert result.t_star == 4
     assert result.resolution == 0
     assert result.attained
+    # a numpy target is stored as a Python float, so even the reprs agree
+    from_numpy = find_minimal_t(12, 2, 0.5, NF, np.float64(1.0), 50, [4, 8, 16], 1)
+    assert repr(from_numpy.target_error) == repr(result.target_error)
+    assert [(t, repr(e.csv_row())) for t, e in from_numpy.probed] == \
+        [(t, repr(e.csv_row())) for t, e in result.probed]
 
 
 def test_minimal_t_bracket_invariants():
@@ -770,3 +790,7 @@ def test_estimate_echoes_configuration():
     )
     for e, numpy_e in zip((est, partial, worst), from_numpy):
         assert repr(numpy_e.csv_row()) == repr(e.csv_row())
+    # and so do bound reports
+    for family in (achievable_tests, fano_lower_bound):
+        assert repr(bound_report_rows(family(n, k, p, noise))) == \
+            repr(bound_report_rows(family(10, 2, 0.5, noise)))
