@@ -8,14 +8,12 @@ criteria, and the matching information-theoretic test-count bounds.
 
 from .bounds import (
     ACHIEVABLE,
+    BOUND_CSV_HEADER,
     FANO,
-    BoundEntry,
     BoundReport,
     achievable_tests,
     additive_converse,
     binary_entropy,
-    bound_report_header,
-    bound_report_rows,
     fano_lower_bound,
     gallager_e0,
     log2_binom,

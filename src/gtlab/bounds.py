@@ -21,10 +21,11 @@ The information is validated against ``mi_bruteforce``, an exact
 enumeration of the joint distribution that serves as the independent
 oracle.  No code here branches on the channel kind, and none imports scipy.
 
-Two test-count bounds are computed from these quantities: a sufficient
-count (random coding, union of per-overlap error events, numerator
-log2 K*C(N-K,i)*C(K,i)) and a necessary count (genie-aided Fano argument,
-numerator log2 C(N-K+i,i)), both maximized over i.
+Two test-count bounds are computed from these quantities, each the largest
+of per-i ratios: a sufficient count (random coding, union of per-overlap
+error events, numerator log2 K*C(N-K,i)*C(K,i)) and a necessary count
+(genie-aided Fano argument, numerator log2 C(N-K+i,i)).  A ``BoundReport``
+stores the numerators and informations per i and derives the rest.
 """
 
 from __future__ import annotations
@@ -216,6 +217,12 @@ def _e0(terms, rho: float) -> float:
 _GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def _competing_bits(n_items: int, k: int, i: int) -> tuple[float, float]:
+    """(log2 C(N-K, i), log2 C(K, i)): the sets that differ from the truth
+    in exactly i items count C(N-K, i) C(K, i)."""
+    return log2_binom(n_items - k, i), log2_binom(k, i)
+
+
 def pei_upper_bound(
     n_items: int,
     k: int,
@@ -241,7 +248,7 @@ def pei_upper_bound(
     _check_partition(k, i, p)
     if i > n_items - k:
         return 0.0
-    log_num = log2_binom(n_items - k, i) + log2_binom(k, i)
+    log_num = sum(_competing_bits(n_items, k, i))  # 0.0 + rest + known, exactly
     terms = _e0_terms(k, i, p, noise_model)
 
     def exponent(rho: float) -> float:
@@ -266,101 +273,73 @@ def pei_upper_bound(
 # test-count bounds
 
 
-@dataclass(frozen=True)
-class BoundEntry:
-    """One overlap size i: combinatorial numerator and per-test information,
-    clamped at 0.  The flag and the ratio are derived from them."""
-
-    i: int
-    numerator_bits: float
-    mutual_info_bits: float
-
-    @property
-    def flagged(self) -> bool:
-        """True when the channel carries no information at this i (the ratio is inf)."""
-        return self.mutual_info_bits <= 0.0
-
-    @property
-    def ratio_tests(self) -> float:
-        return math.inf if self.flagged else self.numerator_bits / self.mutual_info_bits
+BOUND_CSV_HEADER = [
+    "kind", "N", "K", "p", "channel", "param",
+    "i", "numerator_bits", "mi_bits", "ratio_tests",
+]
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Per-i terms for one bound family.  The test count ``bound_tests`` is
-    their largest ratio, at ``argmax_i``: the first maximizer, so ties
-    resolve to the smallest i."""
+    """One bound family's per-overlap columns, entry j for i = j + 1: the
+    combinatorial numerators and the per-test information clamped at 0.
+    Derived from them: each ratio (inf where the information is 0), the
+    test count ``bound_tests``, their largest, and ``argmax_i``, the first
+    maximizer, so ties resolve to the smallest i."""
 
     kind: str  # "achievable" or "fano"
     n_items: int
     n_defectives: int
     p: float
     noise: NoiseModel
-    per_i: tuple[BoundEntry, ...]
+    numerator_bits: tuple[float, ...]
+    mi_bits: tuple[float, ...]
+
+    @property
+    def ratio_tests(self) -> tuple[float, ...]:
+        return tuple(math.inf if m <= 0.0 else num / m
+                     for num, m in zip(self.numerator_bits, self.mi_bits))
 
     @property
     def bound_tests(self) -> float:
-        return max(e.ratio_tests for e in self.per_i)
+        return max(self.ratio_tests)
 
     @property
     def argmax_i(self) -> int:
-        return max(self.per_i, key=lambda e: e.ratio_tests).i
+        return self.ratio_tests.index(self.bound_tests) + 1
+
+    def csv_rows(self) -> list[list]:
+        """One row per i, then a summary row with i = -1 carrying argmax_i
+        (numerator_bits column) and bound_tests (ratio_tests column)."""
+        prefix = [self.kind, self.n_items, self.n_defectives, self.p, self.noise.kind,
+                  "" if self.noise.param is None else self.noise.param]
+        rows = [prefix + [i, *column] for i, column in enumerate(
+            zip(self.numerator_bits, self.mi_bits, self.ratio_tests), start=1)]
+        return rows + [prefix + [-1, self.argmax_i, "", self.bound_tests]]
 
 
-_CSV_HEADER = [
-    "kind", "N", "K", "p", "channel", "param",
-    "i", "numerator_bits", "mi_bits", "ratio_tests",
-]
-
-
-def bound_report_header() -> list[str]:
-    return list(_CSV_HEADER)
-
-
-def bound_report_rows(report: BoundReport) -> list[list]:
-    """CSV rows: one per i, then a summary row with i = -1 carrying
-    argmax_i (numerator_bits column) and bound_tests (ratio_tests column)."""
-    prefix = [
-        report.kind,
-        report.n_items,
-        report.n_defectives,
-        report.p,
-        report.noise.kind,
-        "" if report.noise.param is None else report.noise.param,
-    ]
-    rows = [
-        prefix + [e.i, e.numerator_bits, e.mutual_info_bits, e.ratio_tests]
-        for e in report.per_i
-    ]
-    rows.append(prefix + [-1, report.argmax_i, "", report.bound_tests])
-    return rows
-
-
-def _build_report(kind: str, n_items: int, k: int, p: float, noise: NoiseModel,
-                  numerator_bits_fn, overlaps: int) -> BoundReport:
-    """The report over i = 1..overlaps."""
-    _check_defectives(n_items, k)
-    mi = mutual_information_by_overlap(k, p, noise)[:overlaps]
-    return BoundReport(kind, int(n_items), int(k), float(p), noise, tuple(
-        BoundEntry(i, numerator_bits_fn(i), max(m, 0.0)) for i, m in enumerate(mi, start=1)))
+def _bound_report(kind: str, n_items: int, k: int, p: float, noise: NoiseModel,
+                  numerator_bits: list[float]) -> BoundReport:
+    """The report over i = 1..len(numerator_bits)."""
+    mi = mutual_information_by_overlap(k, p, noise)[:len(numerator_bits)]
+    return BoundReport(kind, int(n_items), int(k), float(p), noise, tuple(numerator_bits),
+                       tuple(max(m, 0.0) for m in mi))
 
 
 def achievable_tests(n_items: int, k: int, p: float, noise_model: NoiseModel) -> BoundReport:
     """Sufficient test count: max_i log2[K C(N-K,i) C(K,i)] / I_i, over the
     overlaps i = 1..min(K, N-K) that a competing set can have."""
-    def numerator(i: int) -> float:
-        return math.log2(k) + log2_binom(n_items - k, i) + log2_binom(k, i)
-
-    return _build_report(ACHIEVABLE, n_items, k, p, noise_model, numerator,
-                         min(k, n_items - k))
+    _check_defectives(n_items, k)
+    bits = [_competing_bits(n_items, k, i) for i in range(1, min(k, n_items - k) + 1)]
+    return _bound_report(ACHIEVABLE, n_items, k, p, noise_model,
+                         [math.log2(k) + rest + known for rest, known in bits])
 
 
 def fano_lower_bound(n_items: int, k: int, p: float, noise_model: NoiseModel) -> BoundReport:
     """Necessary test count: max_i log2 C(N-K+i, i) / I_i."""
-    def numerator(i: int) -> float:
-        return log2_binom(n_items - k + i, i)
-
-    return _build_report(FANO, n_items, k, p, noise_model, numerator, k)
+    _check_defectives(n_items, k)
+    return _bound_report(FANO, n_items, k, p, noise_model,
+                         [log2_binom(n_items - k + i, i) for i in range(1, k + 1)])
 
 
 def additive_converse(n_items: int, k: int, q: float) -> float:

@@ -28,11 +28,10 @@ from contextlib import contextmanager
 from . import __version__
 from .bounds import (
     ACHIEVABLE,
+    BOUND_CSV_HEADER,
     FANO,
     achievable_tests,
     additive_converse,
-    bound_report_header,
-    bound_report_rows,
     fano_lower_bound,
 )
 from .errors import CapacityError, ParameterError
@@ -173,8 +172,8 @@ def _run_bounds(args) -> int:
     rows = []
     for kind in kinds:
         fn = achievable_tests if kind == ACHIEVABLE else fano_lower_bound
-        rows.extend(bound_report_rows(fn(args.N, args.K, p, noise)))
-    _emit(args, bound_report_header(), rows)
+        rows.extend(fn(args.N, args.K, p, noise).csv_rows())
+    _emit(args, BOUND_CSV_HEADER, rows)
     if args.fmt == "table" and noise.kind == ADDITIVE and 0.0 < noise.q < 1.0:
         converse = additive_converse(args.N, args.K, noise.q)
         print(f"additive converse (order-of-growth): {converse:.6g} tests")

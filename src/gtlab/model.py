@@ -151,12 +151,13 @@ class DefectiveSet:
         return iter(self.indices)
 
 
-def _check_words(words: np.ndarray, shape: tuple[int, ...], n_tests: int) -> None:
+def _check_words(words: np.ndarray, rows: tuple[int, ...], n_tests: int) -> None:
     """Packed rows of n_tests bits: a test count that is an integer >= 0, and
-    uint64 words of ``shape`` with every bit at or past n_tests % 64 of the
-    last word clear."""
+    uint64 words of shape ``rows`` + (n_words(n_tests),) with every bit at or
+    past n_tests % 64 of the last word clear."""
     if not _is_integer(n_tests) or n_tests < 0:
         raise ParameterError(f"T must be an integer >= 0, got {n_tests!r}")
+    shape = (*rows, n_words(n_tests))
     if words.dtype != np.uint64 or words.shape != shape:
         raise ParameterError(
             f"{n_tests} tests need uint64 words of shape {shape}, got {words.dtype} {words.shape}"
@@ -181,7 +182,9 @@ class Codebook:
     words: np.ndarray = field(repr=False)  # (n_items, n_words) uint64
 
     def __post_init__(self):
-        _check_words(self.words, (self.n_items, n_words(self.n_tests)), self.n_tests)
+        _check_design(self.n_items, self.n_tests, self.p)
+        _check_seed(self.seed)
+        _check_words(self.words, (self.n_items,), self.n_tests)
         self.words.flags.writeable = False
 
     def __eq__(self, other) -> bool:
@@ -206,7 +209,7 @@ class OutcomeVector:
     words: np.ndarray = field(repr=False)  # (n_words,) uint64
 
     def __post_init__(self):
-        _check_words(self.words, (n_words(self.n_tests),), self.n_tests)
+        _check_words(self.words, (), self.n_tests)
         self.words.flags.writeable = False
 
     def __eq__(self, other) -> bool:

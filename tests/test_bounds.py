@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from gtlab import (
+    BOUND_CSV_HEADER,
     CapacityError,
     NoiseModel,
     ParameterError,
     achievable_tests,
     additive_converse,
     binary_entropy,
-    bound_report_header,
-    bound_report_rows,
     fano_lower_bound,
     gallager_e0,
     log2_binom,
@@ -438,8 +437,8 @@ def test_pei_bound_builds_e0_inputs_once_and_keeps_every_value(monkeypatch):
 def test_achievable_smallest_case_is_degenerate_zero():
     report = achievable_tests(2, 1, 0.5, NF)
     assert report.bound_tests == 0.0
-    assert report.per_i[0].numerator_bits == 0.0
-    assert not report.per_i[0].flagged
+    assert report.numerator_bits[0] == 0.0
+    assert report.mi_bits[0] != 0.0
 
 
 def test_achievable_entries_cross_checked_against_oracle(tmp_path):
@@ -447,15 +446,16 @@ def test_achievable_entries_cross_checked_against_oracle(tmp_path):
     # so the report lists i = 1 only and the per-overlap bound is 0 beyond it
     for n, k in ((100, 2), (3, 2), (5, 4)):
         report = achievable_tests(n, k, 0.5, NF)
-        assert [e.i for e in report.per_i] == list(range(1, min(k, n - k) + 1))
-        for entry in report.per_i:
-            numerator = math.log2(k * math.comb(n - k, entry.i) * math.comb(k, entry.i))
-            oracle = mi_bruteforce(k, entry.i, 0.5, NF)
-            assert abs(entry.numerator_bits - numerator) <= 1e-9
-            assert abs(entry.ratio_tests - numerator / oracle) <= 1e-6
-        assert report.bound_tests == max(e.ratio_tests for e in report.per_i)
+        assert len(report.numerator_bits) == len(report.mi_bits) == min(k, n - k)
+        columns = zip(report.numerator_bits, report.ratio_tests)
+        for i, (numerator_bits, ratio) in enumerate(columns, start=1):
+            numerator = math.log2(k * math.comb(n - k, i) * math.comb(k, i))
+            oracle = mi_bruteforce(k, i, 0.5, NF)
+            assert abs(numerator_bits - numerator) <= 1e-9
+            assert abs(ratio - numerator / oracle) <= 1e-6
+        assert report.bound_tests == max(report.ratio_tests)
         assert report.argmax_i == min(
-            e.i for e in report.per_i if e.ratio_tests == report.bound_tests
+            i for i, ratio in enumerate(report.ratio_tests, start=1) if ratio == report.bound_tests
         )
     assert pei_upper_bound(3, 2, 2, 10, 0.5, NF) == 0.0
     assert 0.0 < pei_upper_bound(3, 2, 1, 10, 0.5, NF) < 1.0
@@ -490,9 +490,9 @@ def test_fano_below_achievable_spot_grid():
 def test_saturated_channel_flags_infinite_bound():
     report = fano_lower_bound(50, 3, 1 / 3, NoiseModel.additive(1.0))
     assert math.isinf(report.bound_tests)
-    assert all(e.flagged for e in report.per_i)
+    assert all(m == 0.0 for m in report.mi_bits)
     # still serializes without exceptions
-    rows = bound_report_rows(report)
+    rows = report.csv_rows()
     assert len(rows) == 4
 
 
@@ -505,16 +505,16 @@ def test_bound_domain_errors():
 
 def test_bound_report_csv_shape():
     report = achievable_tests(40, 4, 0.25, NoiseModel.dilution(0.2))
-    rows = bound_report_rows(report)
+    rows = report.csv_rows()
     assert len(rows) == 5  # K per-i rows + summary
-    header = bound_report_header()
+    header = BOUND_CSV_HEADER
     assert header[:6] == ["kind", "N", "K", "p", "channel", "param"]
     summary = rows[-1]
     assert summary[6] == -1
     assert summary[7] == report.argmax_i
     assert summary[9] == report.bound_tests
-    for row, entry in zip(rows, report.per_i):
-        assert row[6] == entry.i and row[9] == entry.ratio_tests
+    for i, (row, ratio) in enumerate(zip(rows, report.ratio_tests), start=1):
+        assert row[6] == i and row[9] == ratio
 
 
 def test_shared_mutual_information_keeps_every_value():
@@ -527,7 +527,7 @@ def test_shared_mutual_information_keeps_every_value():
             closed = [mi_closed_form(k, i, p, noise) for i in range(1, k + 1)]
             assert all(abs(v - c) <= 1e-12 * c for v, c in zip(shared, closed))
             for bound in (achievable_tests, fano_lower_bound):
-                read = tuple(e.mutual_info_bits for e in bound(1000, k, p, noise).per_i)
+                read = bound(1000, k, p, noise).mi_bits
                 assert read == tuple(max(v, 0.0) for v in shared)
 
 

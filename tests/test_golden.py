@@ -21,6 +21,10 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 COMMANDS = {
     "additive-bounds": ["bounds", "--model", "additive", "--q", "0.1", "-N", "1000", "-K", "5",
                         "--kind", "both"],
+    "dilution-bounds-small": ["bounds", "--model", "dilution", "--u", "0.3", "-N", "6", "-K", "4",
+                              "--kind", "both"],
+    "saturated-bounds": ["bounds", "--model", "additive", "--q", "1", "-N", "64", "-K", "2",
+                         "--kind", "both", "--format", "csv"],
     "dilution-estimate": ["estimate", "--model", "dilution", "--u", "0.3", "-N", "24", "-K", "4",
                           "-T", "70", "--trials", "1000", "--seed", "7", "--format", "csv"],
     "dilution-profile": ["estimate", "--model", "dilution", "--u", "0.2", "-N", "24", "-K", "4",

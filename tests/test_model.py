@@ -407,7 +407,8 @@ def test_no_storage_beyond_n_tests_is_set():
 def test_words_must_match_their_test_count():
     """Codebook and OutcomeVector take only an integer T >= 0 and uint64
     words of their shape at T with no bit at or past test T set; T = 0
-    takes zero-width words."""
+    takes zero-width words.  A Codebook takes only the N, p and seed that
+    generate_codebook takes."""
     cb = generate_codebook(8, 10, 0.5, 1)
     out = noiseless_outcome(cb, DefectiveSet((1, 4)))
     wide = generate_codebook(3, 65, 0.5, 1).words
@@ -424,6 +425,13 @@ def test_words_must_match_their_test_count():
         lambda: OutcomeVector(10.5, out.words),
         lambda: OutcomeVector(64.0, np.zeros(1, dtype=np.uint64)),
         lambda: Codebook(8, -3, 0.5, 1, np.zeros((8, 0), dtype=np.uint64)),
+        # the design and the seed are checked as generate_codebook checks them
+        lambda: Codebook(2.0, 3, 0.5, 0, np.zeros((2, 1), dtype=np.uint64)),
+        lambda: Codebook(True, 3, 0.5, 0, np.zeros((1, 1), dtype=np.uint64)),
+        lambda: Codebook(2, 3, 7.0, 0, np.zeros((2, 1), dtype=np.uint64)),
+        lambda: Codebook(2, 3, 0.5, -5, np.zeros((2, 1), dtype=np.uint64)),
+        lambda: Codebook(2, "3", 0.5, 0, np.zeros((2, 1), dtype=np.uint64)),
+        lambda: OutcomeVector("3", np.zeros(1, dtype=np.uint64)),
     ):
         with pytest.raises(ParameterError):
             make()

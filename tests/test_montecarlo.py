@@ -11,7 +11,6 @@ from gtlab import (
     achievable_tests,
     additive_converse,
     apply_channel,
-    bound_report_rows,
     ci_half_width,
     empirical_pei_profile,
     estimate_average_error,
@@ -792,5 +791,5 @@ def test_estimate_echoes_configuration():
         assert repr(numpy_e.csv_row()) == repr(e.csv_row())
     # and so do bound reports
     for family in (achievable_tests, fano_lower_bound):
-        assert repr(bound_report_rows(family(n, k, p, noise))) == \
-            repr(bound_report_rows(family(10, 2, 0.5, noise)))
+        assert repr(family(n, k, p, noise).csv_rows()) == \
+            repr(family(10, 2, 0.5, noise).csv_rows())
