@@ -44,6 +44,15 @@ more is computed, without changing any score:
 
 ``_decided`` applies those two rules to trials without a scan.
 
+``_decode_pools`` decodes a block of trials at once when log2 u = -inf.
+It finds each trial's pool once, groups the trials by pool size P and
+scores a group's C(P, K) candidates, read from the one combination
+table, with the same scorer, a gather of at most ``_CHUNK`` (trial,
+candidate) pairs at a time.  Each trial takes the first maximizer of its
+float scores and a tie when two or more candidates attain it, as
+``ml_decode`` does.  Only pools with C(P, K) <= ``_CHUNK``, one chunk of
+``ml_decode``'s scan, are grouped; the others are left to ``ml_decode``.
+
 Scoring is deterministic, so results are identical across platforms and
 runs.
 """
@@ -183,39 +192,55 @@ def _decided(words: np.ndarray, outcomes: np.ndarray, k: int,
 
 
 class _Pool(NamedTuple):
-    """What scoring needs of one outcome, over the items a scan enumerates.
+    """What scoring needs of G outcomes, over the items their scans enumerate.
 
-    ``items`` maps pool positions to item indices.  ``pos`` holds the pool's
-    rows masked to the positive tests, word-major (W, P).  ``neg`` is each
-    item's count of negative tests, None when log2 u = -inf prunes to the
-    pool.  ``y`` is the outcome's words as a (W, 1) column, and ``start``
-    the n- term, the same for every candidate.
+    The leading axis is the trial, and every trial enumerates as many items,
+    P.  ``items`` (G, P) maps pool positions to item indices.  ``pos`` holds
+    each trial's enumerated rows masked to its positive tests, word-major
+    (G, W, P).  ``neg`` (G, P) is each item's count of negative tests, None
+    when log2 u = -inf prunes to the pool.  ``y`` is the outcomes' words as
+    (G, W, 1), ``n_pos`` (G,) counts their positive tests, and ``start``
+    (G,) is the n- term, the same for every candidate of a trial.
     """
 
     items: np.ndarray
     pos: np.ndarray
     neg: np.ndarray | None
     y: np.ndarray
-    n_pos: int
-    start: float
+    n_pos: np.ndarray
+    start: np.ndarray
 
 
-def _pool(co: _Coefficients, words: np.ndarray, n_tests: int, y_words: np.ndarray) -> _Pool:
-    n_pos = int(popcount(y_words))
-    n_neg = n_tests - n_pos
-    start = 0.0 + n_neg * co.negative if n_neg and co.negative else 0.0
+def _pool(co: _Coefficients, words: np.ndarray, n_tests: int, y_words: np.ndarray,
+          in_pool: np.ndarray | None = None) -> _Pool:
+    """The ``_Pool`` of the outcomes ``y_words`` (G, W) on ``words`` (G, N, W).
+
+    When log2 u = -inf it holds the u = 0 pool, ``in_pool`` (G, N) when the
+    caller has it (else found here), and every trial's pool has as many
+    items; otherwise it holds every item.
+    """
+    g, n, w = words.shape
+    n_pos = popcount(y_words)
+    start = np.zeros(g)
+    if co.negative:  # 0 * log2 0 = 0: a trial with no negative test starts at 0
+        n_neg = n_tests - n_pos
+        np.multiply(n_neg, co.negative, out=start, where=n_neg > 0)
+    y = y_words[:, None, :]
     if co.participation == -math.inf:
         # a member pooled in a negative test scores -inf; the pool rows are
         # already masked to the positive tests
-        items = np.flatnonzero(_in_pool(words, ~y_words))
-        rows, neg = words[items], None
+        in_pool = _in_pool(words, ~y_words) if in_pool is None else in_pool
+        flat = in_pool.reshape(-1).nonzero()[0]
+        items, neg = (flat % n).reshape(g, -1), None
+        rows = words.reshape(g * n, w)[flat].reshape(*items.shape, w)
     else:
-        items = np.arange(words.shape[0])
-        rows, neg = words & y_words, popcount(words & ~y_words)
-    return _Pool(items, np.ascontiguousarray(rows.T), neg, y_words[:, None], n_pos, start)
+        items = np.arange(n)[None].repeat(g, axis=0)
+        rows, neg = words & y, popcount(words & ~y)
+    return _Pool(items, np.ascontiguousarray(rows.transpose(0, 2, 1)), neg,
+                 y_words[:, :, None], n_pos, start)
 
 
-def _positive_counts(rows: np.ndarray, n_pos: int) -> np.ndarray:
+def _positive_counts(rows: np.ndarray, n_pos: np.ndarray) -> np.ndarray:
     """n+[c] for c = 1..M, (M, B): each covering candidate's positive tests
     pooling exactly c members.
 
@@ -225,7 +250,8 @@ def _positive_counts(rows: np.ndarray, n_pos: int) -> np.ndarray:
     and each further row r updates every level at once: ge[c] |= ge[c-1] & r
     for c >= 2 reads the levels as they were before r, then ge[1] |= r.
     |ge[c]| is summed from popcounts, and n+[c] = |ge[c]| - |ge[c+1]|.
-    ge[1], the OR, is every positive test, so |ge[1]| = n_pos.
+    ge[1], the OR, is every positive test of its outcome, so |ge[1]| is that
+    outcome's count in ``n_pos`` (B,).
     """
     _, m, b = rows.shape
     sizes = np.zeros((m + 1, b), dtype=np.int64)  # sizes[c-1] = |ge[c]|, and 0 past ge[M]
@@ -250,30 +276,42 @@ def _add_term(scores: np.ndarray, count: np.ndarray, coef: float) -> None:
 
 
 def _scores(co: _Coefficients, pool: _Pool, local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(scores, candidates): log2 likelihoods of the candidates ``local``,
-    (B, M) indices into the pool.
+    """(pairs, scores): log2 likelihoods of the candidates ``local``, (B, M)
+    indices into each trial's pool, and where each sits in the (G, B)
+    row-major order of (trial, candidate) pairs.
 
     When q = 0 only the candidates whose members pool every positive test
     are scored and returned: n+[0] log2 q = -inf scores every other
-    candidate -inf.
+    candidate -inf.  The OR of the member rows is taken a member at a time,
+    which holds one (G, W, B) array where a gather of every member row at
+    once would hold M of them.
     """
-    b, m = local.shape
-    rows = pool.pos.take(local.T, axis=1)
-    union = np.bitwise_or.reduce(rows, axis=1)
-    if co.positive[0] == -math.inf:
-        keep = np.logical_and.reduce(union == pool.y, axis=0).nonzero()[0]
-        if keep.size < b:
-            local, rows = local.take(keep, axis=0), rows.take(keep, axis=2)
-        scores = np.full(keep.size, pool.start)
+    g, w, size = pool.pos.shape
+    if local.shape[1]:
+        union = pool.pos.take(local[:, 0], axis=2)  # (G, W, B)
     else:
-        scores = np.full(b, pool.start)
-        _add_term(scores, pool.n_pos - popcount(union, axis=0), co.positive[0])
+        union = np.zeros((g, w, len(local)), dtype=np.uint64)
+    for j in range(1, local.shape[1]):
+        union |= pool.pos.take(local[:, j], axis=2)
+    if co.positive[0] == -math.inf:
+        pairs = np.logical_and.reduce(union == pool.y, axis=1).reshape(-1).nonzero()[0]
+    else:
+        pairs = np.arange(g * len(local))
+    trial = pairs // len(local)
+    scores = pool.start[trial]
+    if co.positive[0] != -math.inf:
+        uncovered = pool.n_pos[:, None] - popcount(union, axis=1)
+        _add_term(scores, uncovered.reshape(-1), co.positive[0])
     if co.full and scores.size:
+        # each member's position in the trials' pools laid end to end
+        members = local.take(pairs % len(local), axis=0) + (trial * size)[:, None]
         if co.participation:
-            _add_term(scores, np.add.reduce(pool.neg.take(local), axis=1), co.participation)
-        for coef, count in zip(co.positive[1:], _positive_counts(rows, pool.n_pos)):
+            count = np.add.reduce(pool.neg.reshape(-1).take(members), axis=1)
+            _add_term(scores, count, co.participation)
+        levels = pool.pos.transpose(1, 0, 2).reshape(w, g * size).take(members.T, axis=1)
+        for coef, count in zip(co.positive[1:], _positive_counts(levels, pool.n_pos[trial])):
             _add_term(scores, count, coef)
-    return scores, local
+    return pairs, scores
 
 
 def log_likelihood(
@@ -291,10 +329,10 @@ def log_likelihood(
     _check_tests(codebook, outcome)
     idx = _check_members(codebook, candidate_set)
     co = _coefficients(noise_model, idx.size)
-    pool = _pool(co, codebook.words[idx], codebook.n_tests, outcome.words)
-    if pool.items.size < idx.size:
+    pool = _pool(co, codebook.words[idx][None], codebook.n_tests, outcome.words[None])
+    if pool.items.shape[1] < idx.size:
         return -math.inf
-    scores, _ = _scores(co, pool, np.arange(idx.size)[None, :])
+    _, scores = _scores(co, pool, np.arange(idx.size)[None, :])
     return float(scores[0]) if scores.size else -math.inf
 
 
@@ -304,7 +342,7 @@ _combo_tables: dict[int, np.ndarray] = {}
 
 def _combo_chunks(n: int, k: int):
     """Yield blocks of all K-combinations of range(n), in lexicographic
-    order, as (B, k) int32 arrays.
+    order, as (B, k) intp arrays (the index type `take` reads without a cast).
 
     Up to ``_CACHE_LIMIT`` sets they are read from the table for the largest
     range seen, n_max, whose last C(n, k) rows are the K-sets of
@@ -314,13 +352,13 @@ def _combo_chunks(n: int, k: int):
     if total > _CACHE_LIMIT:
         it = itertools.combinations(range(n), k)
         while block := list(itertools.islice(it, _CHUNK)):
-            yield np.asarray(block, dtype=np.int32)
+            yield np.asarray(block, dtype=np.intp)
         return
     table = _combo_tables.get(k)
     if table is None or table.shape[0] < total:
         table = _combo_tables[k] = np.fromiter(
             itertools.chain.from_iterable(itertools.combinations(range(n), k)),
-            dtype=np.int32,
+            dtype=np.intp,
             count=total * k,
         ).reshape(-1, k)
     shift = int(table[-1, -1]) + 1 - n  # n_max - n: the last row is range(n_max - k, n_max)
@@ -344,11 +382,12 @@ def ml_decode(
     """
     total = _check_decode(codebook, outcome, k)
     co = _coefficients(noise_model, k)
-    pool = _pool(co, codebook.words, codebook.n_tests, outcome.words)
+    pool = _pool(co, codebook.words[None], codebook.n_tests, outcome.words[None])
+    size = pool.items.shape[1]
     best, first, at_max = -math.inf, None, 0  # max score, its first set, the sets scoring it
-    if pool.items.size >= k:  # a smaller pool would build an empty table
-        for local in _combo_chunks(pool.items.size, k):
-            scores, local = _scores(co, pool, local)
+    if size >= k:  # a smaller pool would build an empty table
+        for local in _combo_chunks(size, k):
+            pairs, scores = _scores(co, pool, local)
             if not scores.size:
                 continue
             i = int(scores.argmax())
@@ -357,10 +396,56 @@ def ml_decode(
                 continue
             hits = int(np.count_nonzero(scores == m))
             if m > best:
-                best, first, at_max = m, local[i], hits
+                best, first, at_max = m, local[pairs[i]], hits
             else:
                 at_max += hits
     if first is None:
         return DecodeResult(DefectiveSet(tuple(range(k))), -math.inf, False, total)
-    best_set = DefectiveSet(tuple(int(v) for v in pool.items[first]))
+    best_set = DefectiveSet(tuple(int(v) for v in pool.items[0, first]))
     return DecodeResult(best_set, best, at_max >= 2, total)
+
+
+def _decode_pools(words: np.ndarray, outcomes: np.ndarray, n_tests: int, k: int,
+                  noise_model: NoiseModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``ml_decode``'s set and tie flag for every trial of a block whose scan
+    is one chunk, decoded in groups: (sets (B, K), ties (B,), scanned (B,)).
+
+    ``words`` (B, N, W) and ``outcomes`` (B, W) are packed as for
+    ``_decided``.  When log2 u = -inf, the trials whose pool of P items has
+    C(P, K) <= ``_CHUNK`` candidates are grouped by P, and each group is
+    scored by ``_scores`` from one table of candidates, at most ``_CHUNK``
+    of them (a trial times a candidate) a gather.  Each trial takes its
+    first maximizer and a tie when two or more candidates attain it; with
+    no finite score, or a pool below K, it takes the first K-set, untied.
+    The other trials, every trial when log2 u is finite, are not scanned.
+    """
+    sets = np.tile(np.arange(k), (len(outcomes), 1))
+    ties = np.zeros(len(outcomes), dtype=bool)
+    scanned = np.zeros(len(outcomes), dtype=bool)
+    co = _coefficients(noise_model, k)
+    if co.participation != -math.inf:
+        return sets, ties, scanned
+    in_pool = _in_pool(words, ~outcomes)
+    sizes = np.count_nonzero(in_pool, axis=1)
+    order = np.argsort(sizes, kind="stable")  # the trials grouped by pool size
+    for group in np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1):
+        total = math.comb(int(sizes[group[0]]), k)
+        if total > _CHUNK:
+            continue
+        scanned[group] = True
+        if not total:
+            continue
+        local = next(_combo_chunks(int(sizes[group[0]]), k))
+        for lo in range(0, group.size, _CHUNK // total):
+            trials = group[lo : lo + _CHUNK // total]
+            pool = _pool(co, words[trials], n_tests, outcomes[trials], in_pool[trials])
+            pairs, kept = _scores(co, pool, local)
+            scores = np.full((trials.size, total), -math.inf)
+            scores.reshape(-1)[pairs] = kept
+            top = scores.max(axis=1)
+            at_max = scores == top[:, None]
+            found = top != -math.inf
+            first = local[at_max.argmax(axis=1)]
+            sets[trials[found]] = pool.items[np.arange(trials.size)[:, None], first][found]
+            ties[trials] = found & (np.count_nonzero(at_max, axis=1) >= 2)
+    return sets, ties, scanned

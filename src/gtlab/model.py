@@ -45,8 +45,10 @@ _MAX_SEED = 1 << 64
 
 
 def _is_integer(value) -> bool:
-    """A Python or numpy integer: counts, indices and seeds are never floats or bools."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    """A Python or numpy integer: counts, indices and seeds are never floats or bools.
+    An exact int, the common case, is settled by one type check."""
+    return type(value) is int or (
+        isinstance(value, (int, np.integer)) and not isinstance(value, bool))
 
 
 def _check_integers(**values) -> None:

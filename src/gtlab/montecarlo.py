@@ -6,10 +6,13 @@ realization are all drawn from the addressed ``mix64`` stream under
 per-trial keys (the truth set by ``_sample_truth``), so estimates do not
 depend on the order in which trials run or are drawn, nor on numpy's
 sampler streams.  The codebook and channel words of a block of trials
-come from one sampler call; each trial is then decoded in turn, in the
-calling thread.  The average and partial criteria and the per-overlap
-error profile share one trial stream (one miss histogram), which makes
-their comparisons paired.
+come from one sampler call, and the block is decoded as a whole, in the
+calling thread: on the u = 0 channels the decoder's ``_decode_pools``
+scans the trials whose pool has at most ``_CHUNK`` candidate sets in
+groups of equal pool size, and ``ml_decode`` decodes the others, and
+every trial under dilution, one at a time.  The average and partial
+criteria and the per-overlap error profile share one trial stream (one
+miss histogram), which makes their comparisons paired.
 
 Codebook and noise cells are addressed by (seed, item, test) and truth
 sets by trial alone, so a trial at T is the first T tests of the same
@@ -25,8 +28,10 @@ integers (Python or numpy), and are stored as Python ints (p and alpha as
 floats); any other value raises ``ParameterError``, which the command line
 reports with exit 2.
 A read at T skips the trials whose ML decode the decoder's ``_decided``
-knows without a scan to be the truth (see the ``decoder`` module
-docstring), so every histogram equals the one from decoding every trial.
+knows without a scan to be the truth, and the grouped scan returns each
+trial's ``ml_decode`` set and tie flag (see the ``decoder`` module
+docstring), so every histogram equals the one from calling ``ml_decode``
+on every trial.
 
 Error conventions: a trial errs when the decoder returns a set other than
 the truth or reports a tie (ties count against the decoder).  The partial
@@ -45,7 +50,7 @@ from itertools import combinations
 import numpy as np
 
 from .bitops import WORD_BITS, n_words, pack_bits
-from .decoder import _decided, _enumeration_size, ml_decode, miss_distance
+from .decoder import _decided, _decode_pools, _enumeration_size, ml_decode, miss_distance
 from .errors import ParameterError
 from .model import (
     Codebook,
@@ -221,14 +226,14 @@ class _TrialStream:
     trials) once and validates it, the enumeration budget included, before
     drawing anything.  Each trial's truth set is drawn once, and its codebook
     and outcome words are kept at the largest T drawn so far: trials x (N+1)
-    x ceil(T/64) words.  A larger T draws only the new tests, from the last
-    partly filled word on; a smaller T reads the masked prefix.  Each extension
-    draws a block of trials per sampler call, at most ``_BLOCK_CELLS``
-    codebook cells.  Every random cell is addressed by (seed, item, test),
-    so a trial at T is bit-identical to the same trial drawn afresh at T,
-    whatever the block or the order of extensions.  A read holds one block
-    of trials, at most ``_BLOCK_CELLS`` words masked by one AND, while it
-    yields that block's trials.
+    x ceil(T/64) words.  A larger T draws only the new tests and shifts them
+    into place after the old ones; a smaller T reads the masked prefix.  Each
+    extension draws a block of trials per sampler call, at most
+    ``_BLOCK_CELLS`` codebook cells.  Every random cell is addressed by
+    (seed, item, test), so a trial at T is bit-identical to the same trial
+    drawn afresh at T, whatever the block or the order of extensions.  A
+    read holds one block of trials, at most ``_BLOCK_CELLS`` words masked by
+    one AND, while it yields that block.
     """
 
     def __init__(self, n_items: int, k: int, p: float, noise_model: NoiseModel,
@@ -247,14 +252,14 @@ class _TrialStream:
         self.outcomes = np.zeros((trials, 0), dtype=np.uint64)
 
     def draw(self, n_tests: int):
-        """Yield (trial, truth, codebook, outcome) at n_tests, in trial order,
-        for every trial that the decoder's ``_decided`` leaves undecided.
+        """Yield (block, words, outcomes, undecided) at n_tests, one block of
+        trials at a time in trial order: the block's slice of trials, their
+        codebook words (trials, N, W) and outcome words (trials, W) masked to
+        the first n_tests tests by one AND, and which of them the decoder's
+        ``_decided`` leaves undecided.
 
-        The stream is first drawn up to n_tests.  Each block of at most
-        ``_BLOCK_CELLS`` words is read masked to its first n_tests tests by
-        one AND and held while its trials are yielded.  Each codebook and
-        outcome owns a copy of its trial's words from that block, so one
-        that is kept holds no other trial's words in memory.
+        The stream is first drawn up to n_tests.  A block holds at most
+        ``_BLOCK_CELLS`` words.
         """
         _check_design(self.n_items, n_tests, self.p)
         if n_tests > self.n_tests:
@@ -263,37 +268,63 @@ class _TrialStream:
         for block in _blocks(self.trials, self.n_items * keep.size):
             words = self.words[block, :, :keep.size] & keep
             outcomes = self.outcomes[block, :keep.size] & keep
-            decided = _decided(words, outcomes, self.k, self.noise_model)
-            for i in np.flatnonzero(~decided).tolist():
-                trial = block.start + i
-                truth = DefectiveSet(self.truth_idx[trial].tolist())
-                codebook = Codebook(self.n_items, n_tests, self.p, int(self.seeds[trial, 0]),
-                                    words[i].copy())
-                yield trial, truth, codebook, OutcomeVector(n_tests, outcomes[i].copy())
+            yield block, words, outcomes, ~_decided(words, outcomes, self.k, self.noise_model)
+
+    def trial(self, trial: int, n_tests: int, words: np.ndarray, outcome: np.ndarray):
+        """(truth, codebook, outcome) of ``trial`` at n_tests, as ``ml_decode``
+        takes them, from its words (N, W) and outcome words (W,) of a read.
+        The codebook and outcome own copies, so one that is kept holds no
+        other trial's words in memory."""
+        truth = DefectiveSet(self.truth_idx[trial].tolist())
+        codebook = Codebook(self.n_items, n_tests, self.p, int(self.seeds[trial, 0]), words.copy())
+        return truth, codebook, OutcomeVector(n_tests, outcome.copy())
 
     def _extend(self, n_tests: int) -> None:
-        start, width = self.n_tests // WORD_BITS, n_words(n_tests)
-        grow = width - self.outcomes.shape[1]
+        start, shift = divmod(self.n_tests, WORD_BITS)
+        grow = n_words(n_tests) - self.outcomes.shape[1]
         self.words = np.pad(self.words, ((0, 0), (0, 0), (0, grow)))
         self.outcomes = np.pad(self.outcomes, ((0, 0), (0, grow)))
-        items, tests = np.arange(self.n_items), np.arange(start * WORD_BITS, n_tests)
+        items, tests = np.arange(self.n_items), np.arange(self.n_tests, n_tests)
         for block in _blocks(self.trials, self.n_items * len(tests)):
             seeds, idx = self.seeds[block], self.truth_idx[block]
             rows = bernoulli_words(seeds[:, :1], items, tests, self.p)
-            self.words[block, :, start:] = rows
+            _shift_in(self.words[block, :, start:], rows, shift)
             members = np.take_along_axis(rows, idx[:, :, None], axis=1)
-            self.outcomes[block, start:] = _channel_words(members, idx, self.noise_model,
-                                                          seeds[:, 1], tests)
+            _shift_in(self.outcomes[block, start:],
+                      _channel_words(members, idx, self.noise_model, seeds[:, 1], tests), shift)
         self.n_tests = n_tests
 
 
+def _shift_in(dest: np.ndarray, new: np.ndarray, shift: int) -> None:
+    """OR the packed tests ``new`` into ``dest`` from bit ``shift`` of its
+    first word on, one shift-and-OR per word; ``dest``'s bits from there on
+    are clear, and it has the words the new tests reach."""
+    dest[..., :new.shape[-1]] |= new << np.uint64(shift)
+    if shift:
+        carry = new[..., :dest.shape[-1] - 1] >> np.uint64(WORD_BITS - shift)
+        dest[..., 1:carry.shape[-1] + 1] |= carry
+
+
 def _miss_histogram(stream: _TrialStream, n_tests: int) -> np.ndarray:
-    """Histogram over miss distance of ``stream``'s erring trials at n_tests."""
-    hist = np.zeros(stream.k + 1, dtype=np.int64)
-    for _, truth, codebook, outcome in stream.draw(n_tests):
-        result = ml_decode(codebook, outcome, stream.k, stream.noise_model)
-        if result.tie or result.best_set != truth:
-            hist[miss_distance(truth, result.best_set)] += 1
+    """Histogram over miss distance of ``stream``'s erring trials at n_tests.
+
+    Each block's undecided trials go to the decoder's ``_decode_pools``, and
+    those it does not scan to ``ml_decode``, one at a time."""
+    k, noise_model = stream.k, stream.noise_model
+    hist = np.zeros(k + 1, dtype=np.int64)
+    for block, words, outcomes, undecided in stream.draw(n_tests):
+        trials = np.flatnonzero(undecided)
+        if not trials.size:
+            continue
+        words, outcomes, trials = words[trials], outcomes[trials], trials + block.start
+        sets, ties, scanned = _decode_pools(words, outcomes, n_tests, k, noise_model)
+        for i in np.flatnonzero(~scanned).tolist():
+            _, codebook, outcome = stream.trial(int(trials[i]), n_tests, words[i], outcomes[i])
+            result = ml_decode(codebook, outcome, k, noise_model)
+            sets[i], ties[i] = result.best_set.indices, result.tie
+        truth = stream.truth_idx[trials]
+        missed = np.count_nonzero((truth[:, :, None] != sets[:, None, :]).all(axis=2), axis=1)
+        hist += np.bincount(missed[ties | (missed > 0)], minlength=k + 1)
     return hist
 
 

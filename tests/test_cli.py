@@ -15,6 +15,8 @@ from gtlab import __version__
 import gtlab.cli
 from gtlab.cli import build_parser, main
 
+from helpers import record_reads
+
 
 def run_cli(argv):
     buffer = io.StringIO()
@@ -92,9 +94,11 @@ def test_profile_adds_an_i_column(tmp_path):
 def test_profile_decodes_each_trial_once(monkeypatch):
     """The profile is read off the estimate's one pass: no trial is decoded
     twice, and --profile decodes exactly the trials the plain estimate
-    decodes.  That is every trial under dilution; on the noise-free channel
-    the trials whose pool is exactly K, or that hold K definite defectives,
-    are decided without a decode."""
+    decodes.  That is every trial under dilution, each by ``ml_decode``; on
+    the noise-free channel the trials whose pool is exactly K, or that hold
+    K definite defectives, are decided without a decode, and the others go
+    to the grouped scan."""
+    handed = record_reads(monkeypatch)
     decoded = []
     decode = gtlab.montecarlo.ml_decode
 
@@ -106,17 +110,17 @@ def test_profile_decodes_each_trial_once(monkeypatch):
     for model in ([], ["--model", "dilution", "--u", "0.3"]):
         argv = ["estimate", *model, "-N", "12", "-K", "2", "-T", "6", "--trials", "40",
                 "--seed", "2", "--format", "csv"]
-        decoded.clear()
+        handed.clear(), decoded.clear()
         code, text = run_cli(argv + ["--profile"])
         assert code == 0
-        profiled = list(decoded)
-        decoded.clear()
+        profiled = list(handed), list(decoded)
+        handed.clear(), decoded.clear()
         assert run_cli(argv)[0] == 0
-        assert profiled == decoded and len(set(decoded)) == len(decoded)
+        assert profiled == (handed, decoded) and len(set(handed)) == len(handed)
         if model:
-            assert len(decoded) == 40
-        else:
-            assert 0 < len(decoded) < 40
+            assert len(handed) == len(set(decoded)) == 40
+        else:  # C(12, 2) candidates at most: the grouped scan decodes every trial
+            assert 0 < len(handed) < 40 and not decoded
         rows = list(csv.reader(io.StringIO(text)))[1:]
         assert sum(int(r[9]) for r in rows if r[0] == "profile") == int(rows[0][9])
 

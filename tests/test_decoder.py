@@ -23,7 +23,10 @@ from gtlab import (
     noiseless_outcome,
 )
 import gtlab.decoder
+from gtlab.bitops import pack_bits
+from gtlab.decoder import _decode_pools
 from gtlab.model import OutcomeVector
+from gtlab.montecarlo import _TrialStream
 
 from helpers import make_codebook
 
@@ -532,6 +535,106 @@ def test_dilution_levels_past_four_members_match_reference(k, t, u):
         for members in (truth, got.best_set, others):
             assert log_likelihood(cb, members, out, noise) == reference_log_likelihood(
                 cb, members, out, noise)
+
+
+# ---------------------------------------------------------------------------
+# grouped scan of small u = 0 pools
+
+# q = 1 - 2**-40 puts log2 q near -1.3e-12: candidates leaving 1 and 2
+# positive tests unpooled may round to one score, which ranks as ml_decode's
+GROUPED_CHANNELS = [NF, NoiseModel.additive(0.25), NoiseModel.additive(1 - 2**-40)]
+
+
+def check_grouped_scan(words, outcomes, n_tests, k, noise):
+    """``_decode_pools`` on a block against ``ml_decode`` trial by trial:
+    each trial it scans has ml_decode's set and tie flag.  Returns the
+    scanned mask and the tie flags."""
+    sets, ties, scanned = _decode_pools(words, outcomes, n_tests, k, noise)
+    for i in range(len(outcomes)):
+        codebook = Codebook(words.shape[1], n_tests, 0.5, 0, words[i].copy())
+        want = ml_decode(codebook, OutcomeVector(n_tests, outcomes[i].copy()), k, noise)
+        if scanned[i]:
+            got = (tuple(sets[i].tolist()), bool(ties[i]))
+            assert got == (want.best_set.indices, want.tie), (n_tests, k, i)
+    return scanned, ties
+
+
+def stream_blocks(n, k, p, noise, seed, trials, t):
+    """(words, outcomes) of each block of a trial stream read at t, every
+    trial included, decided or not."""
+    stream = _TrialStream(n, k, p, noise, seed, trials)
+    return [(words, outcomes) for _, words, outcomes, _ in stream.draw(t)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("noise", GROUPED_CHANNELS, ids=lambda m: m.describe())
+def test_grouped_scan_matches_ml_decode(noise, k):
+    """Stream blocks at T = 0, 8, 63, 64, 65 and 129, at two densities:
+    every pool of N = 20 items has at most C(20, 3) = 1,140 <= _CHUNK
+    candidates, so every trial is scanned, each as ml_decode decodes it,
+    ties included."""
+    ties = 0
+    for t in (0, 8, 63, 64, 65, 129):
+        for p in (0.5, 0.1):
+            for words, outcomes in stream_blocks(20, k, p, noise, 3, 60, t):
+                scanned, tied = check_grouped_scan(words, outcomes, t, k, noise)
+                assert scanned.all()
+                ties += int(tied.sum()) if t else 0
+    assert ties
+
+
+def test_grouped_scan_splits_groups_and_leaves_large_pools(monkeypatch):
+    """With a small ``_CHUNK`` a group's trials are split so that no gather
+    holds more than ``_CHUNK`` (trial, candidate) pairs, and trials whose
+    pool has more candidates than that are left unscanned."""
+    monkeypatch.setattr(gtlab.decoder, "_CHUNK", 45)
+    gathers = []
+    scores = gtlab.decoder._scores
+
+    def recording_scores(co, pool, local):
+        gathers.append((pool.items.shape[0], len(local)))
+        return scores(co, pool, local)
+
+    for noise in GROUPED_CHANNELS[:2]:  # near q = 1 every pool is all 20 items
+        for words, outcomes in stream_blocks(20, 2, 0.5, noise, 5, 200, 8):
+            monkeypatch.setattr(gtlab.decoder, "_scores", recording_scores)
+            gathers.clear()
+            _decode_pools(words, outcomes, 8, 2, noise)
+            monkeypatch.setattr(gtlab.decoder, "_scores", scores)
+            scanned, _ = check_grouped_scan(words, outcomes, 8, 2, noise)
+            assert scanned.any() and not scanned.all()
+            assert all(g * b <= 45 for g, b in gathers)
+            sizes = [b for _, b in gathers]
+            assert any(sizes.count(b) > 1 for b in sizes)  # a group over several gathers
+
+
+def test_grouped_scan_on_hand_built_pools():
+    """Hand-built blocks at T = 3.  K = 2, N = 130: a pool of every item
+    has C(130, 2) = 8,385 > _CHUNK candidates and is left to ml_decode; a
+    pool of 128 is scanned, and with zero rows it pools no positive test,
+    so noise-free every candidate scores -inf (the first K-set, untied)
+    and additive every candidate ties.  K = 3, N = 6: a pool of 2 items is
+    below K (the first K-set, untied), and two equal rows tie."""
+    rng = np.random.default_rng(4)
+    bits = rng.integers(0, 2, size=(3, 130, 3), dtype=np.uint8)
+    y = np.ones((3, 3), dtype=np.uint8)
+    y[1:, 0] = 0
+    bits[1:, :128, 0] = 0
+    bits[1:, 128:, 0] = 1
+    bits[2, :128] = 0
+    small = np.zeros((2, 6, 3), dtype=np.uint8)
+    small[0, :4, 0] = 1  # items 0..3 sit in the negative test 0
+    small[1, [0, 1], 0] = small[1, 2, 1] = small[1, 3, 2] = 1
+    y_small = np.array([[0, 1, 1], [1, 1, 1]], dtype=np.uint8)
+    for noise in GROUPED_CHANNELS:
+        scanned, ties = check_grouped_scan(pack_bits(bits), pack_bits(y), 3, 2, noise)
+        assert scanned.tolist() == [False, True, True]
+        assert bool(ties[2]) == (noise != NF)
+        sets, ties, scanned = _decode_pools(pack_bits(small), pack_bits(y_small), 3, 3, noise)
+        check_grouped_scan(pack_bits(small), pack_bits(y_small), 3, 3, noise)
+        assert scanned.all() and tuple(sets[0]) == (0, 1, 2) and not ties[0]
+    _, ties, _ = _decode_pools(pack_bits(small), pack_bits(y_small), 3, 3, NF)
+    assert ties[1]
 
 
 # ---------------------------------------------------------------------------

@@ -19,16 +19,35 @@ from gtlab import (
 )
 from gtlab.bitops import pack_bits, unpack_bits
 from gtlab.cli import _atomic_text, main as cli_main
-from gtlab.model import _ADDITIVE_STREAM, _DILUTION_STREAM, _channel_words
+from gtlab.model import _ADDITIVE_STREAM, _DILUTION_STREAM, _channel_words, _check_design
 from gtlab import montecarlo
-from gtlab.montecarlo import _TrialStream
+from gtlab.montecarlo import _check_trials, _TrialStream
 from gtlab.rng import bernoulli_grid, bernoulli_words, mix64, uniform_grid
 
-from helpers import make_codebook
+from helpers import make_codebook, read_trials
 
 
 # ---------------------------------------------------------------------------
 # generation
+
+
+def test_bool_is_not_an_integer_at_the_shared_checks():
+    """The exact-int fast path of the integer check lets no bool through (a
+    bool is an int subclass), and numpy integers still pass."""
+    for name, value, call in (
+        ("N", 8, lambda v: _check_design(v, 10, 0.5)),
+        ("T", 10, lambda v: _check_design(8, v, 0.5)),
+        ("K", 2, lambda v: _check_trials(8, v, 10)),
+        ("trials", 10, lambda v: _check_trials(8, 2, v)),
+        ("indices", 1, lambda v: DefectiveSet((0, v))),
+    ):
+        for bad in (True, False):
+            with pytest.raises(ParameterError, match=f"^{name} must be"):
+                call(bad)
+        call(value)
+        call(np.int64(value))
+
+
 
 
 def test_generation_is_deterministic():
@@ -306,7 +325,7 @@ def test_stream_extension_equals_the_float_grid_reference(noise, monkeypatch):
     n, k, p, trials, seed = 20, 3, 1.0 / 3.0, 4, 77
     stream = _TrialStream(n, k, p, noise, seed, trials)
     for n_tests in (1, 63, 65, 129, 200, *EDGE_TESTS):
-        read = list(stream.draw(n_tests))
+        read = list(read_trials(stream, n_tests))
         assert [trial for trial, *_ in read] == list(range(trials)), n_tests
         for trial, truth, codebook, outcome in read:
             idx = np.asarray(truth.indices)

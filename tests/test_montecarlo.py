@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtlab import (
     CapacityError,
@@ -32,10 +34,11 @@ from gtlab.cli import main as cli_main
 import gtlab.decoder
 import gtlab.montecarlo
 from gtlab.decoder import _decided
-from gtlab.montecarlo import _collect_histogram, _sample_truth, _TrialStream, _worst_outcomes
+from gtlab.montecarlo import (_collect_histogram, _miss_histogram, _sample_truth, _TrialStream,
+                              _worst_outcomes)
 from gtlab.rng import mix64, mix64_array
 
-from helpers import make_codebook
+from helpers import make_codebook, read_trials, record_reads
 
 NF = NoiseModel.noise_free()
 
@@ -501,7 +504,7 @@ def test_stream_reads_every_t_as_a_fresh_draw(noise, monkeypatch):
         stream = _TrialStream(n, k, p, noise, seed, trials)
         for t in (5, 64, 70, 129, 0, 63, 12, 65, 128, 200, 20, 1):
             fresh = list(fresh_trials(n, k, t, p, noise, trials, seed))
-            draws = list(stream.draw(t))
+            draws = list(read_trials(stream, t))
             assert [d[0] for d in draws] == [
                 trial for trial, _, codebook, outcome in fresh
                 if not reference_decided(noise, k, codebook, outcome)]
@@ -509,6 +512,33 @@ def test_stream_reads_every_t_as_a_fresh_draw(noise, monkeypatch):
                 # each yielded trial owns its words: keeping one pins no other
                 assert codebook.words.base is None and outcome.words.base is None
                 assert (trial, truth, codebook, outcome) == fresh[trial]
+
+
+@pytest.mark.parametrize("noise", CHANNELS, ids=lambda m: m.describe())
+def test_extension_draws_only_the_new_tests(noise, monkeypatch):
+    """Extending a stream from T to a larger T draws only the tests between
+    them, for the codebooks and the channel alike, and shifts them into
+    place: the words and outcomes equal those of a stream drawn afresh at
+    the larger T, in one word, across words and at word edges."""
+    n, k, p, trials, seed = 30, 3, 0.3, 12, 5
+    monkeypatch.setattr(gtlab.montecarlo, "_BLOCK_CELLS", 700)  # blocks of a few trials
+    drawn = []
+    for module in (gtlab.montecarlo, gtlab.model):
+        sampler = module.bernoulli_words
+        monkeypatch.setattr(module, "bernoulli_words", lambda seeds, items, tests, q, f=sampler:
+                            drawn.extend(np.asarray(tests).tolist()) or f(seeds, items, tests, q))
+    for old, new in ((0, 5), (10, 22), (60, 70), (64, 130), (63, 64)):
+        stream = _TrialStream(n, k, p, noise, seed, trials)
+        if old:
+            stream._extend(old)
+        drawn.clear()
+        stream._extend(new)
+        assert drawn and set(drawn) == set(range(old, new)), (old, new)
+        fresh = _TrialStream(n, k, p, noise, seed, trials)
+        fresh._extend(new)
+        assert stream.n_tests == new
+        assert np.array_equal(stream.words, fresh.words), (old, new)
+        assert np.array_equal(stream.outcomes, fresh.outcomes), (old, new)
 
 
 def test_stream_validates_its_configuration_before_drawing(monkeypatch):
@@ -616,18 +646,25 @@ def check_skipped_decodes(noise, monkeypatch, p=0.5, grid=(12, 30, 8, 64, 20, 65
     (pool == K, definite count == K) pairs met over every trial and T."""
     n, k, trials, seed = 40, 2, 200, 8
     trial_of = {mix64(mix64(seed, trial), 0): trial for trial in range(trials)}
-    decoded = []
-    decode = gtlab.montecarlo.ml_decode
+    handed = record_reads(monkeypatch)
+    decoded, scanned = [], []  # trials ml_decode decodes; trials each grouped scan decodes
+    decode, decode_pools = gtlab.montecarlo.ml_decode, gtlab.montecarlo._decode_pools
 
     def counting_decode(codebook, outcome, k, noise_model):
         decoded.append(trial_of[codebook.seed])
         return decode(codebook, outcome, k, noise_model)
 
+    def counting_decode_pools(*args):
+        sets, ties, done = decode_pools(*args)
+        scanned.append(int(done.sum()))
+        return sets, ties, done
+
     monkeypatch.setattr(gtlab.montecarlo, "ml_decode", counting_decode)
+    monkeypatch.setattr(gtlab.montecarlo, "_decode_pools", counting_decode_pools)
     stream = _TrialStream(n, k, p, noise, seed, trials)
     pool_sizes, cases = set(), set()
     for t in grid:
-        decoded.clear()
+        handed.clear(), decoded.clear(), scanned.clear()
         hist = tuple(_collect_histogram(n, k, t, p, noise, trials, seed, stream))
         assert hist == reference_histogram(n, k, t, p, noise, trials, seed)
         fresh = list(fresh_trials(n, k, t, p, noise, trials, seed))
@@ -636,8 +673,13 @@ def check_skipped_decodes(noise, monkeypatch, p=0.5, grid=(12, 30, 8, 64, 20, 65
                     for _, _, codebook, outcome in fresh]
         pool_sizes.update(pools)
         cases.update((pool == k, count == k) for pool, count in zip(pools, definite))
-        assert decoded == [trial for trial, _, codebook, outcome in fresh
-                           if not reference_decided(noise, k, codebook, outcome)]
+        undecided = [trial for trial, _, codebook, outcome in fresh
+                     if not reference_decided(noise, k, codebook, outcome)]
+        assert handed == [(t, trial) for trial in undecided]
+        # every pool here has C(P, 2) <= _CHUNK candidates, so a u = 0 read
+        # scans each undecided trial once in groups, and dilution decodes it
+        assert decoded == (undecided if noise.law[1] else [])
+        assert sum(scanned) == (0 if noise.law[1] else len(undecided))
     return pool_sizes, cases
 
 
@@ -658,19 +700,12 @@ def test_decoded_trials_depend_on_t_alone(noise, monkeypatch):
     """Two streams that read the same T's in different orders decode the
     same trials at each T: what is decided at T depends on T alone."""
     n, k, p, trials, seed = 40, 2, 0.5, 200, 8
-    decoded = []
-    decode = gtlab.montecarlo.ml_decode
-
-    def counting_decode(codebook, *args):
-        decoded.append((codebook.n_tests, codebook.seed))
-        return decode(codebook, *args)
-
-    monkeypatch.setattr(gtlab.montecarlo, "ml_decode", counting_decode)
+    handed = record_reads(monkeypatch)
     reads = []
     for grid in ((8, 12, 20, 25, 30, 64, 65, 129), (129, 65, 64, 30, 25, 20, 12, 8)):
-        decoded.clear()
+        handed.clear()
         estimate_sweep(n, k, p, noise, grid, trials, seed)
-        reads.append({t: [s for u, s in decoded if u == t] for t in grid})
+        reads.append({t: [trial for u, trial in handed if u == t] for t in grid})
     assert reads[0] == reads[1]
 
 
@@ -680,6 +715,46 @@ def test_decoded_trials_depend_on_t_alone(noise, monkeypatch):
 def test_skipped_decodes_keep_every_histogram(noise, monkeypatch):
     pool_sizes, _ = check_skipped_decodes(noise, monkeypatch)
     assert {2, 3} <= pool_sizes  # pools of exactly K items, and of K + 1
+
+
+GROUPED_CHANNELS = [NF, NoiseModel.additive(0.25), NoiseModel.additive(1 - 2**-40)]
+
+
+@pytest.mark.parametrize("chunk", [gtlab.decoder._CHUNK, 20], ids=["chunk", "small-chunk"])
+@pytest.mark.parametrize("noise", GROUPED_CHANNELS, ids=lambda m: m.describe())
+def test_grouped_histograms_match_decoding_every_trial(noise, chunk, monkeypatch):
+    """On the u = 0 channels, K = 1, 2, 3 and T = 0, 63, 64, 65, 129, the
+    miss histogram from the grouped scan equals ml_decode on every trial
+    drawn afresh; with a small ``_CHUNK`` some trials fall back to
+    ml_decode and groups are split over several gathers."""
+    monkeypatch.setattr(gtlab.decoder, "_CHUNK", chunk)
+    n, p, trials, seed = 16, 0.3, 40, 12
+    for k in (1, 2, 3):
+        stream = _TrialStream(n, k, p, noise, seed, trials)
+        for t in (0, 63, 64, 65, 129):
+            hist = tuple(_miss_histogram(stream, t).tolist())
+            assert hist == reference_histogram(n, k, t, p, noise, trials, seed), (k, t)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_grouped_histograms_property(data):
+    """Random small configurations: the grouped scan's histogram equals
+    ml_decode on every trial drawn afresh, at the default ``_CHUNK`` and at
+    small ones that split groups and send large pools to ml_decode."""
+    k = data.draw(st.integers(1, 3), label="K")
+    n = data.draw(st.integers(k + 1, 14), label="N")
+    t = data.draw(st.one_of(st.integers(0, 24), st.integers(60, 130)), label="T")
+    p = data.draw(st.sampled_from([0.1, 0.3, 0.5]), label="p")
+    noise = data.draw(st.sampled_from(GROUPED_CHANNELS), label="channel")
+    trials = data.draw(st.integers(1, 30), label="trials")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    chunk = data.draw(st.sampled_from([gtlab.decoder._CHUNK, 1, 7, 40]), label="chunk")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gtlab.decoder, "_CHUNK", chunk)
+        stream = _TrialStream(n, k, p, noise, seed, trials)
+        hist = tuple(_miss_histogram(stream, t).tolist())
+        assert hist == reference_histogram(n, k, t, p, noise, trials, seed)
 
 
 @pytest.mark.parametrize("noise", CHANNELS, ids=lambda m: m.describe())
