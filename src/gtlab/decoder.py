@@ -342,7 +342,7 @@ _combo_tables: dict[int, np.ndarray] = {}
 
 def _combo_chunks(n: int, k: int):
     """Yield blocks of all K-combinations of range(n), in lexicographic
-    order, as (B, k) intp arrays (the index type `take` reads without a cast).
+    order, as (B, k) int32 arrays.
 
     Up to ``_CACHE_LIMIT`` sets they are read from the table for the largest
     range seen, n_max, whose last C(n, k) rows are the K-sets of
@@ -352,13 +352,13 @@ def _combo_chunks(n: int, k: int):
     if total > _CACHE_LIMIT:
         it = itertools.combinations(range(n), k)
         while block := list(itertools.islice(it, _CHUNK)):
-            yield np.asarray(block, dtype=np.intp)
+            yield np.asarray(block, dtype=np.int32)
         return
     table = _combo_tables.get(k)
     if table is None or table.shape[0] < total:
         table = _combo_tables[k] = np.fromiter(
             itertools.chain.from_iterable(itertools.combinations(range(n), k)),
-            dtype=np.intp,
+            dtype=np.int32,
             count=total * k,
         ).reshape(-1, k)
     shift = int(table[-1, -1]) + 1 - n  # n_max - n: the last row is range(n_max - k, n_max)
@@ -405,27 +405,29 @@ def ml_decode(
     return DecodeResult(best_set, best, at_max >= 2, total)
 
 
-def _decode_pools(words: np.ndarray, outcomes: np.ndarray, n_tests: int, k: int,
-                  noise_model: NoiseModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``ml_decode``'s set and tie flag for every trial of a block whose scan
-    is one chunk, decoded in groups: (sets (B, K), ties (B,), scanned (B,)).
+def _decode_pools(words: np.ndarray, outcomes: np.ndarray, trials: np.ndarray, n_tests: int,
+                  k: int, noise_model: NoiseModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``ml_decode``'s set and tie flag for each of the block's ``trials``
+    whose scan is one chunk, decoded in groups: (sets (B, K), ties (B,),
+    scanned (B,)), entry i for trial ``trials[i]``.
 
-    ``words`` (B, N, W) and ``outcomes`` (B, W) are packed as for
-    ``_decided``.  When log2 u = -inf, the trials whose pool of P items has
-    C(P, K) <= ``_CHUNK`` candidates are grouped by P, and each group is
-    scored by ``_scores`` from one table of candidates, at most ``_CHUNK``
-    of them (a trial times a candidate) a gather.  Each trial takes its
-    first maximizer and a tie when two or more candidates attain it; with
-    no finite score, or a pool below K, it takes the first K-set, untied.
-    The other trials, every trial when log2 u is finite, are not scanned.
+    ``words`` and ``outcomes`` hold the block's trials, packed as for
+    ``_decided``, and ``trials`` (B,) indexes them.  When log2 u = -inf,
+    the trials whose pool of P items has C(P, K) <= ``_CHUNK`` candidates
+    are grouped by P, and each group is scored by ``_scores`` from one
+    table of candidates, at most ``_CHUNK`` of them (a trial times a
+    candidate) a gather.  Each trial takes its first maximizer and a tie
+    when two or more candidates attain it; with no finite score, or a pool
+    below K, it takes the first K-set, untied.  The other trials, every
+    trial when log2 u is finite, are not scanned.
     """
-    sets = np.tile(np.arange(k), (len(outcomes), 1))
-    ties = np.zeros(len(outcomes), dtype=bool)
-    scanned = np.zeros(len(outcomes), dtype=bool)
+    sets = np.tile(np.arange(k), (len(trials), 1))
+    ties = np.zeros(len(trials), dtype=bool)
+    scanned = np.zeros(len(trials), dtype=bool)
     co = _coefficients(noise_model, k)
     if co.participation != -math.inf:
         return sets, ties, scanned
-    in_pool = _in_pool(words, ~outcomes)
+    in_pool = _in_pool(words, ~outcomes)[trials]  # the block is not copied
     sizes = np.count_nonzero(in_pool, axis=1)
     order = np.argsort(sizes, kind="stable")  # the trials grouped by pool size
     for group in np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1):
@@ -437,15 +439,16 @@ def _decode_pools(words: np.ndarray, outcomes: np.ndarray, n_tests: int, k: int,
             continue
         local = next(_combo_chunks(int(sizes[group[0]]), k))
         for lo in range(0, group.size, _CHUNK // total):
-            trials = group[lo : lo + _CHUNK // total]
-            pool = _pool(co, words[trials], n_tests, outcomes[trials], in_pool[trials])
+            part = group[lo : lo + _CHUNK // total]
+            rows, y = words[trials[part]], outcomes[trials[part]]
+            pool = _pool(co, rows, n_tests, y, in_pool[part])
             pairs, kept = _scores(co, pool, local)
-            scores = np.full((trials.size, total), -math.inf)
+            scores = np.full((part.size, total), -math.inf)
             scores.reshape(-1)[pairs] = kept
             top = scores.max(axis=1)
             at_max = scores == top[:, None]
             found = top != -math.inf
             first = local[at_max.argmax(axis=1)]
-            sets[trials[found]] = pool.items[np.arange(trials.size)[:, None], first][found]
-            ties[trials] = found & (np.count_nonzero(at_max, axis=1) >= 2)
+            sets[part[found]] = pool.items[np.arange(part.size)[:, None], first][found]
+            ties[part] = found & (np.count_nonzero(at_max, axis=1) >= 2)
     return sets, ties, scanned

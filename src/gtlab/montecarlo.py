@@ -271,13 +271,11 @@ class _TrialStream:
             yield block, words, outcomes, ~_decided(words, outcomes, self.k, self.noise_model)
 
     def trial(self, trial: int, n_tests: int, words: np.ndarray, outcome: np.ndarray):
-        """(truth, codebook, outcome) of ``trial`` at n_tests, as ``ml_decode``
-        takes them, from its words (N, W) and outcome words (W,) of a read.
-        The codebook and outcome own copies, so one that is kept holds no
-        other trial's words in memory."""
-        truth = DefectiveSet(self.truth_idx[trial].tolist())
+        """(codebook, outcome) of ``trial`` at n_tests, as ``ml_decode`` takes
+        them, from its words (N, W) and outcome words (W,) of a read.  Each
+        owns a copy, so one that is kept holds no other trial's words."""
         codebook = Codebook(self.n_items, n_tests, self.p, int(self.seeds[trial, 0]), words.copy())
-        return truth, codebook, OutcomeVector(n_tests, outcome.copy())
+        return codebook, OutcomeVector(n_tests, outcome.copy())
 
     def _extend(self, n_tests: int) -> None:
         start, shift = divmod(self.n_tests, WORD_BITS)
@@ -316,13 +314,13 @@ def _miss_histogram(stream: _TrialStream, n_tests: int) -> np.ndarray:
         trials = np.flatnonzero(undecided)
         if not trials.size:
             continue
-        words, outcomes, trials = words[trials], outcomes[trials], trials + block.start
-        sets, ties, scanned = _decode_pools(words, outcomes, n_tests, k, noise_model)
+        sets, ties, scanned = _decode_pools(words, outcomes, trials, n_tests, k, noise_model)
         for i in np.flatnonzero(~scanned).tolist():
-            _, codebook, outcome = stream.trial(int(trials[i]), n_tests, words[i], outcomes[i])
+            j = int(trials[i])
+            codebook, outcome = stream.trial(block.start + j, n_tests, words[j], outcomes[j])
             result = ml_decode(codebook, outcome, k, noise_model)
             sets[i], ties[i] = result.best_set.indices, result.tie
-        truth = stream.truth_idx[trials]
+        truth = stream.truth_idx[block.start + trials]
         missed = np.count_nonzero((truth[:, :, None] != sets[:, None, :]).all(axis=2), axis=1)
         hist += np.bincount(missed[ties | (missed > 0)], minlength=k + 1)
     return hist

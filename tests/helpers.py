@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from gtlab import Codebook
+from gtlab import Codebook, DefectiveSet
 from gtlab.bitops import pack_bits
 
 
@@ -15,12 +15,13 @@ def make_codebook(bits, p=0.5, seed=0):
 
 def read_trials(stream, n_tests):
     """Yield (trial, truth, codebook, outcome) for every trial a read of
-    ``stream`` at n_tests leaves undecided, in trial order, each built by
-    ``stream.trial`` from the block it was read in."""
+    ``stream`` at n_tests leaves undecided, in trial order, the codebook and
+    outcome built by ``stream.trial`` from the block they were read in."""
     for block, words, outcomes, undecided in stream.draw(n_tests):
         for i in np.flatnonzero(undecided).tolist():
             trial = block.start + i
-            yield (trial, *stream.trial(trial, n_tests, words[i], outcomes[i]))
+            truth = DefectiveSet(stream.truth_idx[trial].tolist())
+            yield (trial, truth, *stream.trial(trial, n_tests, words[i], outcomes[i]))
 
 
 def record_reads(monkeypatch):

@@ -546,17 +546,19 @@ GROUPED_CHANNELS = [NF, NoiseModel.additive(0.25), NoiseModel.additive(1 - 2**-4
 
 
 def check_grouped_scan(words, outcomes, n_tests, k, noise):
-    """``_decode_pools`` on a block against ``ml_decode`` trial by trial:
-    each trial it scans has ml_decode's set and tie flag.  Returns the
-    scanned mask and the tie flags."""
-    sets, ties, scanned = _decode_pools(words, outcomes, n_tests, k, noise)
-    for i in range(len(outcomes)):
-        codebook = Codebook(words.shape[1], n_tests, 0.5, 0, words[i].copy())
-        want = ml_decode(codebook, OutcomeVector(n_tests, outcomes[i].copy()), k, noise)
+    """``_decode_pools`` on every trial of a block, asked for in reverse
+    order, against ``ml_decode`` trial by trial: each trial it scans has
+    ml_decode's set and tie flag.  Returns the scanned mask and the tie
+    flags, in trial order."""
+    trials = np.arange(len(outcomes))[::-1]
+    sets, ties, scanned = _decode_pools(words, outcomes, trials, n_tests, k, noise)
+    for i, trial in enumerate(trials):
+        codebook = Codebook(words.shape[1], n_tests, 0.5, 0, words[trial].copy())
+        want = ml_decode(codebook, OutcomeVector(n_tests, outcomes[trial].copy()), k, noise)
         if scanned[i]:
             got = (tuple(sets[i].tolist()), bool(ties[i]))
-            assert got == (want.best_set.indices, want.tie), (n_tests, k, i)
-    return scanned, ties
+            assert got == (want.best_set.indices, want.tie), (n_tests, k, trial)
+    return scanned[::-1], ties[::-1]
 
 
 def stream_blocks(n, k, p, noise, seed, trials, t):
@@ -599,7 +601,7 @@ def test_grouped_scan_splits_groups_and_leaves_large_pools(monkeypatch):
         for words, outcomes in stream_blocks(20, 2, 0.5, noise, 5, 200, 8):
             monkeypatch.setattr(gtlab.decoder, "_scores", recording_scores)
             gathers.clear()
-            _decode_pools(words, outcomes, 8, 2, noise)
+            _decode_pools(words, outcomes, np.arange(len(outcomes)), 8, 2, noise)
             monkeypatch.setattr(gtlab.decoder, "_scores", scores)
             scanned, _ = check_grouped_scan(words, outcomes, 8, 2, noise)
             assert scanned.any() and not scanned.all()
@@ -630,10 +632,11 @@ def test_grouped_scan_on_hand_built_pools():
         scanned, ties = check_grouped_scan(pack_bits(bits), pack_bits(y), 3, 2, noise)
         assert scanned.tolist() == [False, True, True]
         assert bool(ties[2]) == (noise != NF)
-        sets, ties, scanned = _decode_pools(pack_bits(small), pack_bits(y_small), 3, 3, noise)
-        check_grouped_scan(pack_bits(small), pack_bits(y_small), 3, 3, noise)
+        words, outcomes = pack_bits(small), pack_bits(y_small)
+        sets, ties, scanned = _decode_pools(words, outcomes, np.arange(2), 3, 3, noise)
+        check_grouped_scan(words, outcomes, 3, 3, noise)
         assert scanned.all() and tuple(sets[0]) == (0, 1, 2) and not ties[0]
-    _, ties, _ = _decode_pools(pack_bits(small), pack_bits(y_small), 3, 3, NF)
+    _, ties, _ = _decode_pools(words, outcomes, np.arange(2), 3, 3, NF)
     assert ties[1]
 
 
