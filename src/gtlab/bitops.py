@@ -34,4 +34,5 @@ def unpack_bits(words, n_bits: int) -> np.ndarray:
 
 def popcount(words, axis=-1) -> np.ndarray:
     """Number of set bits along ``axis`` of a packed uint64 array."""
-    return np.bitwise_count(np.asarray(words, dtype=np.uint64)).sum(axis=axis, dtype=np.int64)
+    return np.add.reduce(np.bitwise_count(np.asarray(words, dtype=np.uint64)), axis=axis,
+                         dtype=np.int64)

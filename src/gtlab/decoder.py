@@ -42,16 +42,21 @@ more is computed, without changing any score:
   only under dilution.  The OR level holds every positive test of a kept
   candidate, so it is not counted again.
 
-``_decided`` applies those two rules to trials without a scan.
+``_decided`` applies those two rules to trials without a scan, from the
+pools that ``_pool_masks`` finds once per block.
 
-``_decode_pools`` decodes a block of trials at once when log2 u = -inf.
-It finds each trial's pool once, groups the trials by pool size P and
-scores a group's C(P, K) candidates, read from the one combination
-table, with the same scorer, a gather of at most ``_CHUNK`` (trial,
-candidate) pairs at a time.  Each trial takes the first maximizer of its
-float scores and a tie when two or more candidates attain it, as
-``ml_decode`` does.  Only pools with C(P, K) <= ``_CHUNK``, one chunk of
-``ml_decode``'s scan, are grouped; the others are left to ``ml_decode``.
+There is one scan, ``_scan``, of a group of trials that enumerate as many
+items, P.  ``_decode_pools`` decodes the undecided trials of a block in
+groups (by pool size when log2 u = -inf, all of them together under
+dilution), and ``ml_decode`` is the scan of a group of one trial.  A group
+walks the K-sets of range(P) once, gathering each chunk for as many trials
+as keep a gather within ``_CHUNK`` (trial, candidate) pairs.  A gather
+keeps only the candidates that can still be a maximizer (``_cover``), and
+the kept pairs of many trials and chunks are then scored together, at most
+``_CHUNK`` a pass.  Each trial keeps its best float score, first maximizer
+and count at the best, folded in candidate order, so the first-maximizer
+and tie rules hold across chunks and passes.  ``ml_decode`` scores each
+gather of its one trial and folds it with an argmax.
 
 Scoring is deterministic, so results are identical across platforms and
 runs.
@@ -168,19 +173,27 @@ def _in_pool(words: np.ndarray, negative: np.ndarray) -> np.ndarray:
     return hits == 0
 
 
-def _decided(words: np.ndarray, outcomes: np.ndarray, k: int,
-             noise_model: NoiseModel) -> np.ndarray:
+def _pool_masks(words: np.ndarray, outcomes: np.ndarray, k: int,
+                noise_model: NoiseModel) -> np.ndarray | None:
+    """Each trial's u = 0 pool, (trials, N), from ``words`` (trials, N, W)
+    and ``outcomes`` (trials, W), packed as a ``Codebook``'s and an
+    ``OutcomeVector``'s are, with no bit set past T; None when log2 u is
+    finite, where no item is pruned and no word is read."""
+    if _coefficients(noise_model, k).participation != -math.inf:
+        return None
+    return _in_pool(words, ~outcomes)
+
+
+def _decided(words: np.ndarray, outcomes: np.ndarray, k: int, noise_model: NoiseModel,
+             in_pool: np.ndarray | None) -> np.ndarray:
     """Whether each trial is decided: its decode, by the module docstring's
-    rules, is its truth.  ``words`` (trials, N, W) and ``outcomes``
-    (trials, W) are packed as a ``Codebook``'s and an ``OutcomeVector``'s
-    are, with no bit set past T.  No word is read when log2 u is finite;
-    definite defectives are read off the packed pool rows, unpacking none."""
-    co = _coefficients(noise_model, k)
-    if co.participation != -math.inf:
+    rules, is its truth.  ``in_pool`` is ``_pool_masks`` of the same
+    ``words`` and ``outcomes``; with None no trial is decided.  Definite
+    defectives are read off the packed pool rows, unpacking none."""
+    if in_pool is None:
         return np.zeros(len(outcomes), dtype=bool)
-    in_pool = _in_pool(words, ~outcomes)
     pool = np.count_nonzero(in_pool, axis=1)
-    if co.positive[0] == -math.inf:
+    if _coefficients(noise_model, k).positive[0] == -math.inf:
         rest = np.flatnonzero(pool > k)  # a pool of K is decided already
         rows = np.where(in_pool[rest, :, None], words[rest], np.uint64(0))
         seen = np.bitwise_or.accumulate(rows, axis=1)
@@ -240,31 +253,30 @@ def _pool(co: _Coefficients, words: np.ndarray, n_tests: int, y_words: np.ndarra
                  y_words[:, :, None], n_pos, start)
 
 
-def _positive_counts(rows: np.ndarray, n_pos: np.ndarray) -> np.ndarray:
-    """n+[c] for c = 1..M, (M, B): each covering candidate's positive tests
-    pooling exactly c members.
+def _positive_counts(rows, n_pos: np.ndarray) -> list:
+    """n+[c] for c = 1..M, M arrays of B: each covering candidate's positive
+    tests pooling exactly c members.
 
-    ``rows`` holds the candidates' member rows masked to the positive tests,
-    (W, M, B).  Per word, the levels ge[c] (the tests pooling at least c
-    members, at index c-1 of ``ge`` below) start from the first member row,
-    and each further row r updates every level at once: ge[c] |= ge[c-1] & r
-    for c >= 2 reads the levels as they were before r, then ge[1] |= r.
-    |ge[c]| is summed from popcounts, and n+[c] = |ge[c]| - |ge[c+1]|.
-    ge[1], the OR, is every positive test of its outcome, so |ge[1]| is that
-    outcome's count in ``n_pos`` (B,).
+    ``rows`` yields the candidates' M member rows masked to the positive
+    tests, (W, B) each, one member at a time.  The levels ge[c] (the tests
+    pooling at least c members, at index c-1 of ``ge`` below) start from
+    the first member row, and each further row r adds a level and updates
+    the others in place from the top down, so that each reads the level
+    below as it was before r: ge[c] |= ge[c-1] & r, then ge[1] |= r.
+    n+[c] = |ge[c]| - |ge[c+1]|, from popcounts.  ge[1], the OR, is every
+    positive test of its outcome, so |ge[1]| is that outcome's count in
+    ``n_pos`` (B,).
     """
-    _, m, b = rows.shape
-    sizes = np.zeros((m + 1, b), dtype=np.int64)  # sizes[c-1] = |ge[c]|, and 0 past ge[M]
-    sizes[0] = n_pos
-    ge = np.empty((m, b), dtype=np.uint64)
-    for word in rows:
-        ge[0] = word[0]
-        ge[1:] = 0
-        for r in word[1:]:
-            ge[1:] |= ge[:-1] & r
-            ge[0] |= r
-        sizes[1:m] += np.bitwise_count(ge[1:])
-    return sizes[:m] - sizes[1:]
+    rows = iter(rows)
+    ge = [next(rows)]
+    for r in rows:
+        ge.append(ge[-1] & r)
+        for c in range(len(ge) - 2, 0, -1):
+            ge[c] |= ge[c - 1] & r
+        ge[0] |= r
+    sizes = [n_pos] + [popcount(level, axis=0) for level in ge[1:]]
+    del ge  # the K - 1 levels go before the counts are built, to hold less at once
+    return [a - b for a, b in zip(sizes, sizes[1:])] + sizes[-1:]
 
 
 def _add_term(scores: np.ndarray, count: np.ndarray, coef: float) -> None:
@@ -275,43 +287,60 @@ def _add_term(scores: np.ndarray, count: np.ndarray, coef: float) -> None:
         scores += count * coef
 
 
-def _scores(co: _Coefficients, pool: _Pool, local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(pairs, scores): log2 likelihoods of the candidates ``local``, (B, M)
-    indices into each trial's pool, and where each sits in the (G, B)
-    row-major order of (trial, candidate) pairs.
+def _cover(co: _Coefficients, pool: _Pool, local: np.ndarray, lo: int,
+           hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(trial, members, scores) of the candidates ``local``, (B, M) indices
+    into each pool, for the pool's trials lo..hi-1, in (trial, candidate)
+    row-major order: each kept candidate's trial, its members as positions
+    in the G pools laid end to end (G * P), and its score without the
+    K-level terms that ``_add_levels`` adds.
 
     When q = 0 only the candidates whose members pool every positive test
-    are scored and returned: n+[0] log2 q = -inf scores every other
-    candidate -inf.  The OR of the member rows is taken a member at a time,
-    which holds one (G, W, B) array where a gather of every member row at
-    once would hold M of them.
+    are kept: n+[0] log2 q = -inf scores every other candidate -inf.  When
+    q > 0 only those at their trial's best score among ``local``.  The
+    OR of the member rows is taken a member at a time, which holds one
+    (hi - lo, W, B) array where a gather of every member row at once would
+    hold M of them.
     """
-    g, w, size = pool.pos.shape
+    pos, size = pool.pos[lo:hi], pool.pos.shape[2]
     if local.shape[1]:
-        union = pool.pos.take(local[:, 0], axis=2)  # (G, W, B)
+        union = pos.take(local[:, 0], axis=2)  # (hi - lo, W, B)
     else:
-        union = np.zeros((g, w, len(local)), dtype=np.uint64)
+        union = np.zeros(pos.shape[:2] + (len(local),), dtype=np.uint64)
     for j in range(1, local.shape[1]):
-        union |= pool.pos.take(local[:, j], axis=2)
+        union |= pos.take(local[:, j], axis=2)
     if co.positive[0] == -math.inf:
-        pairs = np.logical_and.reduce(union == pool.y, axis=1).reshape(-1).nonzero()[0]
+        pairs = np.logical_and.reduce(union == pool.y[lo:hi], axis=1).reshape(-1).nonzero()[0]
+        trial = pairs // len(local) + lo
+        scores = pool.start.take(trial)
     else:
-        pairs = np.arange(g * len(local))
-    trial = pairs // len(local)
-    scores = pool.start[trial]
-    if co.positive[0] != -math.inf:
-        uncovered = pool.n_pos[:, None] - popcount(union, axis=1)
-        _add_term(scores, uncovered.reshape(-1), co.positive[0])
-    if co.full and scores.size:
-        # each member's position in the trials' pools laid end to end
-        members = local.take(pairs % len(local), axis=0) + (trial * size)[:, None]
-        if co.participation:
-            count = np.add.reduce(pool.neg.reshape(-1).take(members), axis=1)
-            _add_term(scores, count, co.participation)
-        levels = pool.pos.transpose(1, 0, 2).reshape(w, g * size).take(members.T, axis=1)
-        for coef, count in zip(co.positive[1:], _positive_counts(levels, pool.n_pos[trial])):
-            _add_term(scores, count, coef)
-    return pairs, scores
+        # q > 0 comes with u = 0 (``_Coefficients``), so these scores are final
+        # and a candidate below its trial's best in this gather is no maximizer
+        dense = np.repeat(pool.start[lo:hi, None], len(local), axis=1)
+        _add_term(dense, pool.n_pos[lo:hi, None] - popcount(union, axis=1), co.positive[0])
+        pairs = (dense == dense.max(axis=1, keepdims=True)).reshape(-1).nonzero()[0]
+        trial = pairs // len(local) + lo
+        scores = dense.reshape(-1).take(pairs)
+    members = local.take(pairs % len(local), axis=0) + (trial * size)[:, None]
+    return trial, members, scores
+
+
+def _add_levels(co: _Coefficients, pool: _Pool, trial: np.ndarray, members: np.ndarray,
+                scores: np.ndarray) -> None:
+    """Add the w- and n+[1..K] terms to the ``scores`` of the candidates
+    ``members`` (B, M) of the trials ``trial`` (B,), when the law needs
+    them (``co.full``).  Members are positions in the G trials' pools laid
+    end to end, G * P in all."""
+    if not (co.full and scores.size):
+        return
+    g, w, size = pool.pos.shape
+    if co.participation:
+        _add_term(scores, np.add.reduce(pool.neg.reshape(-1).take(members), axis=1),
+                  co.participation)
+    pos = pool.pos.transpose(1, 0, 2).reshape(w, g * size)
+    rows = (pos.take(members[:, j], axis=1) for j in range(members.shape[1]))
+    for coef, count in zip(co.positive[1:], _positive_counts(rows, pool.n_pos[trial])):
+        _add_term(scores, count, coef)
 
 
 def log_likelihood(
@@ -332,7 +361,8 @@ def log_likelihood(
     pool = _pool(co, codebook.words[idx][None], codebook.n_tests, outcome.words[None])
     if pool.items.shape[1] < idx.size:
         return -math.inf
-    _, scores = _scores(co, pool, np.arange(idx.size)[None, :])
+    trial, members, scores = _cover(co, pool, np.arange(idx.size)[None, :], 0, 1)
+    _add_levels(co, pool, trial, members, scores)
     return float(scores[0]) if scores.size else -math.inf
 
 
@@ -349,6 +379,8 @@ def _combo_chunks(n: int, k: int):
     range(n_max - n, n_max).
     """
     total = math.comb(n, k)
+    if not total:
+        return
     if total > _CACHE_LIMIT:
         it = itertools.combinations(range(n), k)
         while block := list(itertools.islice(it, _CHUNK)):
@@ -378,77 +410,140 @@ def ml_decode(
 
     ``n_evaluated`` reports the logical scan size C(N, K); candidates ruled
     out in bulk (score provably -inf) are scored as a class, which does not
-    change the maximizer, the tie flag, or determinism.
+    change the maximizer, the tie flag, or determinism.  The scan is the
+    ``_scan`` of a group of one trial, each gather scored and folded by an
+    argmax.
     """
     total = _check_decode(codebook, outcome, k)
     co = _coefficients(noise_model, k)
     pool = _pool(co, codebook.words[None], codebook.n_tests, outcome.words[None])
-    size = pool.items.shape[1]
     best, first, at_max = -math.inf, None, 0  # max score, its first set, the sets scoring it
-    if size >= k:  # a smaller pool would build an empty table
-        for local in _combo_chunks(size, k):
-            pairs, scores = _scores(co, pool, local)
-            if not scores.size:
-                continue
-            i = int(scores.argmax())
-            m = float(scores[i])
-            if m == -math.inf or m < best:
-                continue
-            hits = int(np.count_nonzero(scores == m))
-            if m > best:
-                best, first, at_max = m, local[pairs[i]], hits
-            else:
-                at_max += hits
+    for trial, members, scores in _scan(co, pool, k):
+        _add_levels(co, pool, trial, members, scores)
+        i = int(scores.argmax())
+        m = float(scores[i])
+        if m == -math.inf or m < best:
+            continue
+        hits = int(np.count_nonzero(scores == m))
+        if m > best:
+            best, first, at_max = m, members[i], hits
+        else:
+            at_max += hits
     if first is None:
         return DecodeResult(DefectiveSet(tuple(range(k))), -math.inf, False, total)
-    best_set = DefectiveSet(tuple(int(v) for v in pool.items[0, first]))
+    best_set = DefectiveSet(tuple(pool.items.reshape(-1)[first].tolist()))
     return DecodeResult(best_set, best, at_max >= 2, total)
 
 
 def _decode_pools(words: np.ndarray, outcomes: np.ndarray, trials: np.ndarray, n_tests: int,
-                  k: int, noise_model: NoiseModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``ml_decode``'s set and tie flag for each of the block's ``trials``
-    whose scan is one chunk, decoded in groups: (sets (B, K), ties (B,),
-    scanned (B,)), entry i for trial ``trials[i]``.
+                  k: int, noise_model: NoiseModel,
+                  in_pool: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """``ml_decode``'s set and tie flag for each of a block's ``trials``,
+    decoded in groups: (sets (B, K), ties (B,)), entry i for trial
+    ``trials[i]``.
 
-    ``words`` and ``outcomes`` hold the block's trials, packed as for
-    ``_decided``, and ``trials`` (B,) indexes them.  When log2 u = -inf,
-    the trials whose pool of P items has C(P, K) <= ``_CHUNK`` candidates
-    are grouped by P, and each group is scored by ``_scores`` from one
-    table of candidates, at most ``_CHUNK`` of them (a trial times a
-    candidate) a gather.  Each trial takes its first maximizer and a tie
-    when two or more candidates attain it; with no finite score, or a pool
-    below K, it takes the first K-set, untied.  The other trials, every
-    trial when log2 u is finite, are not scanned.
+    ``words``, ``outcomes`` and ``in_pool`` hold the block's trials, as
+    ``_decided`` takes them, and ``trials`` (B,) indexes them.  The trials
+    are grouped by the number of items they enumerate, P: the pool size
+    when log2 u = -inf, else N, so that all of them form one group.  Each
+    group is one ``_scan``, and every group's gathers go to one ``_Best``.
     """
-    sets = np.tile(np.arange(k), (len(trials), 1))
-    ties = np.zeros(len(trials), dtype=bool)
-    scanned = np.zeros(len(trials), dtype=bool)
     co = _coefficients(noise_model, k)
-    if co.participation != -math.inf:
-        return sets, ties, scanned
-    in_pool = _in_pool(words, ~outcomes)[trials]  # the block is not copied
-    sizes = np.count_nonzero(in_pool, axis=1)
-    order = np.argsort(sizes, kind="stable")  # the trials grouped by pool size
+    if in_pool is None:
+        sizes = np.full(len(trials), words.shape[1])
+    else:
+        in_pool = in_pool[trials]
+        sizes = np.count_nonzero(in_pool, axis=1)
+    state = _Best(co, len(trials), k)
+    order = np.argsort(sizes, kind="stable")
     for group in np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1):
-        total = math.comb(int(sizes[group[0]]), k)
-        if total > _CHUNK:
-            continue
-        scanned[group] = True
-        if not total:
-            continue
-        local = next(_combo_chunks(int(sizes[group[0]]), k))
-        for lo in range(0, group.size, _CHUNK // total):
-            part = group[lo : lo + _CHUNK // total]
-            rows, y = words[trials[part]], outcomes[trials[part]]
-            pool = _pool(co, rows, n_tests, y, in_pool[part])
-            pairs, kept = _scores(co, pool, local)
-            scores = np.full((part.size, total), -math.inf)
-            scores.reshape(-1)[pairs] = kept
-            top = scores.max(axis=1)
-            at_max = scores == top[:, None]
-            found = top != -math.inf
-            first = local[at_max.argmax(axis=1)]
-            sets[part[found]] = pool.items[np.arange(part.size)[:, None], first][found]
-            ties[part] = found & (np.count_nonzero(at_max, axis=1) >= 2)
-    return sets, ties, scanned
+        rows = trials[group]
+        pool = _pool(co, words[rows], n_tests, outcomes[rows],
+                     None if in_pool is None else in_pool[group])
+        for kept in _scan(co, pool, k):
+            state.add(pool, group, kept)
+    state.fold()
+    sets = np.where((state.best == -math.inf)[:, None], np.arange(k), state.first)
+    return sets, state.at_max >= 2
+
+
+def _scan(co: _Coefficients, pool: _Pool, k: int):
+    """Yield, a gather at a time, the candidates that ``_cover`` keeps of a
+    group of G trials whose pools hold P items each: (trial, members,
+    scores), members as positions in the G pools laid end to end.
+
+    The group walks the K-sets of range(P) once, in lexicographic order,
+    and gathers each chunk for as many trials at once as keep a gather
+    within ``_CHUNK`` (trial, candidate) pairs, so each trial's candidates
+    come in lexicographic order.
+    """
+    g = pool.pos.shape[0]
+    for local in _combo_chunks(pool.pos.shape[2], k):
+        step = max(1, _CHUNK // len(local))
+        for lo in range(0, g, step):
+            kept = _cover(co, pool, local, lo, lo + step)
+            if kept[2].size:
+                yield kept
+
+
+class _Best:
+    """The ML scan's running state of B trials, folded in candidate order.
+
+    ``best`` (B,) is each trial's best score so far, -inf until a finite
+    one; ``first`` (B, K) the items of the first candidate attaining it,
+    unset until then; and ``at_max`` (B,) the candidates attaining a
+    finite best, 0 until then.  The gathers of the groups' scans wait, and
+    once ``_CHUNK`` of their pairs would be exceeded, or on ``fold()``,
+    those of many trials and chunks are scored together, a group's in one
+    ``_add_levels``, and folded.  A trial's pairs must arrive in candidate
+    order: then the first pair meeting a new best is the first maximizer.
+    """
+
+    def __init__(self, co: _Coefficients, count: int, k: int):
+        self.co = co
+        self.best = np.full(count, -math.inf)
+        self.first = np.empty((count, k), dtype=np.int64)
+        self.at_max = np.zeros(count, dtype=np.int64)
+        self._runs: list = []  # (pool, its trials' rows, its gathers), one per group
+        self._size = 0
+
+    def add(self, pool: _Pool, rows: np.ndarray, kept: tuple) -> None:
+        """Queue a gather ``kept`` of the group whose pool is ``pool`` and
+        whose trials are the state's ``rows``."""
+        if self._size + kept[2].size > _CHUNK:
+            self.fold()
+        if not self._runs or self._runs[-1][0] is not pool:
+            self._runs.append((pool, rows, []))
+        self._runs[-1][2].append(kept)
+        self._size += kept[2].size
+
+    def fold(self) -> None:
+        """Score the waiting pairs and fold them: a trial whose best rises
+        takes the first pair at the new best and the count there, and one
+        whose finite best is met again adds the pairs meeting it."""
+        scored = []
+        for pool, rows, gathers in self._runs:
+            trial, members, scores = _joined(gathers)
+            gathers.clear()  # frees each gather once it is joined
+            _add_levels(self.co, pool, trial, members, scores)
+            scored.append((rows[trial], pool.items.reshape(-1).take(members), scores))
+        self._runs, self._size = [], 0
+        if not scored:
+            return
+        trial, items, scores = _joined(scored)
+        top = self.best.copy()
+        np.maximum.at(top, trial, scores)
+        hit = ((scores == top[trial]) & (scores != -math.inf)).nonzero()[0]
+        rises = top > self.best
+        self.best = top
+        self.at_max[rises] = 0
+        self.at_max += np.bincount(trial[hit], minlength=len(top))
+        lead = np.full(len(top), len(scores))
+        np.minimum.at(lead, trial[hit], hit)
+        self.first[rises] = items[lead[rises]]
+
+
+def _joined(parts: list) -> tuple:
+    """The columns of a list of array tuples, each concatenated; one part
+    is returned as it is."""
+    return parts[0] if len(parts) == 1 else tuple(np.concatenate(a) for a in zip(*parts))

@@ -7,10 +7,9 @@ per-trial keys (the truth set by ``_sample_truth``), so estimates do not
 depend on the order in which trials run or are drawn, nor on numpy's
 sampler streams.  The codebook and channel words of a block of trials
 come from one sampler call, and the block is decoded as a whole, in the
-calling thread: on the u = 0 channels the decoder's ``_decode_pools``
-scans the trials whose pool has at most ``_CHUNK`` candidate sets in
-groups of equal pool size, and ``ml_decode`` decodes the others, and
-every trial under dilution, one at a time.  The average and partial
+calling thread: the decoder's ``_decode_pools`` scans its undecided
+trials in groups, of equal pool size on the u = 0 channels and all of
+them together under dilution.  The average and partial
 criteria and the per-overlap error profile share one trial stream (one
 miss histogram), which makes their comparisons paired.
 
@@ -50,7 +49,8 @@ from itertools import combinations
 import numpy as np
 
 from .bitops import WORD_BITS, n_words, pack_bits
-from .decoder import _decided, _decode_pools, _enumeration_size, ml_decode, miss_distance
+from .decoder import (_decided, _decode_pools, _enumeration_size, _pool_masks, miss_distance,
+                      ml_decode)
 from .errors import ParameterError
 from .model import (
     Codebook,
@@ -252,11 +252,12 @@ class _TrialStream:
         self.outcomes = np.zeros((trials, 0), dtype=np.uint64)
 
     def draw(self, n_tests: int):
-        """Yield (block, words, outcomes, undecided) at n_tests, one block of
-        trials at a time in trial order: the block's slice of trials, their
-        codebook words (trials, N, W) and outcome words (trials, W) masked to
-        the first n_tests tests by one AND, and which of them the decoder's
-        ``_decided`` leaves undecided.
+        """Yield (block, words, outcomes, undecided, in_pool) at n_tests, one
+        block of trials at a time in trial order: the block's slice of
+        trials, their codebook words (trials, N, W) and outcome words
+        (trials, W) masked to the first n_tests tests by one AND, which of
+        them the decoder's ``_decided`` leaves undecided, and their pools
+        (``_pool_masks``, None when nothing is pruned), found once per block.
 
         The stream is first drawn up to n_tests.  A block holds at most
         ``_BLOCK_CELLS`` words.
@@ -265,23 +266,20 @@ class _TrialStream:
         if n_tests > self.n_tests:
             self._extend(n_tests)
         keep = pack_bits(np.ones(n_tests, dtype=bool))
-        for block in _blocks(self.trials, self.n_items * keep.size):
+        # at least one cell an item: the decoder holds a few per item at T = 0 too
+        for block in _blocks(self.trials, self.n_items * max(1, keep.size)):
             words = self.words[block, :, :keep.size] & keep
             outcomes = self.outcomes[block, :keep.size] & keep
-            yield block, words, outcomes, ~_decided(words, outcomes, self.k, self.noise_model)
-
-    def trial(self, trial: int, n_tests: int, words: np.ndarray, outcome: np.ndarray):
-        """(codebook, outcome) of ``trial`` at n_tests, as ``ml_decode`` takes
-        them, from its words (N, W) and outcome words (W,) of a read.  Each
-        owns a copy, so one that is kept holds no other trial's words."""
-        codebook = Codebook(self.n_items, n_tests, self.p, int(self.seeds[trial, 0]), words.copy())
-        return codebook, OutcomeVector(n_tests, outcome.copy())
+            in_pool = _pool_masks(words, outcomes, self.k, self.noise_model)
+            undecided = ~_decided(words, outcomes, self.k, self.noise_model, in_pool)
+            yield block, words, outcomes, undecided, in_pool
 
     def _extend(self, n_tests: int) -> None:
         start, shift = divmod(self.n_tests, WORD_BITS)
         grow = n_words(n_tests) - self.outcomes.shape[1]
-        self.words = np.pad(self.words, ((0, 0), (0, 0), (0, grow)))
-        self.outcomes = np.pad(self.outcomes, ((0, 0), (0, grow)))
+        if grow:  # padding copies every word, so a probe inside the last word skips it
+            self.words = np.pad(self.words, ((0, 0), (0, 0), (0, grow)))
+            self.outcomes = np.pad(self.outcomes, ((0, 0), (0, grow)))
         items, tests = np.arange(self.n_items), np.arange(self.n_tests, n_tests)
         for block in _blocks(self.trials, self.n_items * len(tests)):
             seeds, idx = self.seeds[block], self.truth_idx[block]
@@ -306,20 +304,15 @@ def _shift_in(dest: np.ndarray, new: np.ndarray, shift: int) -> None:
 def _miss_histogram(stream: _TrialStream, n_tests: int) -> np.ndarray:
     """Histogram over miss distance of ``stream``'s erring trials at n_tests.
 
-    Each block's undecided trials go to the decoder's ``_decode_pools``, and
-    those it does not scan to ``ml_decode``, one at a time."""
+    Each block's undecided trials are decoded together by the decoder's
+    ``_decode_pools``."""
     k, noise_model = stream.k, stream.noise_model
     hist = np.zeros(k + 1, dtype=np.int64)
-    for block, words, outcomes, undecided in stream.draw(n_tests):
+    for block, words, outcomes, undecided, in_pool in stream.draw(n_tests):
         trials = np.flatnonzero(undecided)
         if not trials.size:
             continue
-        sets, ties, scanned = _decode_pools(words, outcomes, trials, n_tests, k, noise_model)
-        for i in np.flatnonzero(~scanned).tolist():
-            j = int(trials[i])
-            codebook, outcome = stream.trial(block.start + j, n_tests, words[j], outcomes[j])
-            result = ml_decode(codebook, outcome, k, noise_model)
-            sets[i], ties[i] = result.best_set.indices, result.tie
+        sets, ties = _decode_pools(words, outcomes, trials, n_tests, k, noise_model, in_pool)
         truth = stream.truth_idx[block.start + trials]
         missed = np.count_nonzero((truth[:, :, None] != sets[:, None, :]).all(axis=2), axis=1)
         hist += np.bincount(missed[ties | (missed > 0)], minlength=k + 1)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from gtlab import Codebook, DefectiveSet
+from gtlab import Codebook, DefectiveSet, OutcomeVector
 from gtlab.bitops import pack_bits
 
 
@@ -16,12 +16,14 @@ def make_codebook(bits, p=0.5, seed=0):
 def read_trials(stream, n_tests):
     """Yield (trial, truth, codebook, outcome) for every trial a read of
     ``stream`` at n_tests leaves undecided, in trial order, the codebook and
-    outcome built by ``stream.trial`` from the block they were read in."""
-    for block, words, outcomes, undecided in stream.draw(n_tests):
+    outcome built from copies of the words of the block they were read in."""
+    for block, words, outcomes, undecided, _ in stream.draw(n_tests):
         for i in np.flatnonzero(undecided).tolist():
             trial = block.start + i
             truth = DefectiveSet(stream.truth_idx[trial].tolist())
-            yield (trial, truth, *stream.trial(trial, n_tests, words[i], outcomes[i]))
+            codebook = Codebook(stream.n_items, n_tests, stream.p, int(stream.seeds[trial, 0]),
+                                words[i].copy())
+            yield trial, truth, codebook, OutcomeVector(n_tests, outcomes[i].copy())
 
 
 def record_reads(monkeypatch):
@@ -34,9 +36,10 @@ def record_reads(monkeypatch):
     draw = _TrialStream.draw
 
     def recording_draw(self, n_tests):
-        for block, words, outcomes, undecided in draw(self, n_tests):
+        for read in draw(self, n_tests):
+            block, undecided = read[0], read[3]
             handed.extend((n_tests, block.start + i) for i in np.flatnonzero(undecided).tolist())
-            yield block, words, outcomes, undecided
+            yield read
 
     monkeypatch.setattr(_TrialStream, "draw", recording_draw)
     return handed

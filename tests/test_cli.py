@@ -94,33 +94,39 @@ def test_profile_adds_an_i_column(tmp_path):
 def test_profile_decodes_each_trial_once(monkeypatch):
     """The profile is read off the estimate's one pass: no trial is decoded
     twice, and --profile decodes exactly the trials the plain estimate
-    decodes.  That is every trial under dilution, each by ``ml_decode``; on
-    the noise-free channel the trials whose pool is exactly K, or that hold
-    K definite defectives, are decided without a decode, and the others go
-    to the grouped scan."""
+    decodes.  That is every trial under dilution; on the noise-free channel
+    the trials whose pool is exactly K, or that hold K definite defectives,
+    are decided without a decode.  The grouped scan decodes every trial
+    handed to it, once, and ``ml_decode`` none."""
     handed = record_reads(monkeypatch)
-    decoded = []
-    decode = gtlab.montecarlo.ml_decode
+    decoded, scanned = [], []
+    decode, decode_pools = gtlab.montecarlo.ml_decode, gtlab.montecarlo._decode_pools
 
     def counting_decode(codebook, *args, **kwargs):
         decoded.append(codebook.seed)
         return decode(codebook, *args, **kwargs)
 
+    def counting_decode_pools(words, outcomes, trials, *args):
+        scanned.append(len(trials))
+        return decode_pools(words, outcomes, trials, *args)
+
     monkeypatch.setattr(gtlab.montecarlo, "ml_decode", counting_decode)
+    monkeypatch.setattr(gtlab.montecarlo, "_decode_pools", counting_decode_pools)
     for model in ([], ["--model", "dilution", "--u", "0.3"]):
         argv = ["estimate", *model, "-N", "12", "-K", "2", "-T", "6", "--trials", "40",
                 "--seed", "2", "--format", "csv"]
-        handed.clear(), decoded.clear()
+        handed.clear(), decoded.clear(), scanned.clear()
         code, text = run_cli(argv + ["--profile"])
         assert code == 0
-        profiled = list(handed), list(decoded)
-        handed.clear(), decoded.clear()
+        profiled = list(handed), list(decoded), list(scanned)
+        handed.clear(), decoded.clear(), scanned.clear()
         assert run_cli(argv)[0] == 0
-        assert profiled == (handed, decoded) and len(set(handed)) == len(handed)
+        assert profiled == (handed, decoded, scanned) and len(set(handed)) == len(handed)
+        assert sum(scanned) == len(handed) and not decoded
         if model:
-            assert len(handed) == len(set(decoded)) == 40
-        else:  # C(12, 2) candidates at most: the grouped scan decodes every trial
-            assert 0 < len(handed) < 40 and not decoded
+            assert len(handed) == 40
+        else:
+            assert 0 < len(handed) < 40
         rows = list(csv.reader(io.StringIO(text)))[1:]
         assert sum(int(r[9]) for r in rows if r[0] == "profile") == int(rows[0][9])
 

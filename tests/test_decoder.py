@@ -24,7 +24,7 @@ from gtlab import (
 )
 import gtlab.decoder
 from gtlab.bitops import pack_bits
-from gtlab.decoder import _decode_pools
+from gtlab.decoder import _decode_pools, _pool_masks
 from gtlab.model import OutcomeVector
 from gtlab.montecarlo import _TrialStream
 
@@ -538,85 +538,143 @@ def test_dilution_levels_past_four_members_match_reference(k, t, u):
 
 
 # ---------------------------------------------------------------------------
-# grouped scan of small u = 0 pools
+# grouped scan: a block's undecided trials, grouped by the items they enumerate
 
 # q = 1 - 2**-40 puts log2 q near -1.3e-12: candidates leaving 1 and 2
-# positive tests unpooled may round to one score, which ranks as ml_decode's
-GROUPED_CHANNELS = [NF, NoiseModel.additive(0.25), NoiseModel.additive(1 - 2**-40)]
+# positive tests unpooled may round to one score, which ranks as ml_decode's.
+# Under dilution every trial enumerates all N items, so a block is one group;
+# at u = 1 any positive test scores -inf.
+GROUPED_CHANNELS = [NF, NoiseModel.additive(0.25), NoiseModel.additive(1 - 2**-40),
+                    NoiseModel.dilution(0.3), NoiseModel.dilution(1.0)]
 
 
-def check_grouped_scan(words, outcomes, n_tests, k, noise):
+def decode_block(words, outcomes, trials, n_tests, k, noise):
+    """``_decode_pools`` on the block's ``trials``, pools found as a read finds them."""
+    return _decode_pools(words, outcomes, trials, n_tests, k, noise,
+                         _pool_masks(words, outcomes, k, noise))
+
+
+def check_grouped_scan(words, outcomes, n_tests, k, noise, referenced=()):
     """``_decode_pools`` on every trial of a block, asked for in reverse
-    order, against ``ml_decode`` trial by trial: each trial it scans has
-    ml_decode's set and tie flag.  Returns the scanned mask and the tie
-    flags, in trial order."""
+    order, against ``ml_decode`` trial by trial, and the trials
+    ``referenced`` also against the dense ``reference_decode``: each has
+    their set and tie flag.  Returns the tie flags in trial order."""
     trials = np.arange(len(outcomes))[::-1]
-    sets, ties, scanned = _decode_pools(words, outcomes, trials, n_tests, k, noise)
+    sets, ties = decode_block(words, outcomes, trials, n_tests, k, noise)
     for i, trial in enumerate(trials):
         codebook = Codebook(words.shape[1], n_tests, 0.5, 0, words[trial].copy())
-        want = ml_decode(codebook, OutcomeVector(n_tests, outcomes[trial].copy()), k, noise)
-        if scanned[i]:
-            got = (tuple(sets[i].tolist()), bool(ties[i]))
-            assert got == (want.best_set.indices, want.tie), (n_tests, k, trial)
-    return scanned[::-1], ties[::-1]
+        outcome = OutcomeVector(n_tests, outcomes[trial].copy())
+        got = (tuple(sets[i].tolist()), bool(ties[i]))
+        want = ml_decode(codebook, outcome, k, noise)
+        assert got == (want.best_set.indices, want.tie), (n_tests, k, trial)
+        if trial in referenced:
+            best_set, _, tie = reference_decode(codebook, outcome, k, noise)
+            assert got == (best_set, tie), (n_tests, k, trial)
+    return ties[::-1]
 
 
 def stream_blocks(n, k, p, noise, seed, trials, t):
     """(words, outcomes) of each block of a trial stream read at t, every
     trial included, decided or not."""
     stream = _TrialStream(n, k, p, noise, seed, trials)
-    return [(words, outcomes) for _, words, outcomes, _ in stream.draw(t)]
+    return [(words, outcomes) for _, words, outcomes, _, _ in stream.draw(t)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("noise", GROUPED_CHANNELS, ids=lambda m: m.describe())
 def test_grouped_scan_matches_ml_decode(noise, k):
-    """Stream blocks at T = 0, 8, 63, 64, 65 and 129, at two densities:
-    every pool of N = 20 items has at most C(20, 3) = 1,140 <= _CHUNK
-    candidates, so every trial is scanned, each as ml_decode decodes it,
-    ties included."""
+    """Stream blocks at T = 0, 8, 63, 64, 65 and 129, at two densities, N =
+    20: each trial is decoded as ml_decode decodes it, ties included, and
+    two trials of each block as the dense reference decodes them."""
     ties = 0
     for t in (0, 8, 63, 64, 65, 129):
         for p in (0.5, 0.1):
             for words, outcomes in stream_blocks(20, k, p, noise, 3, 60, t):
-                scanned, tied = check_grouped_scan(words, outcomes, t, k, noise)
-                assert scanned.all()
+                tied = check_grouped_scan(words, outcomes, t, k, noise, referenced=(7, 40))
                 ties += int(tied.sum()) if t else 0
     assert ties
 
 
-def test_grouped_scan_splits_groups_and_leaves_large_pools(monkeypatch):
-    """With a small ``_CHUNK`` a group's trials are split so that no gather
-    holds more than ``_CHUNK`` (trial, candidate) pairs, and trials whose
-    pool has more candidates than that are left unscanned."""
+def test_grouped_scan_splits_groups_over_gathers(monkeypatch):
+    """With a small ``_CHUNK`` no gather holds more than ``_CHUNK`` (trial,
+    candidate) pairs, and no scoring pass or fold more than ``_CHUNK``
+    pairs: a group whose trials have few candidates spans several gathers
+    of one chunk, and one whose trials have more spans several chunks;
+    every trial is decoded as ml_decode decodes it."""
     monkeypatch.setattr(gtlab.decoder, "_CHUNK", 45)
-    gathers = []
-    scores = gtlab.decoder._scores
+    gathers, passes = [], []
+    cover, add_levels = gtlab.decoder._cover, gtlab.decoder._add_levels
+    fold = gtlab.decoder._Best.fold
 
-    def recording_scores(co, pool, local):
-        gathers.append((pool.items.shape[0], len(local)))
-        return scores(co, pool, local)
+    def recording_cover(co, pool, local, lo, hi):
+        gathers.append((pool, min(hi, pool.pos.shape[0]) - lo, len(local)))  # keeps ids unique
+        return cover(co, pool, local, lo, hi)
 
-    for noise in GROUPED_CHANNELS[:2]:  # near q = 1 every pool is all 20 items
+    def recording_levels(co, pool, trial, members, scores):
+        passes.append(scores.size)
+        add_levels(co, pool, trial, members, scores)
+
+    def recording_fold(state):
+        passes.append(state._size)
+        fold(state)
+
+    for noise in GROUPED_CHANNELS:
         for words, outcomes in stream_blocks(20, 2, 0.5, noise, 5, 200, 8):
-            monkeypatch.setattr(gtlab.decoder, "_scores", recording_scores)
-            gathers.clear()
-            _decode_pools(words, outcomes, np.arange(len(outcomes)), 8, 2, noise)
-            monkeypatch.setattr(gtlab.decoder, "_scores", scores)
-            scanned, _ = check_grouped_scan(words, outcomes, 8, 2, noise)
-            assert scanned.any() and not scanned.all()
-            assert all(g * b <= 45 for g, b in gathers)
-            sizes = [b for _, b in gathers]
-            assert any(sizes.count(b) > 1 for b in sizes)  # a group over several gathers
+            gathers.clear(), passes.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(gtlab.decoder, "_cover", recording_cover)
+                patch.setattr(gtlab.decoder, "_add_levels", recording_levels)
+                patch.setattr(gtlab.decoder._Best, "fold", recording_fold)
+                decode_block(words, outcomes, np.arange(len(outcomes)), 8, 2, noise)
+            check_grouped_scan(words, outcomes, 8, 2, noise)
+            assert all(g * b <= 45 for _, g, b in gathers)
+            assert passes and all(size <= 45 for size in passes)
+            per_pool = {}
+            for pool, g, b in gathers:
+                per_pool.setdefault(id(pool), []).append((g, b))
+            # C(20, 2) = 190 > 45 candidates: every trial of a group takes
+            # five chunks, one trial a gather
+            assert any(len(set(b for _, b in seen)) > 1 for seen in per_pool.values())
+            if noise in GROUPED_CHANNELS[:2]:  # small pools: a group over gathers of one chunk
+                assert any(len(seen) > 1 and len({b for _, b in seen}) == 1 and seen[0][0] > 1
+                           for seen in per_pool.values())
+
+
+def test_grouped_scan_counts_ties_across_chunks(monkeypatch):
+    """The grouped form of ``test_cover_stage_counts_ties_across_chunks``:
+    items 0 and 23 have one row, so the truth {0, 9, 15, 20} of the first
+    trial ties with {9, 15, 20, 23}.  At N = 24, K = 4 the first chunk of
+    8,192 candidates holds one and the second chunk the other, and one
+    gather of the second chunk holds all three trials; a ``_CHUNK`` of 3
+    splits the u = 0 pools too.  The tied trial decodes as the dense
+    reference decodes it, and every trial as ml_decode does."""
+    cb = generate_codebook(24, 130, 0.25, 8)
+    words = cb.words.copy()
+    words[23] = words[0]
+    cb = Codebook(n_items=24, n_tests=130, p=0.25, seed=8, words=words)
+    truths = [(0, 9, 15, 20), (1, 2, 3, 23), (0, 6, 11, 23)]
+    block = np.broadcast_to(words, (len(truths),) + words.shape)
+    for noise in (NoiseModel.dilution(0.1), NF, NoiseModel.additive(0.1)):
+        outcomes = np.stack([apply_channel(cb, DefectiveSet(truth), noise, 4 + i).words
+                             for i, truth in enumerate(truths)])
+        want = reference_decode(cb, OutcomeVector(130, outcomes[0]), 4, noise)
+        assert want[0] == (0, 9, 15, 20) and want[2]
+        for chunk in (gtlab.decoder._CHUNK, 3):
+            monkeypatch.setattr(gtlab.decoder, "_CHUNK", chunk)
+            sets, ties = decode_block(block, outcomes, np.arange(len(truths)), 130, 4, noise)
+            assert (tuple(sets[0].tolist()), bool(ties[0])) == (want[0], want[2])
+            check_grouped_scan(block, outcomes, 130, 4, noise)
+        monkeypatch.undo()
 
 
 def test_grouped_scan_on_hand_built_pools():
-    """Hand-built blocks at T = 3.  K = 2, N = 130: a pool of every item
-    has C(130, 2) = 8,385 > _CHUNK candidates and is left to ml_decode; a
-    pool of 128 is scanned, and with zero rows it pools no positive test,
-    so noise-free every candidate scores -inf (the first K-set, untied)
-    and additive every candidate ties.  K = 3, N = 6: a pool of 2 items is
-    below K (the first K-set, untied), and two equal rows tie."""
+    """Hand-built blocks at T = 3, each trial decoded as the dense reference
+    decodes it.  K = 2, N = 130: on the u = 0 channels a pool of every item
+    has C(130, 2) = 8,385 > _CHUNK candidates, two chunks; a pool of 128
+    with zero rows pools no positive test, so noise-free every candidate
+    scores -inf (the first K-set, untied) and additive every candidate
+    ties.  K = 3, N = 6: a u = 0 pool of 2 items is below K (the first
+    K-set, untied), and two equal rows tie."""
     rng = np.random.default_rng(4)
     bits = rng.integers(0, 2, size=(3, 130, 3), dtype=np.uint8)
     y = np.ones((3, 3), dtype=np.uint8)
@@ -629,14 +687,16 @@ def test_grouped_scan_on_hand_built_pools():
     small[1, [0, 1], 0] = small[1, 2, 1] = small[1, 3, 2] = 1
     y_small = np.array([[0, 1, 1], [1, 1, 1]], dtype=np.uint8)
     for noise in GROUPED_CHANNELS:
-        scanned, ties = check_grouped_scan(pack_bits(bits), pack_bits(y), 3, 2, noise)
-        assert scanned.tolist() == [False, True, True]
-        assert bool(ties[2]) == (noise != NF)
+        ties = check_grouped_scan(pack_bits(bits), pack_bits(y), 3, 2, noise,
+                                  referenced=(0, 1, 2))
+        if noise.law[1] == 0.0:
+            assert bool(ties[2]) == (noise != NF)
         words, outcomes = pack_bits(small), pack_bits(y_small)
-        sets, ties, scanned = _decode_pools(words, outcomes, np.arange(2), 3, 3, noise)
-        check_grouped_scan(words, outcomes, 3, 3, noise)
-        assert scanned.all() and tuple(sets[0]) == (0, 1, 2) and not ties[0]
-    _, ties, _ = _decode_pools(words, outcomes, np.arange(2), 3, 3, NF)
+        ties = check_grouped_scan(words, outcomes, 3, 3, noise, referenced=(0, 1))
+        if noise.law[1] == 0.0:
+            sets, _ = decode_block(words, outcomes, np.arange(2), 3, 3, noise)
+            assert tuple(sets[0]) == (0, 1, 2) and not ties[0]
+    _, ties = decode_block(words, outcomes, np.arange(2), 3, 3, NF)
     assert ties[1]
 
 

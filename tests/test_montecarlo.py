@@ -33,7 +33,7 @@ from gtlab.bitops import pack_bits
 from gtlab.cli import main as cli_main
 import gtlab.decoder
 import gtlab.montecarlo
-from gtlab.decoder import _decided
+from gtlab.decoder import _decided, _pool_masks
 from gtlab.montecarlo import (_collect_histogram, _miss_histogram, _sample_truth, _TrialStream,
                               _worst_outcomes)
 from gtlab.rng import mix64, mix64_array
@@ -232,7 +232,7 @@ def test_sweep_checks_its_whole_grid_before_drawing(grid, monkeypatch):
     """A bad T anywhere in the grid raises before any truth set is drawn or
     any trial decoded, as in ``find_minimal_t``; an empty grid still gives []."""
     calls = []
-    for name in ("ml_decode", "_sample_truth"):
+    for name in ("_decode_pools", "_sample_truth"):
         real = getattr(gtlab.montecarlo, name)
         monkeypatch.setattr(gtlab.montecarlo, name,
                             lambda *args, real=real, name=name: calls.append(name) or real(*args))
@@ -242,14 +242,14 @@ def test_sweep_checks_its_whole_grid_before_drawing(grid, monkeypatch):
     assert calls == []
     assert estimate_sweep(24, 4, 0.25, noise, [], 300, 1) == []
     estimate_sweep(24, 4, 0.25, noise, grid[:1], 3, 1)
-    assert set(calls) == {"ml_decode", "_sample_truth"}
+    assert set(calls) == {"_decode_pools", "_sample_truth"}
 
 
 def test_minimal_t_checks_its_whole_grid_before_drawing(monkeypatch):
     """A bad T anywhere in the grid raises before any truth set is drawn or
     any trial decoded, through the grid check ``estimate_sweep`` uses."""
     calls = []
-    for name in ("ml_decode", "_sample_truth"):
+    for name in ("_decode_pools", "_sample_truth"):
         real = getattr(gtlab.montecarlo, name)
         monkeypatch.setattr(gtlab.montecarlo, name,
                             lambda *args, real=real, name=name: calls.append(name) or real(*args))
@@ -509,8 +509,6 @@ def test_stream_reads_every_t_as_a_fresh_draw(noise, monkeypatch):
                 trial for trial, _, codebook, outcome in fresh
                 if not reference_decided(noise, k, codebook, outcome)]
             for trial, truth, codebook, outcome in draws:
-                # each yielded trial owns its words: keeping one pins no other
-                assert codebook.words.base is None and outcome.words.base is None
                 assert (trial, truth, codebook, outcome) == fresh[trial]
 
 
@@ -539,6 +537,43 @@ def test_extension_draws_only_the_new_tests(noise, monkeypatch):
         assert stream.n_tests == new
         assert np.array_equal(stream.words, fresh.words), (old, new)
         assert np.array_equal(stream.outcomes, fresh.outcomes), (old, new)
+
+
+def test_extension_inside_the_last_word_copies_no_word():
+    """An extension whose new tests stay inside the last word writes them in
+    place; only one that reaches a new word copies the stream."""
+    stream = _TrialStream(30, 3, 0.3, NF, 5, 12)
+    stream._extend(10)
+    for new, copied in ((22, False), (64, False), (70, True), (128, False), (129, True)):
+        words, outcomes = stream.words, stream.outcomes
+        stream._extend(new)
+        assert (stream.words is not words, stream.outcomes is not outcomes) == (copied,) * 2
+
+
+@pytest.mark.parametrize("noise", [NF, NoiseModel.additive(0.25)], ids=lambda m: m.describe())
+def test_a_read_finds_each_pool_once(noise, monkeypatch):
+    """A u = 0 read finds the pools of a block's trials once, for the skip
+    rules and the grouped scan alike: ``_in_pool`` meets each block's words
+    once (the definite-defective step reads its own pool rows)."""
+    blocks, pooled = [], []
+    in_pool = gtlab.decoder._in_pool
+    monkeypatch.setattr(gtlab.decoder, "_in_pool",
+                        lambda words, negative: pooled.append(words) or in_pool(words, negative))
+    draw = _TrialStream.draw
+
+    def recording_draw(self, n_tests):
+        for read in draw(self, n_tests):
+            blocks.append(read[1])
+            yield read
+
+    monkeypatch.setattr(_TrialStream, "draw", recording_draw)
+    monkeypatch.setattr(gtlab.montecarlo, "_BLOCK_CELLS", 2000)  # several blocks a read
+    stream = _TrialStream(40, 2, 0.5, noise, 8, 200)
+    for t in (12, 30, 65):
+        blocks.clear(), pooled.clear()
+        _miss_histogram(stream, t)
+        assert len(blocks) > 1
+        assert [sum(words is block for words in pooled) for block in blocks] == [1] * len(blocks)
 
 
 def test_stream_validates_its_configuration_before_drawing(monkeypatch):
@@ -654,10 +689,11 @@ def check_skipped_decodes(noise, monkeypatch, p=0.5, grid=(12, 30, 8, 64, 20, 65
         decoded.append(trial_of[codebook.seed])
         return decode(codebook, outcome, k, noise_model)
 
-    def counting_decode_pools(*args):
-        sets, ties, done = decode_pools(*args)
-        scanned.append(int(done.sum()))
-        return sets, ties, done
+    def counting_decode_pools(words, outcomes, trials, *args):
+        sets, ties = decode_pools(words, outcomes, trials, *args)
+        assert len(sets) == len(ties) == len(trials)
+        scanned.append(len(trials))
+        return sets, ties
 
     monkeypatch.setattr(gtlab.montecarlo, "ml_decode", counting_decode)
     monkeypatch.setattr(gtlab.montecarlo, "_decode_pools", counting_decode_pools)
@@ -676,10 +712,10 @@ def check_skipped_decodes(noise, monkeypatch, p=0.5, grid=(12, 30, 8, 64, 20, 65
         undecided = [trial for trial, _, codebook, outcome in fresh
                      if not reference_decided(noise, k, codebook, outcome)]
         assert handed == [(t, trial) for trial in undecided]
-        # every pool here has C(P, 2) <= _CHUNK candidates, so a u = 0 read
-        # scans each undecided trial once in groups, and dilution decodes it
-        assert decoded == (undecided if noise.law[1] else [])
-        assert sum(scanned) == (0 if noise.law[1] else len(undecided))
+        # on every channel a read decodes each undecided trial once, in the
+        # grouped scan, and ml_decode decodes none
+        assert decoded == []
+        assert sum(scanned) == len(undecided)
     return pool_sizes, cases
 
 
@@ -717,16 +753,17 @@ def test_skipped_decodes_keep_every_histogram(noise, monkeypatch):
     assert {2, 3} <= pool_sizes  # pools of exactly K items, and of K + 1
 
 
-GROUPED_CHANNELS = [NF, NoiseModel.additive(0.25), NoiseModel.additive(1 - 2**-40)]
+GROUPED_CHANNELS = [NF, NoiseModel.additive(0.25), NoiseModel.additive(1 - 2**-40),
+                    NoiseModel.dilution(0.3), NoiseModel.dilution(1.0)]
 
 
 @pytest.mark.parametrize("chunk", [gtlab.decoder._CHUNK, 20], ids=["chunk", "small-chunk"])
 @pytest.mark.parametrize("noise", GROUPED_CHANNELS, ids=lambda m: m.describe())
 def test_grouped_histograms_match_decoding_every_trial(noise, chunk, monkeypatch):
-    """On the u = 0 channels, K = 1, 2, 3 and T = 0, 63, 64, 65, 129, the
-    miss histogram from the grouped scan equals ml_decode on every trial
-    drawn afresh; with a small ``_CHUNK`` some trials fall back to
-    ml_decode and groups are split over several gathers."""
+    """On every channel, K = 1, 2, 3 and T = 0, 63, 64, 65, 129, the miss
+    histogram from the grouped scan equals ml_decode on every trial drawn
+    afresh; with a small ``_CHUNK`` a group's trials span several gathers
+    and chunks."""
     monkeypatch.setattr(gtlab.decoder, "_CHUNK", chunk)
     n, p, trials, seed = 16, 0.3, 40, 12
     for k in (1, 2, 3):
@@ -741,7 +778,7 @@ def test_grouped_histograms_match_decoding_every_trial(noise, chunk, monkeypatch
 def test_grouped_histograms_property(data):
     """Random small configurations: the grouped scan's histogram equals
     ml_decode on every trial drawn afresh, at the default ``_CHUNK`` and at
-    small ones that split groups and send large pools to ml_decode."""
+    small ones that split groups over several gathers and chunks."""
     k = data.draw(st.integers(1, 3), label="K")
     n = data.draw(st.integers(k + 1, 14), label="N")
     t = data.draw(st.one_of(st.integers(0, 24), st.integers(60, 130)), label="T")
@@ -775,7 +812,8 @@ def test_decided_matches_dense_references(noise):
                 keep = pack_bits(np.ones(t, dtype=np.uint8))  # the first t bits
                 words = stream.words[picked, :, :keep.size] & keep
                 outcomes = stream.outcomes[picked, :keep.size] & keep
-                decided = _decided(words, outcomes, k, noise)
+                decided = _decided(words, outcomes, k, noise,
+                                   _pool_masks(words, outcomes, k, noise))
                 fresh = list(fresh_trials(n, k, t, p, noise, trials, seed))
                 pool = [reference_pool_size(fresh[i][2], fresh[i][3]) == k for i in picked]
                 definite = [reference_definite_count(fresh[i][2], fresh[i][3]) == k
