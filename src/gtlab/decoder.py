@@ -4,12 +4,10 @@ The decoder scans every candidate set, scores each with the log-likelihood
 of the observed outcomes, and returns the lexicographically first
 maximizer.  A tie is any other candidate attaining the same maximum under
 exact comparison; candidates with likelihood exactly zero (score -inf)
-never participate in tie detection.  Every scan visits the candidates in
-lexicographic order, so the first maximizer it meets is the answer.  They
-come from one combination table per K, kept for the largest pool seen: the
-K-sets of range(n) are its last C(n, K) rows, shifted down by the
-difference of the two ranges.  Pools above the table limit are scanned
-from ``itertools``, in the same order.
+never participate in tie detection, and when every candidate scores -inf
+the answer is the first K-set, at -inf, untied (``_unscored``, where both
+folds start).  Every scan visits the candidates in lexicographic order
+(``_combo_chunks``), so the first maximizer it meets is the answer.
 
 Scores read the channel law of ``model``, P(Y=0 | c) = (1-q) * u**c for a
 test pooling c candidate members.  A candidate reduces to integer
@@ -21,16 +19,17 @@ order,
     n- log2(1-q),  w- log2 u,  n+[0] log2 q,  n+[c] log2(1 - (1-q) u**c),
 
 with 0 * log2 0 = 0, and any positive count on a -inf coefficient scores
--inf.  Candidates with equal statistics therefore get bit-identical scores
-and the tie rule is exact on every channel; the single-set scorer
-``log_likelihood`` runs the same code.  The statistics come from popcounts
-on the packed rows: each chunk of candidates gathers its member rows,
-masked to the positive tests, and ORs them once.  The law decides how much
-more is computed, without changing any score:
+-inf (``_add_term``, for every term).  Candidates with equal statistics
+therefore get bit-identical scores and the tie rule is exact on every
+channel; the single-set scorer ``log_likelihood`` runs the same code.  The
+statistics come from popcounts on the packed rows.  The law decides how
+much more is computed, without changing any score:
 
 * when log2 u = -inf a member pooled in a negative test makes the score
   -inf, so only the pool, the items whose rows the outcome covers (the
-  COMP set), is enumerated.  A pool of K items is the truth, decoded untied;
+  COMP set), is enumerated.  A pool of K items is the truth, decoded
+  untied.  ``_pool_masks`` alone makes this decision, for reads and
+  single calls alike, and ``_pool`` and ``_decided`` take its mask;
 * when log2 q = -inf (q = 0: noise-free and dilution) a candidate leaving
   a positive test unpooled scores -inf, so only the candidates whose OR is
   every positive test are kept and scored.  Their n+[0] is 0.  When q > 0,
@@ -42,21 +41,18 @@ more is computed, without changing any score:
   only under dilution.  The OR level holds every positive test of a kept
   candidate, so it is not counted again.
 
-``_decided`` applies those two rules to trials without a scan, from the
-pools that ``_pool_masks`` finds once per block.
+``_decided`` applies those two rules to trials without a scan.
 
 There is one scan, ``_scan``, of a group of trials that enumerate as many
 items, P.  ``_decode_pools`` decodes the undecided trials of a block in
 groups (by pool size when log2 u = -inf, all of them together under
-dilution), and ``ml_decode`` is the scan of a group of one trial.  A group
-walks the K-sets of range(P) once, gathering each chunk for as many trials
-as keep a gather within ``_CHUNK`` (trial, candidate) pairs.  A gather
-keeps only the candidates that can still be a maximizer (``_cover``), and
-the kept pairs of many trials and chunks are then scored together, at most
-``_CHUNK`` a pass.  Each trial keeps its best float score, first maximizer
-and count at the best, folded in candidate order, so the first-maximizer
-and tie rules hold across chunks and passes.  ``ml_decode`` scores each
-gather of its one trial and folds it with an argmax.
+dilution), and ``ml_decode`` is the scan of a group of one trial.  A
+gather keeps only the candidates that can still be a maximizer
+(``_cover``, with one branch per law of q), and ``_Best`` scores the kept
+pairs of many trials and chunks together and folds them in candidate
+order, so the first-maximizer and tie rules hold across chunks and
+passes.  ``ml_decode`` folds each gather of its one trial with an argmax
+instead, which costs a small decode less than ``_Best`` would.
 
 Scoring is deterministic, so results are identical across platforms and
 runs.
@@ -225,30 +221,27 @@ class _Pool(NamedTuple):
 
 
 def _pool(co: _Coefficients, words: np.ndarray, n_tests: int, y_words: np.ndarray,
-          in_pool: np.ndarray | None = None) -> _Pool:
+          in_pool: np.ndarray | None) -> _Pool:
     """The ``_Pool`` of the outcomes ``y_words`` (G, W) on ``words`` (G, N, W).
 
-    When log2 u = -inf it holds the u = 0 pool, ``in_pool`` (G, N) when the
-    caller has it (else found here), and every trial's pool has as many
-    items; otherwise it holds every item.
+    ``in_pool`` is their ``_pool_masks``, which alone decides the prune:
+    with a mask (G, N) the pool holds each trial's u = 0 pool, and every
+    trial's pool has as many items; with None it holds every item.
     """
     g, n, w = words.shape
     n_pos = popcount(y_words)
     start = np.zeros(g)
-    if co.negative:  # 0 * log2 0 = 0: a trial with no negative test starts at 0
-        n_neg = n_tests - n_pos
-        np.multiply(n_neg, co.negative, out=start, where=n_neg > 0)
+    _add_term(start, n_tests - n_pos, co.negative)
     y = y_words[:, None, :]
-    if co.participation == -math.inf:
+    if in_pool is None:
+        items = np.arange(n)[None].repeat(g, axis=0)
+        rows, neg = words & y, popcount(words & ~y)
+    else:
         # a member pooled in a negative test scores -inf; the pool rows are
         # already masked to the positive tests
-        in_pool = _in_pool(words, ~y_words) if in_pool is None else in_pool
         flat = in_pool.reshape(-1).nonzero()[0]
         items, neg = (flat % n).reshape(g, -1), None
         rows = words.reshape(g * n, w)[flat].reshape(*items.shape, w)
-    else:
-        items = np.arange(n)[None].repeat(g, axis=0)
-        rows, neg = words & y, popcount(words & ~y)
     return _Pool(items, np.ascontiguousarray(rows.transpose(0, 2, 1)), neg,
                  y_words[:, :, None], n_pos, start)
 
@@ -358,7 +351,8 @@ def log_likelihood(
     _check_tests(codebook, outcome)
     idx = _check_members(codebook, candidate_set)
     co = _coefficients(noise_model, idx.size)
-    pool = _pool(co, codebook.words[idx][None], codebook.n_tests, outcome.words[None])
+    words, y = codebook.words[idx][None], outcome.words[None]
+    pool = _pool(co, words, codebook.n_tests, y, _pool_masks(words, y, idx.size, noise_model))
     if pool.items.shape[1] < idx.size:
         return -math.inf
     trial, members, scores = _cover(co, pool, np.arange(idx.size)[None, :], 0, 1)
@@ -399,6 +393,13 @@ def _combo_chunks(n: int, k: int):
         yield block - shift if shift else block
 
 
+def _unscored(k: int) -> tuple[float, np.ndarray, int]:
+    """(best score, first maximizer's items, sets at the best) where both
+    folds start, so the answer when no K-set scores above -inf: the first
+    K-set, at -inf, untied."""
+    return -math.inf, np.arange(k), 0
+
+
 def ml_decode(
     codebook: Codebook,
     outcome: OutcomeVector,
@@ -416,8 +417,9 @@ def ml_decode(
     """
     total = _check_decode(codebook, outcome, k)
     co = _coefficients(noise_model, k)
-    pool = _pool(co, codebook.words[None], codebook.n_tests, outcome.words[None])
-    best, first, at_max = -math.inf, None, 0  # max score, its first set, the sets scoring it
+    words, y = codebook.words[None], outcome.words[None]
+    pool = _pool(co, words, codebook.n_tests, y, _pool_masks(words, y, k, noise_model))
+    best, first, at_max = _unscored(k)  # max score, its first set's items, the sets scoring it
     for trial, members, scores in _scan(co, pool, k):
         _add_levels(co, pool, trial, members, scores)
         i = int(scores.argmax())
@@ -426,13 +428,10 @@ def ml_decode(
             continue
         hits = int(np.count_nonzero(scores == m))
         if m > best:
-            best, first, at_max = m, members[i], hits
+            best, first, at_max = m, pool.items.reshape(-1)[members[i]], hits
         else:
             at_max += hits
-    if first is None:
-        return DecodeResult(DefectiveSet(tuple(range(k))), -math.inf, False, total)
-    best_set = DefectiveSet(tuple(pool.items.reshape(-1)[first].tolist()))
-    return DecodeResult(best_set, best, at_max >= 2, total)
+    return DecodeResult(DefectiveSet(tuple(first.tolist())), best, at_max >= 2, total)
 
 
 def _decode_pools(words: np.ndarray, outcomes: np.ndarray, trials: np.ndarray, n_tests: int,
@@ -449,22 +448,18 @@ def _decode_pools(words: np.ndarray, outcomes: np.ndarray, trials: np.ndarray, n
     group is one ``_scan``, and every group's gathers go to one ``_Best``.
     """
     co = _coefficients(noise_model, k)
-    if in_pool is None:
-        sizes = np.full(len(trials), words.shape[1])
-    else:
-        in_pool = in_pool[trials]
-        sizes = np.count_nonzero(in_pool, axis=1)
+    sizes = (np.full(len(trials), words.shape[1]) if in_pool is None
+             else np.count_nonzero(in_pool[trials], axis=1))
     state = _Best(co, len(trials), k)
     order = np.argsort(sizes, kind="stable")
     for group in np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1):
         rows = trials[group]
         pool = _pool(co, words[rows], n_tests, outcomes[rows],
-                     None if in_pool is None else in_pool[group])
+                     None if in_pool is None else in_pool[rows])
         for kept in _scan(co, pool, k):
             state.add(pool, group, kept)
     state.fold()
-    sets = np.where((state.best == -math.inf)[:, None], np.arange(k), state.first)
-    return sets, state.at_max >= 2
+    return state.first, state.at_max >= 2
 
 
 def _scan(co: _Coefficients, pool: _Pool, k: int):
@@ -489,21 +484,20 @@ def _scan(co: _Coefficients, pool: _Pool, k: int):
 class _Best:
     """The ML scan's running state of B trials, folded in candidate order.
 
+    Every trial starts at ``_unscored``, as ``ml_decode``'s fold does:
     ``best`` (B,) is each trial's best score so far, -inf until a finite
     one; ``first`` (B, K) the items of the first candidate attaining it,
-    unset until then; and ``at_max`` (B,) the candidates attaining a
-    finite best, 0 until then.  The gathers of the groups' scans wait, and
-    once ``_CHUNK`` of their pairs would be exceeded, or on ``fold()``,
-    those of many trials and chunks are scored together, a group's in one
-    ``_add_levels``, and folded.  A trial's pairs must arrive in candidate
+    the first K-set until then; and ``at_max`` (B,) the candidates
+    attaining a finite best, 0 until then.  The gathers of the groups'
+    scans wait, and once ``_CHUNK`` of their pairs would be exceeded, or on
+    ``fold()``, those of many trials and chunks are scored together, a
+    group's in one ``_add_levels``, and folded.  A trial's pairs must arrive in candidate
     order: then the first pair meeting a new best is the first maximizer.
     """
 
     def __init__(self, co: _Coefficients, count: int, k: int):
         self.co = co
-        self.best = np.full(count, -math.inf)
-        self.first = np.empty((count, k), dtype=np.int64)
-        self.at_max = np.zeros(count, dtype=np.int64)
+        self.best, self.first, self.at_max = (np.repeat([v], count, axis=0) for v in _unscored(k))
         self._runs: list = []  # (pool, its trials' rows, its gathers), one per group
         self._size = 0
 

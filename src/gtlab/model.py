@@ -58,6 +58,18 @@ def _check_integers(**values) -> None:
             raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_unit(name: str, value, strict: bool = False) -> float:
+    """``value`` as a float once it is a real number (a Python or numpy
+    integer or float, never a bool or a string) in [0, 1], or in (0, 1) when
+    ``strict``; else ParameterError naming it ``name``."""
+    if not (isinstance(value, (float, np.floating)) or _is_integer(value)):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")
+    if not (0.0 < value < 1.0 if strict else 0.0 <= value <= 1.0):
+        span = "strictly inside (0, 1)" if strict else "in [0, 1]"
+        raise ParameterError(f"{name} must lie {span}, got {value}")
+    return float(value)
+
+
 def _check_seed(seed, name="seed"):
     if not _is_integer(seed) or not 0 <= seed < _MAX_SEED:
         raise ParameterError(f"{name} must be an unsigned 64-bit integer, got {seed!r}")
@@ -69,7 +81,7 @@ class NoiseModel:
     """Tagged channel descriptor: noise-free, additive(q), or dilution(u).
 
     ``_PARAMETER`` names the one parameter each kind carries; a model gives
-    exactly that parameter, and it lies in [0, 1]."""
+    exactly that parameter, a real number in [0, 1], kept as given."""
 
     kind: str
     q: float | None = None
@@ -83,8 +95,8 @@ class NoiseModel:
         if given != {name} - {None}:
             carries = f"exactly the parameter {name}" if name else "no parameter"
             raise ParameterError(f"{self.kind} channel carries {carries}")
-        if name and not 0.0 <= self.param <= 1.0:
-            raise ParameterError(f"{self.kind} {name} must lie in [0, 1], got {self.param}")
+        if name:
+            _check_unit(f"{self.kind} {name}", self.param)
 
     @classmethod
     def noise_free(cls) -> "NoiseModel":
@@ -241,8 +253,7 @@ def _check_design(n_items: int, n_tests: int, p: float) -> None:
 
 def _check_p(p: float) -> None:
     """The domain of the inclusion probability, for the codebooks and the bounds alike."""
-    if not 0.0 < p < 1.0:
-        raise ParameterError(f"inclusion probability p must lie strictly inside (0, 1), got {p}")
+    _check_unit("inclusion probability p", p, strict=True)
 
 
 def _check_defectives(n_items: int, k: int) -> None:

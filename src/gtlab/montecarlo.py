@@ -23,19 +23,20 @@ words at the largest T drawn, so a single estimate holds all its trials'
 words at once.  Extending it holds at most one block of ``_BLOCK_CELLS``
 cells of sampler scratch, and a read one block of as many words, masked
 to T by one AND.  N, K, T, the trial count and every T of a grid must be
-integers (Python or numpy), and are stored as Python ints (p and alpha as
-floats); any other value raises ``ParameterError``, which the command line
-reports with exit 2.
+integers (Python or numpy), and are stored as Python ints; p, alpha and the
+target must be real numbers, stored as floats.  Any other value raises
+``ParameterError``, which the command line reports with exit 2.
 A read at T skips the trials whose ML decode the decoder's ``_decided``
 knows without a scan to be the truth, and the grouped scan returns each
 trial's ``ml_decode`` set and tie flag (see the ``decoder`` module
 docstring), so every histogram equals the one from calling ``ml_decode``
 on every trial.
 
-Error conventions: a trial errs when the decoder returns a set other than
-the truth or reports a tie (ties count against the decoder).  The partial
-criterion instead errs only when the decoded set misses more than
-alpha*K of the true items; a tie alone is not a partial error.  Each
+Error conventions, tallied by ``_misses`` for the reads and the worst case
+alike: a trial errs, at its miss distance, when the decoder returns a set
+other than the truth or reports a tie (ties count against the decoder).
+The partial criterion instead errs only when the decoded set misses more
+than alpha*K of the true items; a tie alone is not a partial error.  Each
 estimate reads its error count by these rules off its miss histogram.
 """
 
@@ -49,8 +50,7 @@ from itertools import combinations
 import numpy as np
 
 from .bitops import WORD_BITS, n_words, pack_bits
-from .decoder import (_decided, _decode_pools, _enumeration_size, _pool_masks, miss_distance,
-                      ml_decode)
+from .decoder import _decided, _decode_pools, _enumeration_size, _pool_masks, ml_decode
 from .errors import ParameterError
 from .model import (
     Codebook,
@@ -62,6 +62,7 @@ from .model import (
     _check_design,
     _check_integers,
     _check_seed,
+    _check_unit,
 )
 # generate_codebook, apply_channel and noiseless_outcome are not called here;
 # bench/probes.py traces them by name in this module
@@ -313,10 +314,17 @@ def _miss_histogram(stream: _TrialStream, n_tests: int) -> np.ndarray:
         if not trials.size:
             continue
         sets, ties = _decode_pools(words, outcomes, trials, n_tests, k, noise_model, in_pool)
-        truth = stream.truth_idx[block.start + trials]
-        missed = np.count_nonzero((truth[:, :, None] != sets[:, None, :]).all(axis=2), axis=1)
-        hist += np.bincount(missed[ties | (missed > 0)], minlength=k + 1)
+        hist += _misses(stream.truth_idx[block.start + trials], sets, ties)
     return hist
+
+
+def _misses(truth: np.ndarray, sets: np.ndarray, ties: np.ndarray) -> np.ndarray:
+    """The erring trials by miss distance, K + 1 counts.  Trial i decoded
+    ``sets[i]`` (B, K) with tie flag ``ties[i]``; ``truth`` is each trial's
+    true set (B, K), or one (K,) for all.  A tie or a wrong set errs, at
+    its count of true items absent from the decoded set."""
+    missed = np.count_nonzero((truth[..., :, None] != sets[:, None, :]).all(axis=2), axis=1)
+    return np.bincount(missed[ties | (missed > 0)], minlength=truth.shape[-1] + 1)
 
 
 def _collect_histogram(n_items, k, n_tests, p, noise_model, trials, master_seed,
@@ -348,12 +356,6 @@ def _check_grid(n_items: int, p: float, t_grid) -> list:
     for t in grid:
         _check_design(n_items, t, p)
     return [int(t) for t in grid]
-
-
-def _check_alpha(alpha: float) -> float:
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must lie strictly inside (0, 1), got {alpha}")
-    return float(alpha)
 
 
 def _estimates(stream: _TrialStream, n_tests: int, alphas) -> list[ErrorEstimate]:
@@ -397,7 +399,7 @@ def estimate_sweep(
     is the sweep of one T.  Every T is checked before any trial is drawn.
     """
     if alpha is not None:
-        alpha = _check_alpha(alpha)
+        alpha = _check_unit("alpha", alpha, strict=True)
     grid = _check_grid(n_items, p, t_grid)
     stream = _TrialStream(n_items, k, p, noise_model, master_seed, trials)
     return [_estimates(stream, t, (alpha,))[0] for t in grid]
@@ -434,19 +436,17 @@ def estimate_worstcase_error(
     worst = None
     worst_key = mix64(codebook.seed, _WORST_STREAM)
     for index, members in enumerate(combinations(range(n_items), k)):
-        truth = DefectiveSet(members)
-        hist = [0] * (k + 1)
-        set_key = mix64(worst_key, index)
-        for outcome in _worst_outcomes(codebook, truth, noise_model, set_key, draws):
-            result = ml_decode(codebook, outcome, k, noise_model)
-            if result.tie or result.best_set != truth:
-                hist[miss_distance(truth, result.best_set)] += 1
-        if worst is None or sum(hist) > sum(worst):
+        outcomes = _worst_outcomes(codebook, DefectiveSet(members), noise_model,
+                                   mix64(worst_key, index), draws)
+        results = [ml_decode(codebook, outcome, k, noise_model) for outcome in outcomes]
+        hist = _misses(np.array(members), np.array([r.best_set.indices for r in results]),
+                       np.array([r.tie for r in results]))
+        if worst is None or hist.sum() > worst.sum():
             worst = hist
-            if sum(worst) == draws:
+            if worst.sum() == draws:
                 break  # no later set can err more often
     return ErrorEstimate(WORST_CASE, n_items, int(k), codebook.n_tests, codebook.p, noise_model,
-                         None, draws, tuple(worst), codebook.seed)
+                         None, draws, tuple(worst.tolist()), codebook.seed)
 
 
 def _worst_outcomes(codebook: Codebook, truth: DefectiveSet, noise_model: NoiseModel,
@@ -480,9 +480,7 @@ def find_minimal_t(
     grid = _check_grid(n_items, p, t_grid)
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ParameterError("t_grid must be a nonempty strictly increasing integer sequence")
-    if not 0.0 <= target_error <= 1.0:
-        raise ParameterError(f"target_error must lie in [0, 1], got {target_error}")
-    target_error = float(target_error)
+    target_error = _check_unit("target_error", target_error)
     _check_integers(refine_to=refine_to)
     if refine_to < 1:
         raise ParameterError(f"refine_to must be >= 1, got {refine_to}")

@@ -2,8 +2,19 @@
 
 import numpy as np
 
-from gtlab import Codebook, DefectiveSet, OutcomeVector
+from gtlab import Codebook, DefectiveSet, NoiseModel, OutcomeVector
 from gtlab.bitops import pack_bits
+
+# The channels the grouped-scan tests run on.  q = 1 - 2**-40 puts log2 q
+# near -1.3e-12: candidates leaving 1 and 2 positive tests unpooled may
+# round to one score, which ranks as ml_decode's.  At q = 1 log2(1-q) =
+# -inf, so a trial with a negative test scores -inf throughout, and one
+# without ties every candidate of its pool.  Under dilution every trial
+# enumerates all N items, so a block is one group; at u = 1 any positive
+# test scores -inf.
+GROUPED_CHANNELS = [NoiseModel.noise_free(), NoiseModel.additive(0.25),
+                    NoiseModel.additive(1 - 2**-40), NoiseModel.dilution(0.3),
+                    NoiseModel.dilution(1.0), NoiseModel.additive(1.0)]
 
 
 def make_codebook(bits, p=0.5, seed=0):

@@ -28,7 +28,7 @@ from gtlab.decoder import _decode_pools, _pool_masks
 from gtlab.model import OutcomeVector
 from gtlab.montecarlo import _TrialStream
 
-from helpers import make_codebook
+from helpers import GROUPED_CHANNELS, make_codebook
 
 NF = NoiseModel.noise_free()
 
@@ -540,13 +540,6 @@ def test_dilution_levels_past_four_members_match_reference(k, t, u):
 # ---------------------------------------------------------------------------
 # grouped scan: a block's undecided trials, grouped by the items they enumerate
 
-# q = 1 - 2**-40 puts log2 q near -1.3e-12: candidates leaving 1 and 2
-# positive tests unpooled may round to one score, which ranks as ml_decode's.
-# Under dilution every trial enumerates all N items, so a block is one group;
-# at u = 1 any positive test scores -inf.
-GROUPED_CHANNELS = [NF, NoiseModel.additive(0.25), NoiseModel.additive(1 - 2**-40),
-                    NoiseModel.dilution(0.3), NoiseModel.dilution(1.0)]
-
 
 def decode_block(words, outcomes, trials, n_tests, k, noise):
     """``_decode_pools`` on the block's ``trials``, pools found as a read finds them."""
@@ -673,7 +666,8 @@ def test_grouped_scan_on_hand_built_pools():
     has C(130, 2) = 8,385 > _CHUNK candidates, two chunks; a pool of 128
     with zero rows pools no positive test, so noise-free every candidate
     scores -inf (the first K-set, untied) and additive every candidate
-    ties.  K = 3, N = 6: a u = 0 pool of 2 items is below K (the first
+    ties, but at q = 1, where the negative test scores every candidate
+    -inf.  K = 3, N = 6: a u = 0 pool of 2 items is below K (the first
     K-set, untied), and two equal rows tie."""
     rng = np.random.default_rng(4)
     bits = rng.integers(0, 2, size=(3, 130, 3), dtype=np.uint8)
@@ -690,7 +684,7 @@ def test_grouped_scan_on_hand_built_pools():
         ties = check_grouped_scan(pack_bits(bits), pack_bits(y), 3, 2, noise,
                                   referenced=(0, 1, 2))
         if noise.law[1] == 0.0:
-            assert bool(ties[2]) == (noise != NF)
+            assert bool(ties[2]) == (0.0 < noise.law[0] < 1.0)
         words, outcomes = pack_bits(small), pack_bits(y_small)
         ties = check_grouped_scan(words, outcomes, 3, 3, noise, referenced=(0, 1))
         if noise.law[1] == 0.0:

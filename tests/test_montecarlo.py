@@ -13,6 +13,7 @@ from gtlab import (
     achievable_tests,
     additive_converse,
     apply_channel,
+    binary_entropy,
     ci_half_width,
     empirical_pei_profile,
     estimate_average_error,
@@ -26,6 +27,7 @@ from gtlab import (
     log2_binom,
     miss_distance,
     ml_decode,
+    mutual_information_by_overlap,
     noiseless_outcome,
     pei_upper_bound,
 )
@@ -38,7 +40,7 @@ from gtlab.montecarlo import (_collect_histogram, _miss_histogram, _sample_truth
                               _worst_outcomes)
 from gtlab.rng import mix64, mix64_array
 
-from helpers import make_codebook, read_trials, record_reads
+from helpers import GROUPED_CHANNELS, make_codebook, read_trials, record_reads
 
 NF = NoiseModel.noise_free()
 
@@ -187,6 +189,7 @@ def test_every_entry_point_needs_integer_counts():
         ("N", 100, lambda v: achievable_tests(v, 2, 0.5, NF)),
         ("K", 2, lambda v: achievable_tests(100, v, 0.5, NF)),
         ("K", 2, lambda v: fano_lower_bound(100, v, 0.5, NF)),
+        ("K", 2, lambda v: mutual_information_by_overlap(v, 0.5, NF)),
         ("N", 100, lambda v: additive_converse(v, 2, 0.2)),
         ("i", 1, lambda v: pei_upper_bound(8, 2, v, 10, 0.5, NF)),
         ("T", 10, lambda v: pei_upper_bound(8, 2, 1, v, 0.5, NF)),
@@ -204,6 +207,38 @@ def test_every_entry_point_needs_integer_counts():
                 call(bad)
         call(np.int64(value))
         call(np.int32(value))
+
+
+def test_every_entry_point_needs_real_parameters():
+    """q, u, p, alpha, the minimal-T target, x and rho are real numbers at
+    every entry point: a bool, a string or a complex number raises
+    ParameterError naming the parameter, where a bool used to run as 0 or 1
+    and a string raised a bare TypeError.  Python and numpy integers and
+    floats pass, and an integer parameter is kept as given."""
+    p = "inclusion probability p"
+    for name, value, call in (
+        ("additive q", 0.2, NoiseModel.additive),
+        ("dilution u", 0.2, NoiseModel.dilution),
+        ("additive q", 0.2, lambda v: NoiseModel("additive", q=v)),
+        (p, 0.5, lambda v: generate_codebook(8, 10, v, 1)),
+        (p, 0.5, lambda v: estimate_average_error(8, 2, 10, v, NF, 10, 1)),
+        (p, 0.5, lambda v: estimate_sweep(8, 2, v, NF, [4, 10], 10, 1)),
+        (p, 0.5, lambda v: achievable_tests(100, 2, v, NF)),
+        (p, 0.5, lambda v: gallager_e0(2, 1, v, NF, 0.5)),
+        ("alpha", 0.5, lambda v: estimate_partial_error(8, 2, 10, 0.5, NF, v, 10, 1)),
+        ("alpha", 0.5, lambda v: estimate_sweep(8, 2, 0.5, NF, [10], 10, 1, v)),
+        ("target_error", 0.1, lambda v: find_minimal_t(8, 2, 0.5, NF, v, 10, [4, 10], 1)),
+        ("x", 0.5, binary_entropy),
+        ("rho", 0.5, lambda v: gallager_e0(2, 1, 0.5, NF, v)),
+        ("additive q", 0.2, lambda v: additive_converse(100, 2, v)),
+    ):
+        for bad in (True, False, str(value), complex(value)):
+            with pytest.raises(ParameterError, match=f"^{name} must be a real number"):
+                call(bad)
+        call(value)
+        call(np.float64(value))
+        call(np.float32(value))
+    assert NoiseModel.dilution(0).param == 0 and NoiseModel.dilution(np.int64(1)).param == 1
 
 
 @pytest.mark.parametrize("k", [25, 2000])
@@ -751,10 +786,6 @@ def test_decoded_trials_depend_on_t_alone(noise, monkeypatch):
 def test_skipped_decodes_keep_every_histogram(noise, monkeypatch):
     pool_sizes, _ = check_skipped_decodes(noise, monkeypatch)
     assert {2, 3} <= pool_sizes  # pools of exactly K items, and of K + 1
-
-
-GROUPED_CHANNELS = [NF, NoiseModel.additive(0.25), NoiseModel.additive(1 - 2**-40),
-                    NoiseModel.dilution(0.3), NoiseModel.dilution(1.0)]
 
 
 @pytest.mark.parametrize("chunk", [gtlab.decoder._CHUNK, 20], ids=["chunk", "small-chunk"])
