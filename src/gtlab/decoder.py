@@ -27,32 +27,29 @@ much more is computed, without changing any score:
 
 * when log2 u = -inf a member pooled in a negative test makes the score
   -inf, so only the pool, the items whose rows the outcome covers (the
-  COMP set), is enumerated.  A pool of K items is the truth, decoded
-  untied.  ``_pool_masks`` alone makes this decision, for reads and
-  single calls alike, and ``_pool`` and ``_decided`` take its mask;
+  COMP set), is enumerated, and a pool of K items is one candidate.
+  ``_pool_masks`` alone makes this decision, for reads and single calls
+  alike, and ``_pool`` takes its mask;
 * when log2 q = -inf (q = 0: noise-free and dilution) a candidate leaving
   a positive test unpooled scores -inf, so only the candidates whose OR is
   every positive test are kept and scored.  Their n+[0] is 0.  When q > 0,
-  n+[0] is n+ minus the popcount of the OR.  If u = 0 too, every
-  finite-likelihood set holds the definite defectives (pool items alone in
-  the pool of a test, DD's first step), so K of them are the truth, untied;
+  n+[0] is n+ minus the popcount of the OR;
 * n+[1..K] come from a bit-sliced recurrence over K threshold levels,
   built only when some coefficient of n+[1..K] is nonzero, which happens
   only under dilution.  The OR level holds every positive test of a kept
   candidate, so it is not counted again.
 
-``_decided`` applies those two rules to trials without a scan.
-
 There is one scan, ``_scan``, of a group of trials that enumerate as many
-items, P.  ``_decode_pools`` decodes the undecided trials of a block in
-groups (by pool size when log2 u = -inf, all of them together under
-dilution), and ``ml_decode`` is the scan of a group of one trial.  A
-gather keeps only the candidates that can still be a maximizer
-(``_cover``, with one branch per law of q), and ``_Best`` scores the kept
-pairs of many trials and chunks together and folds them in candidate
-order, so the first-maximizer and tie rules hold across chunks and
-passes.  ``ml_decode`` folds each gather of its one trial with an argmax
-instead, which costs a small decode less than ``_Best`` would.
+items, P.  ``_decode_pools`` decodes every trial of a block in groups
+(by pool size when log2 u = -inf, all of them together under dilution),
+and ``ml_decode`` is the scan of a group of one trial.  No trial is
+decided without a scan.  A gather keeps only the candidates that can
+still be a maximizer (``_cover``, with one branch per law of q), and
+``_Best`` scores the kept pairs of many trials and chunks together and
+folds them in candidate order, so the first-maximizer and tie rules hold
+across chunks and passes.  ``ml_decode`` folds each gather of its one
+trial with an argmax instead, which costs a small decode less than
+``_Best`` would.
 
 Scoring is deterministic, so results are identical across platforms and
 runs.
@@ -178,26 +175,6 @@ def _pool_masks(words: np.ndarray, outcomes: np.ndarray, k: int,
     if _coefficients(noise_model, k).participation != -math.inf:
         return None
     return _in_pool(words, ~outcomes)
-
-
-def _decided(words: np.ndarray, outcomes: np.ndarray, k: int, noise_model: NoiseModel,
-             in_pool: np.ndarray | None) -> np.ndarray:
-    """Whether each trial is decided: its decode, by the module docstring's
-    rules, is its truth.  ``in_pool`` is ``_pool_masks`` of the same
-    ``words`` and ``outcomes``; with None no trial is decided.  Definite
-    defectives are read off the packed pool rows, unpacking none."""
-    if in_pool is None:
-        return np.zeros(len(outcomes), dtype=bool)
-    pool = np.count_nonzero(in_pool, axis=1)
-    if _coefficients(noise_model, k).positive[0] == -math.inf:
-        rest = np.flatnonzero(pool > k)  # a pool of K is decided already
-        rows = np.where(in_pool[rest, :, None], words[rest], np.uint64(0))
-        seen = np.bitwise_or.accumulate(rows, axis=1)
-        # a row meeting the OR of the rows before it marks tests of 2+ pool items
-        alone = seen[:, -1] & ~np.bitwise_or.reduce(rows[:, 1:] & seen[:, :-1], axis=1)
-        definite = np.count_nonzero(~_in_pool(rows, alone), axis=1)
-        pool[rest[definite == k]] = k
-    return pool == k
 
 
 class _Pool(NamedTuple):
@@ -434,28 +411,27 @@ def ml_decode(
     return DecodeResult(DefectiveSet(tuple(first.tolist())), best, at_max >= 2, total)
 
 
-def _decode_pools(words: np.ndarray, outcomes: np.ndarray, trials: np.ndarray, n_tests: int,
-                  k: int, noise_model: NoiseModel,
-                  in_pool: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """``ml_decode``'s set and tie flag for each of a block's ``trials``,
-    decoded in groups: (sets (B, K), ties (B,)), entry i for trial
-    ``trials[i]``.
+def _decode_pools(words: np.ndarray, outcomes: np.ndarray, n_tests: int, k: int,
+                  noise_model: NoiseModel) -> tuple[np.ndarray, np.ndarray]:
+    """``ml_decode``'s set and tie flag for each trial of a block, decoded
+    in groups: (sets (B, K), ties (B,)).
 
-    ``words``, ``outcomes`` and ``in_pool`` hold the block's trials, as
-    ``_decided`` takes them, and ``trials`` (B,) indexes them.  The trials
-    are grouped by the number of items they enumerate, P: the pool size
-    when log2 u = -inf, else N, so that all of them form one group.  Each
+    ``words`` (B, N, W) and ``outcomes`` (B, W) hold the block's trials,
+    packed as ``_pool_masks`` takes them, whose one call finds every pool.
+    The trials are grouped by the number of items they enumerate, P: the
+    pool size when log2 u = -inf, else N, so that all of them form one
+    group.  A pool of K items is a group of one candidate a trial.  Each
     group is one ``_scan``, and every group's gathers go to one ``_Best``.
     """
     co = _coefficients(noise_model, k)
-    sizes = (np.full(len(trials), words.shape[1]) if in_pool is None
-             else np.count_nonzero(in_pool[trials], axis=1))
-    state = _Best(co, len(trials), k)
+    in_pool = _pool_masks(words, outcomes, k, noise_model)
+    sizes = (np.full(len(outcomes), words.shape[1]) if in_pool is None
+             else np.count_nonzero(in_pool, axis=1))
+    state = _Best(co, len(outcomes), k)
     order = np.argsort(sizes, kind="stable")
     for group in np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1):
-        rows = trials[group]
-        pool = _pool(co, words[rows], n_tests, outcomes[rows],
-                     None if in_pool is None else in_pool[rows])
+        pool = _pool(co, words[group], n_tests, outcomes[group],
+                     None if in_pool is None else in_pool[group])
         for kept in _scan(co, pool, k):
             state.add(pool, group, kept)
     state.fold()

@@ -7,9 +7,9 @@ per-trial keys (the truth set by ``_sample_truth``), so estimates do not
 depend on the order in which trials run or are drawn, nor on numpy's
 sampler streams.  The codebook and channel words of a block of trials
 come from one sampler call, and the block is decoded as a whole, in the
-calling thread: the decoder's ``_decode_pools`` scans its undecided
-trials in groups, of equal pool size on the u = 0 channels and all of
-them together under dilution.  The average and partial
+calling thread: the decoder's ``_decode_pools`` scans all its trials
+in groups, of equal pool size on the u = 0 channels and all of them
+together under dilution.  The average and partial
 criteria and the per-overlap error profile share one trial stream (one
 miss histogram), which makes their comparisons paired.
 
@@ -26,8 +26,7 @@ to T by one AND.  N, K, T, the trial count and every T of a grid must be
 integers (Python or numpy), and are stored as Python ints; p, alpha and the
 target must be real numbers, stored as floats.  Any other value raises
 ``ParameterError``, which the command line reports with exit 2.
-A read at T skips the trials whose ML decode the decoder's ``_decided``
-knows without a scan to be the truth, and the grouped scan returns each
+A read at T hands every trial to the grouped scan, which returns each
 trial's ``ml_decode`` set and tie flag (see the ``decoder`` module
 docstring), so every histogram equals the one from calling ``ml_decode``
 on every trial.
@@ -50,7 +49,7 @@ from itertools import combinations
 import numpy as np
 
 from .bitops import WORD_BITS, n_words, pack_bits
-from .decoder import _decided, _decode_pools, _enumeration_size, _pool_masks, ml_decode
+from .decoder import _decode_pools, _enumeration_size, ml_decode
 from .errors import ParameterError
 from .model import (
     Codebook,
@@ -253,12 +252,10 @@ class _TrialStream:
         self.outcomes = np.zeros((trials, 0), dtype=np.uint64)
 
     def draw(self, n_tests: int):
-        """Yield (block, words, outcomes, undecided, in_pool) at n_tests, one
-        block of trials at a time in trial order: the block's slice of
-        trials, their codebook words (trials, N, W) and outcome words
-        (trials, W) masked to the first n_tests tests by one AND, which of
-        them the decoder's ``_decided`` leaves undecided, and their pools
-        (``_pool_masks``, None when nothing is pruned), found once per block.
+        """Yield (block, words, outcomes) at n_tests, one block of trials at
+        a time in trial order: the block's slice of trials, and their
+        codebook words (trials, N, W) and outcome words (trials, W) masked
+        to the first n_tests tests by one AND.
 
         The stream is first drawn up to n_tests.  A block holds at most
         ``_BLOCK_CELLS`` words.
@@ -270,10 +267,7 @@ class _TrialStream:
         # at least one cell an item: the decoder holds a few per item at T = 0 too
         for block in _blocks(self.trials, self.n_items * max(1, keep.size)):
             words = self.words[block, :, :keep.size] & keep
-            outcomes = self.outcomes[block, :keep.size] & keep
-            in_pool = _pool_masks(words, outcomes, self.k, self.noise_model)
-            undecided = ~_decided(words, outcomes, self.k, self.noise_model, in_pool)
-            yield block, words, outcomes, undecided, in_pool
+            yield block, words, self.outcomes[block, :keep.size] & keep
 
     def _extend(self, n_tests: int) -> None:
         start, shift = divmod(self.n_tests, WORD_BITS)
@@ -305,16 +299,12 @@ def _shift_in(dest: np.ndarray, new: np.ndarray, shift: int) -> None:
 def _miss_histogram(stream: _TrialStream, n_tests: int) -> np.ndarray:
     """Histogram over miss distance of ``stream``'s erring trials at n_tests.
 
-    Each block's undecided trials are decoded together by the decoder's
+    Each block's trials are decoded together by the decoder's
     ``_decode_pools``."""
-    k, noise_model = stream.k, stream.noise_model
-    hist = np.zeros(k + 1, dtype=np.int64)
-    for block, words, outcomes, undecided, in_pool in stream.draw(n_tests):
-        trials = np.flatnonzero(undecided)
-        if not trials.size:
-            continue
-        sets, ties = _decode_pools(words, outcomes, trials, n_tests, k, noise_model, in_pool)
-        hist += _misses(stream.truth_idx[block.start + trials], sets, ties)
+    hist = np.zeros(stream.k + 1, dtype=np.int64)
+    for block, words, outcomes in stream.draw(n_tests):
+        sets, ties = _decode_pools(words, outcomes, n_tests, stream.k, stream.noise_model)
+        hist += _misses(stream.truth_idx[block], sets, ties)
     return hist
 
 

@@ -25,12 +25,11 @@ def make_codebook(bits, p=0.5, seed=0):
 
 
 def read_trials(stream, n_tests):
-    """Yield (trial, truth, codebook, outcome) for every trial a read of
-    ``stream`` at n_tests leaves undecided, in trial order, the codebook and
-    outcome built from copies of the words of the block they were read in."""
-    for block, words, outcomes, undecided, _ in stream.draw(n_tests):
-        for i in np.flatnonzero(undecided).tolist():
-            trial = block.start + i
+    """Yield (trial, truth, codebook, outcome) for every trial of a read of
+    ``stream`` at n_tests, in trial order, the codebook and outcome built
+    from copies of the words of the block they were read in."""
+    for block, words, outcomes in stream.draw(n_tests):
+        for i, trial in enumerate(range(block.start, block.stop)):
             truth = DefectiveSet(stream.truth_idx[trial].tolist())
             codebook = Codebook(stream.n_items, n_tests, stream.p, int(stream.seeds[trial, 0]),
                                 words[i].copy())
@@ -39,8 +38,8 @@ def read_trials(stream, n_tests):
 
 def record_reads(monkeypatch):
     """Wrap ``_TrialStream.draw`` so that every read appends (T, trial) for
-    each trial it leaves undecided, the trials the miss histogram hands to
-    the decoder; returns that list."""
+    each trial it yields, the trials the miss histogram hands to the
+    decoder; returns that list."""
     from gtlab.montecarlo import _TrialStream
 
     handed = []
@@ -48,8 +47,7 @@ def record_reads(monkeypatch):
 
     def recording_draw(self, n_tests):
         for read in draw(self, n_tests):
-            block, undecided = read[0], read[3]
-            handed.extend((n_tests, block.start + i) for i in np.flatnonzero(undecided).tolist())
+            handed.extend((n_tests, trial) for trial in range(read[0].start, read[0].stop))
             yield read
 
     monkeypatch.setattr(_TrialStream, "draw", recording_draw)

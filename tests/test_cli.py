@@ -94,10 +94,8 @@ def test_profile_adds_an_i_column(tmp_path):
 def test_profile_decodes_each_trial_once(monkeypatch):
     """The profile is read off the estimate's one pass: no trial is decoded
     twice, and --profile decodes exactly the trials the plain estimate
-    decodes.  That is every trial under dilution; on the noise-free channel
-    the trials whose pool is exactly K, or that hold K definite defectives,
-    are decided without a decode.  The grouped scan decodes every trial
-    handed to it, once, and ``ml_decode`` none."""
+    decodes, every trial on both channels.  The grouped scan decodes every
+    trial handed to it, once, and ``ml_decode`` none."""
     handed = record_reads(monkeypatch)
     decoded, scanned = [], []
     decode, decode_pools = gtlab.montecarlo.ml_decode, gtlab.montecarlo._decode_pools
@@ -106,9 +104,9 @@ def test_profile_decodes_each_trial_once(monkeypatch):
         decoded.append(codebook.seed)
         return decode(codebook, *args, **kwargs)
 
-    def counting_decode_pools(words, outcomes, trials, *args):
-        scanned.append(len(trials))
-        return decode_pools(words, outcomes, trials, *args)
+    def counting_decode_pools(words, outcomes, *args):
+        scanned.append(len(outcomes))
+        return decode_pools(words, outcomes, *args)
 
     monkeypatch.setattr(gtlab.montecarlo, "ml_decode", counting_decode)
     monkeypatch.setattr(gtlab.montecarlo, "_decode_pools", counting_decode_pools)
@@ -122,11 +120,7 @@ def test_profile_decodes_each_trial_once(monkeypatch):
         handed.clear(), decoded.clear(), scanned.clear()
         assert run_cli(argv)[0] == 0
         assert profiled == (handed, decoded, scanned) and len(set(handed)) == len(handed)
-        assert sum(scanned) == len(handed) and not decoded
-        if model:
-            assert len(handed) == 40
-        else:
-            assert 0 < len(handed) < 40
+        assert sum(scanned) == len(handed) == 40 and not decoded
         rows = list(csv.reader(io.StringIO(text)))[1:]
         assert sum(int(r[9]) for r in rows if r[0] == "profile") == int(rows[0][9])
 

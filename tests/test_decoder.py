@@ -24,7 +24,7 @@ from gtlab import (
 )
 import gtlab.decoder
 from gtlab.bitops import pack_bits
-from gtlab.decoder import _decode_pools, _pool_masks
+from gtlab.decoder import _decode_pools
 from gtlab.model import OutcomeVector
 from gtlab.montecarlo import _TrialStream
 
@@ -538,13 +538,12 @@ def test_dilution_levels_past_four_members_match_reference(k, t, u):
 
 
 # ---------------------------------------------------------------------------
-# grouped scan: a block's undecided trials, grouped by the items they enumerate
+# grouped scan: a block's trials, grouped by the items they enumerate
 
 
 def decode_block(words, outcomes, trials, n_tests, k, noise):
-    """``_decode_pools`` on the block's ``trials``, pools found as a read finds them."""
-    return _decode_pools(words, outcomes, trials, n_tests, k, noise,
-                         _pool_masks(words, outcomes, k, noise))
+    """``_decode_pools`` on the block's ``trials``, taken in that order."""
+    return _decode_pools(words[trials], outcomes[trials], n_tests, k, noise)
 
 
 def check_grouped_scan(words, outcomes, n_tests, k, noise, referenced=()):
@@ -567,10 +566,9 @@ def check_grouped_scan(words, outcomes, n_tests, k, noise, referenced=()):
 
 
 def stream_blocks(n, k, p, noise, seed, trials, t):
-    """(words, outcomes) of each block of a trial stream read at t, every
-    trial included, decided or not."""
+    """(words, outcomes) of each block of a trial stream read at t."""
     stream = _TrialStream(n, k, p, noise, seed, trials)
-    return [(words, outcomes) for _, words, outcomes, _, _ in stream.draw(t)]
+    return [(words, outcomes) for _, words, outcomes in stream.draw(t)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

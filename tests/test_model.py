@@ -20,7 +20,6 @@ from gtlab import (
 from gtlab.bitops import pack_bits, unpack_bits
 from gtlab.cli import _atomic_text, main as cli_main
 from gtlab.model import _ADDITIVE_STREAM, _DILUTION_STREAM, _channel_words, _check_design
-from gtlab import montecarlo
 from gtlab.montecarlo import _check_trials, _TrialStream
 from gtlab.rng import bernoulli_grid, bernoulli_words, mix64, uniform_grid
 
@@ -316,12 +315,10 @@ def test_channel_block_equals_the_per_trial_calls(noise):
 
 
 @pytest.mark.parametrize("noise", REFERENCE_CHANNELS, ids=lambda m: m.describe())
-def test_stream_extension_equals_the_float_grid_reference(noise, monkeypatch):
+def test_stream_extension_equals_the_float_grid_reference(noise):
     """A trial stream extended from inside a word, read back at every edge T,
-    gives each trial's outcome as the float-grid channel would.  No trial is
-    decided here, so every read yields all of them."""
-    monkeypatch.setattr(montecarlo, "_decided",
-                        lambda words, outcomes, *_: np.zeros(len(outcomes), dtype=bool))
+    gives each trial's outcome as the float-grid channel would.  Every read
+    yields all of them."""
     n, k, p, trials, seed = 20, 3, 1.0 / 3.0, 4, 77
     stream = _TrialStream(n, k, p, noise, seed, trials)
     for n_tests in (1, 63, 65, 129, 200, *EDGE_TESTS):

@@ -31,11 +31,9 @@ from gtlab import (
     noiseless_outcome,
     pei_upper_bound,
 )
-from gtlab.bitops import pack_bits
 from gtlab.cli import main as cli_main
 import gtlab.decoder
 import gtlab.montecarlo
-from gtlab.decoder import _decided, _pool_masks
 from gtlab.montecarlo import (_collect_histogram, _miss_histogram, _sample_truth, _TrialStream,
                               _worst_outcomes)
 from gtlab.rng import mix64, mix64_array
@@ -523,15 +521,13 @@ CHANNELS = [NF, NoiseModel.additive(0.25), NoiseModel.dilution(0.3)]
 
 @pytest.mark.parametrize("noise", CHANNELS, ids=lambda m: m.describe())
 def test_stream_reads_every_t_as_a_fresh_draw(noise, monkeypatch):
-    """Extending, then reading shorter prefixes, yields in trial order exactly
-    the trials that the dense references leave undecided, each one exactly
-    as an independent draw at that T would give it, whatever blocks the
-    trial was drawn and read in."""
+    """Extending, then reading shorter prefixes, yields every trial in trial
+    order, each one exactly as an independent draw at that T would give it,
+    whatever blocks the trial was drawn and read in."""
     n, k, p, trials, seed = 30, 2, 0.5, 12, 41
     # 2,000 cells a block: extending by 5 tests draws one block of all 12 trials,
     # by 6 tests blocks of 11 and 1, and by 64 tests or more one trial a block;
-    # 150 cells a block: a read of one word takes blocks of 5, 5 and 2 trials.
-    # reads at 12 and 20 tests decide some trials of a block and not others
+    # 150 cells a block: a read of one word takes blocks of 5, 5 and 2 trials
     for cells, cells_each, sizes in ((2000, n * 6, [11, 1]), (150, n, [5, 5, 2])):
         monkeypatch.setattr(gtlab.montecarlo, "_BLOCK_CELLS", cells)
         blocks = gtlab.montecarlo._blocks(trials, cells_each)
@@ -540,9 +536,7 @@ def test_stream_reads_every_t_as_a_fresh_draw(noise, monkeypatch):
         for t in (5, 64, 70, 129, 0, 63, 12, 65, 128, 200, 20, 1):
             fresh = list(fresh_trials(n, k, t, p, noise, trials, seed))
             draws = list(read_trials(stream, t))
-            assert [d[0] for d in draws] == [
-                trial for trial, _, codebook, outcome in fresh
-                if not reference_decided(noise, k, codebook, outcome)]
+            assert [d[0] for d in draws] == list(range(trials))
             for trial, truth, codebook, outcome in draws:
                 assert (trial, truth, codebook, outcome) == fresh[trial]
 
@@ -587,9 +581,8 @@ def test_extension_inside_the_last_word_copies_no_word():
 
 @pytest.mark.parametrize("noise", [NF, NoiseModel.additive(0.25)], ids=lambda m: m.describe())
 def test_a_read_finds_each_pool_once(noise, monkeypatch):
-    """A u = 0 read finds the pools of a block's trials once, for the skip
-    rules and the grouped scan alike: ``_in_pool`` meets each block's words
-    once (the definite-defective step reads its own pool rows)."""
+    """A u = 0 read finds the pools of a block's trials once, inside
+    ``_decode_pools``: ``_in_pool`` meets each block's words once."""
     blocks, pooled = [], []
     in_pool = gtlab.decoder._in_pool
     monkeypatch.setattr(gtlab.decoder, "_in_pool",
@@ -696,24 +689,13 @@ def reference_definite_count(codebook, outcome):
     return int((pool & (pool.sum(axis=0) == 1)).any(axis=1).sum())
 
 
-def reference_decided(noise, k, codebook, outcome):
-    """Whether a trial's ML decode is known without a scan to be its truth:
-    on a u = 0 channel when its pool is exactly K and, on the noise-free
-    channel only, also when it has K definite defectives; under dilution never."""
-    if noise.law[1] != 0.0:
-        return False
-    return reference_pool_size(codebook, outcome) == k or (
-        noise.deterministic and reference_definite_count(codebook, outcome) == k)
-
-
 def check_skipped_decodes(noise, monkeypatch, p=0.5, grid=(12, 30, 8, 64, 20, 65, 129, 25)):
     """One stream read out of order, across word boundaries: every histogram
-    equals decoding every trial afresh, and each read decodes exactly the
-    trials whose result is not known before decoding.  On a u = 0 channel
-    those are the trials whose pool at T is not exactly K and, on the
-    noise-free channel, whose definite defectives at T are not K either;
-    under dilution they are every trial.  Returns the pool sizes and the
-    (pool == K, definite count == K) pairs met over every trial and T."""
+    equals decoding every trial afresh, and each read hands every trial to
+    the grouped scan once, in trial order, whatever its pool.  Returns the
+    pool sizes and the (pool == K, definite count == K) pairs met over
+    every trial and T, the dense references as witnesses that the scanned
+    trials include those a pool of K or K definite defectives decides."""
     n, k, trials, seed = 40, 2, 200, 8
     trial_of = {mix64(mix64(seed, trial), 0): trial for trial in range(trials)}
     handed = record_reads(monkeypatch)
@@ -724,10 +706,10 @@ def check_skipped_decodes(noise, monkeypatch, p=0.5, grid=(12, 30, 8, 64, 20, 65
         decoded.append(trial_of[codebook.seed])
         return decode(codebook, outcome, k, noise_model)
 
-    def counting_decode_pools(words, outcomes, trials, *args):
-        sets, ties = decode_pools(words, outcomes, trials, *args)
-        assert len(sets) == len(ties) == len(trials)
-        scanned.append(len(trials))
+    def counting_decode_pools(words, outcomes, *args):
+        sets, ties = decode_pools(words, outcomes, *args)
+        assert len(sets) == len(ties) == len(outcomes)
+        scanned.append(len(outcomes))
         return sets, ties
 
     monkeypatch.setattr(gtlab.montecarlo, "ml_decode", counting_decode)
@@ -744,40 +726,24 @@ def check_skipped_decodes(noise, monkeypatch, p=0.5, grid=(12, 30, 8, 64, 20, 65
                     for _, _, codebook, outcome in fresh]
         pool_sizes.update(pools)
         cases.update((pool == k, count == k) for pool, count in zip(pools, definite))
-        undecided = [trial for trial, _, codebook, outcome in fresh
-                     if not reference_decided(noise, k, codebook, outcome)]
-        assert handed == [(t, trial) for trial in undecided]
-        # on every channel a read decodes each undecided trial once, in the
-        # grouped scan, and ml_decode decodes none
+        assert handed == [(t, trial) for trial in range(trials)]
+        # on every channel a read decodes each trial once, in the grouped
+        # scan, and ml_decode decodes none
         assert decoded == []
-        assert sum(scanned) == len(undecided)
+        assert sum(scanned) == trials
     return pool_sizes, cases
 
 
-def test_noise_free_shortcut_keeps_every_histogram(monkeypatch):
-    """Both noise-free rules, a pool of K and K definite defectives, keep
-    every histogram and skip exactly their trials; all four combinations of
-    the two rules occur.  Sparse tests leave trials undecided past the first
-    word, so definite defectives are also read across words."""
+def test_noise_free_scan_covers_pools_of_k_and_definite_defectives(monkeypatch):
+    """The noise-free reads scan every trial and keep every histogram; the
+    scanned trials meet all four combinations of a pool of K and K definite
+    defectives, and pools of K and K + 1.  Sparse tests give trials with K
+    definite defectives past the first word too."""
     pool_sizes, cases = check_skipped_decodes(NF, monkeypatch)
     assert {2, 3} <= pool_sizes  # pools of exactly K items, and of K + 1
     assert cases == {(False, False), (False, True), (True, False), (True, True)}
     _, cases = check_skipped_decodes(NF, monkeypatch, p=0.05, grid=(65, 129, 100, 70))
     assert (False, True) in cases
-
-
-@pytest.mark.parametrize("noise", CHANNELS, ids=lambda m: m.describe())
-def test_decoded_trials_depend_on_t_alone(noise, monkeypatch):
-    """Two streams that read the same T's in different orders decode the
-    same trials at each T: what is decided at T depends on T alone."""
-    n, k, p, trials, seed = 40, 2, 0.5, 200, 8
-    handed = record_reads(monkeypatch)
-    reads = []
-    for grid in ((8, 12, 20, 25, 30, 64, 65, 129), (129, 65, 64, 30, 25, 20, 12, 8)):
-        handed.clear()
-        estimate_sweep(n, k, p, noise, grid, trials, seed)
-        reads.append({t: [trial for u, trial in handed if u == t] for t in grid})
-    assert reads[0] == reads[1]
 
 
 @pytest.mark.parametrize(
@@ -823,37 +789,6 @@ def test_grouped_histograms_property(data):
         stream = _TrialStream(n, k, p, noise, seed, trials)
         hist = tuple(_miss_histogram(stream, t).tolist())
         assert hist == reference_histogram(n, k, t, p, noise, trials, seed)
-
-
-@pytest.mark.parametrize("noise", CHANNELS, ids=lambda m: m.describe())
-def test_decided_matches_dense_references(noise):
-    """``_decided`` on a strided, descending choice of trials copied from
-    stream arrays drawn to T = 192 and masked to smaller T, against the
-    dense references on the same trials drawn afresh at T.  Each case, K = 2
-    at two densities and K = 4 at p = 0.25, meets all four combinations of
-    a pool of K and K definite defectives over the T grid."""
-    n, trials, seed = 40, 200, 8
-    picked = np.arange(trials)[::-3]
-    for k, densities in ((2, (0.5, 0.05)), (4, (0.25,))):
-        cases = set()
-        for p in densities:
-            stream = _TrialStream(n, k, p, noise, seed, trials)
-            stream._extend(192)
-            for t in (0, 8, 12, 20, 30, 63, 64, 65, 129):
-                keep = pack_bits(np.ones(t, dtype=np.uint8))  # the first t bits
-                words = stream.words[picked, :, :keep.size] & keep
-                outcomes = stream.outcomes[picked, :keep.size] & keep
-                decided = _decided(words, outcomes, k, noise,
-                                   _pool_masks(words, outcomes, k, noise))
-                fresh = list(fresh_trials(n, k, t, p, noise, trials, seed))
-                pool = [reference_pool_size(fresh[i][2], fresh[i][3]) == k for i in picked]
-                definite = [reference_definite_count(fresh[i][2], fresh[i][3]) == k
-                            for i in picked]
-                cases.update(zip(pool, definite))
-                expected = [reference_decided(noise, k, fresh[i][2], fresh[i][3])
-                            for i in picked]
-                assert decided.tolist() == expected, (k, p, t)
-        assert cases == {(False, False), (False, True), (True, False), (True, True)}, k
 
 
 # ---------------------------------------------------------------------------
